@@ -125,8 +125,8 @@ def fprime_zero(Y: np.ndarray, g: float) -> np.ndarray:
 
     Computes the closed form (i Delta_2) chi (Y - 2ig Delta_1) chi^T (i Delta_2)
     and independently y - i x^T Delta~_2 - i Delta~_2 x from the assembled
-    generator; a disagreement beyond 1e-10 means a convention bug, so it is
-    asserted rather than tolerated.
+    generator; a disagreement beyond 1e-10 means a convention bug, so it
+    raises RuntimeError rather than being tolerated.
     """
     Y = np.asarray(Y, dtype=float)
     require_symmetric(Y, name="Y")
@@ -135,10 +135,11 @@ def fprime_zero(Y: np.ndarray, g: float) -> np.ndarray:
     dyn = build_dynamics(moments_with_coupling(Y, g))
     x, y = dyn.drift, dyn.diffusion
     assembled = y - 1j * x.T @ DELTA_2_TILDE - 1j * DELTA_2_TILDE @ x
-    assert np.max(np.abs(closed - assembled)) <= 1e-10, (
-        "the two first-order certificate expressions disagree; "
-        "sign conventions are inconsistent"
-    )
+    if not np.max(np.abs(closed - assembled)) <= 1e-10:
+        raise RuntimeError(
+            "the two first-order certificate expressions disagree; "
+            "sign conventions are inconsistent"
+        )
     return closed
 
 
@@ -160,11 +161,15 @@ def converse_witness(Y: np.ndarray, g: float):
     z_ab = np.array([-z1, -1j * z1, z2, -1j * z2])
 
     # Postconditions: kernel membership and the quadratic-form identity.
-    assert np.max(np.abs(CHI.T @ (1j * DELTA_2) @ z_ab - z_f)) <= 1e-10
-    assert np.max(np.abs(1j * DELTA_2_TILDE @ z_ab + z_ab)) <= 1e-10
+    if not np.max(np.abs(CHI.T @ (1j * DELTA_2) @ z_ab - z_f)) <= 1e-10:
+        raise RuntimeError("witness lift does not map back to z_f through chi^T i Delta_2")
+    if not np.max(np.abs(1j * DELTA_2_TILDE @ z_ab + z_ab)) <= 1e-10:
+        raise RuntimeError("witness lift is not a -1 eigenvector of i Delta~_2")
     dyn = build_dynamics(moments_with_coupling(Y, g))
     lhs = z_ab.conj() @ (dyn.diffusion + dyn.drift.T + dyn.drift) @ z_ab
     rhs = z_f.conj() @ M @ z_f
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-    assert rhs.real < 0
+    if not abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)):
+        raise RuntimeError(f"witness quadratic forms disagree: {lhs} vs {rhs}")
+    if not rhs.real < 0:
+        raise RuntimeError(f"witness form {rhs.real} is not negative")
     return z_f, z_ab

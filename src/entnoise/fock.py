@@ -6,13 +6,16 @@ and exposes covariance extraction, generator-coefficient extraction, and the
 gate-identity check. Everything the Gaussian-level modules compute in closed
 form is re-derived here from the circuit, so agreement is a real test.
 
-The carrier gates exp(-i sqrt(tau) x_f A) are controlled displacements: in
-the joint eigenbasis of A = x_a and B = x_b the whole reduced step becomes an
+TrotterStepper is the one circuit step: trotter_evolve composes it, and
+gate_identity_check reads the bare four-gate block off a stepper with no
+screen. The carrier gates exp(-i sqrt(tau) x_f A) are controlled
+displacements: in the joint eigenbasis of A = x_a and B = x_b a step is an
 entrywise multiplier C = Xi Xi^dag assembled from carrier-space vectors. That
 is algebraically identical to exponentiating the truncated operators
 directly (the gates block-diagonalize over the system eigenbasis), but costs
-O((d_a d_b)^2) instead of a dense three-mode product. A literal three-mode
-implementation is kept for cross-checking the fast path at small dimension.
+O((d_a d_b)^2) instead of a dense three-mode product; the literal three-mode
+step, reduced_step_dense, cross-checks it at small dimension. Quadrature
+moments are contracted on the reshaped density matrix.
 """
 
 import math
@@ -23,6 +26,7 @@ from scipy.linalg import expm
 
 from .screens import (
     DEFAULT_ETA_CONVENTION,
+    ETA_CONVENTIONS,
     DisplacementScreen,
     KrausScreen,
     ScreenMoments,
@@ -103,22 +107,34 @@ def vacuum_state(dims=(20, 20)) -> FockState:
     return product_state(va, vb)
 
 
+def _quadratures(dims) -> list:
+    """(x_a, p_a, x_b, p_b), each as the factor pair (A, B) of A tensor B."""
+    da, db = dims
+    return [(position(da), np.eye(db)), (momentum(da), np.eye(db)),
+            (np.eye(da), position(db)), (np.eye(da), momentum(db))]
+
+
+def _expect(state: FockState, A: np.ndarray, B: np.ndarray) -> complex:
+    """tr(rho A tensor B), contracted on the reshaped rho; A tensor B is never formed."""
+    da, db = state.dims
+    return np.einsum("ijkl,ki,lj->", state.rho.reshape(da, db, da, db), A, B)
+
+
+def mean_quadratures(state: FockState) -> np.ndarray:
+    """<(x_a, p_a, x_b, p_b)> of a two-mode state."""
+    return np.array([_expect(state, A, B).real for A, B in _quadratures(state.dims)])
+
+
 def covariance_of(state: FockState) -> np.ndarray:
     """gamma_ij = <{M_i, M_j}> - 2 <M_i><M_j> for M = (x_a, p_a, x_b, p_b)."""
-    da, db = state.dims
-    ops = [
-        np.kron(position(da), np.eye(db)),
-        np.kron(momentum(da), np.eye(db)),
-        np.kron(np.eye(da), position(db)),
-        np.kron(np.eye(da), momentum(db)),
-    ]
-    rho = state.rho
-    means = np.array([np.trace(rho @ op) for op in ops])
+    ops = _quadratures(state.dims)
+    means = mean_quadratures(state)
     gamma = np.empty((4, 4))
-    for i in range(4):
+    for i, (A_i, B_i) in enumerate(ops):
         for j in range(i, 4):
-            anti = np.trace(rho @ (ops[i] @ ops[j] + ops[j] @ ops[i]))
-            gamma[i, j] = gamma[j, i] = anti.real - 2.0 * (means[i] * means[j]).real
+            A_j, B_j = ops[j]
+            anti = _expect(state, A_i @ A_j, B_i @ B_j) + _expect(state, A_j @ A_i, B_j @ B_i)
+            gamma[i, j] = gamma[j, i] = anti.real - 2.0 * means[i] * means[j]
     return gamma
 
 
@@ -188,7 +204,11 @@ def amplitude_damping_kraus(transmissivity: float, d: int) -> KrausScreen:
     return KrausScreen(kraus_ops=tuple(ops), dim=d)
 
 
-# --- the reduced exchange step ---
+# --- the exchange step ---
+
+# Fewest levels a truncated mode may keep: the leakage estimate reads the top
+# two, so a mode with two or fewer levels is all truncation edge.
+MIN_LEVELS = 3
 
 
 def _phase_gates(scaled_vals: np.ndarray, herm_op: np.ndarray) -> np.ndarray:
@@ -198,23 +218,21 @@ def _phase_gates(scaled_vals: np.ndarray, herm_op: np.ndarray) -> np.ndarray:
     return np.einsum("mk,ck,nk->cmn", V, phases, V.conj())
 
 
-def _local_unitary(tau: float, dims, local_h=None) -> np.ndarray:
-    """exp(-i tau H_a) tensor exp(-i tau H_b); the diagonal of it when H = n + 1/2."""
+def _apply_gates(gates: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Each gate on its vector, broadcasting the leading axes."""
+    return np.einsum("...mn,...n->...m", gates, vecs)
+
+
+def _local_unitary(tau: float, dims) -> np.ndarray:
+    """Diagonal of exp(-i tau (n_a + n_b + 1)), the local rotation of both modes."""
     da, db = dims
-    if local_h is None:
-        ph_a = np.exp(-1j * tau * (np.arange(da) + 0.5))
-        ph_b = np.exp(-1j * tau * (np.arange(db) + 0.5))
-        return np.kron(ph_a, ph_b)
-    H_a, H_b = local_h
-    return np.kron(expm(-1j * tau * np.asarray(H_a, dtype=complex)),
-                   expm(-1j * tau * np.asarray(H_b, dtype=complex)))
+    return np.kron(np.exp(-1j * tau * (np.arange(da) + 0.5)),
+                   np.exp(-1j * tau * (np.arange(db) + 0.5)))
 
 
 def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """u rho u^dag, for u given densely or by its diagonal."""
-    if u.ndim == 1:
-        return rho * np.outer(u, u.conj())
-    return u @ rho @ u.conj().T
+    """u rho u^dag for a diagonal u given by its diagonal."""
+    return rho * np.outer(u, u.conj())
 
 
 class TrotterStepper:
@@ -224,7 +242,8 @@ class TrotterStepper:
     gates with the screen in the middle, and traces the carrier (Markovian
     reset to rho_f). The step acts on two-mode density matrices as a basis
     change into the joint position eigenbasis followed by an entrywise
-    multiplier.
+    multiplier. With no screen the multiplier is that of the bare four-gate
+    block, which gate_identity_check compares with the direct product gate.
     """
 
     def __init__(
@@ -234,16 +253,20 @@ class TrotterStepper:
         dims=(20, 20),
         fc_dim: int = None,
         rho_f: np.ndarray = None,
-        local_h=None,
         eta_convention: str = DEFAULT_ETA_CONVENTION,
         n_nodes: int = 21,
     ):
         if tau < 0:
             raise ValueError("step length must be nonnegative")
+        if eta_convention not in ETA_CONVENTIONS:
+            raise ValueError(f"unknown eta convention {eta_convention!r}")
         self.tau = float(tau)
         self.dims = tuple(dims)
         da, db = self.dims
         df = fc_dim if fc_dim is not None else max(self.dims)
+        if min(da, db, df) < MIN_LEVELS:
+            raise ValueError(f"dims {self.dims} with carrier {df}: every mode needs "
+                             f"at least {MIN_LEVELS} levels")
         self.fc_dim = df
 
         # joint position eigenbasis of the two system modes
@@ -252,57 +275,33 @@ class TrotterStepper:
         self.T = np.kron(self.W_a, self.W_b).astype(complex)
 
         # local unitary, applied first within each step
-        self._u_loc = _local_unitary(self.tau, self.dims, local_h)
-
-        if self.tau == 0.0:
-            self.multiplier = np.ones((da * db, da * db), dtype=complex)
-            self.trace_defect = 0.0
-            self._leak_row = np.zeros(da * db)
-            return
+        self._u_loc = _local_unitary(self.tau, self.dims)
 
         root = np.sqrt(self.tau)
-        E = _phase_gates(root * self.a_vals, position(df))   # exp(-i sqrt(tau) a_alpha x_f)
-        F = _phase_gates(root * self.b_vals, momentum(df))   # exp(-i sqrt(tau) b_beta p_f)
+        # exp(-i sqrt(tau) a_alpha x_f) and exp(-i sqrt(tau) b_beta p_f), broadcast
+        # over the (alpha, beta) grid of system eigenvalues
+        E = _phase_gates(root * self.a_vals, position(df))[:, None]
+        F = _phase_gates(root * self.b_vals, momentum(df))[None, :]
+        # "positive" applies the p-gate first; the adjoints follow the screen in
+        # the same order
+        first, second = (F, E) if eta_convention == "positive" else (E, F)
+        first_dag, second_dag = (G.conj().swapaxes(-1, -2) for G in (first, second))
 
         if rho_f is None:
-            fc_vecs = np.zeros((1, df), dtype=complex)
-            fc_vecs[0, 0] = 1.0
-            fc_weights = np.array([1.0])
-        else:
-            rho_f = np.asarray(rho_f, dtype=complex)
-            vals, vecs = np.linalg.eigh(rho_f)
-            keep = vals > 1e-14
-            fc_weights = vals[keep] / vals[keep].sum()
-            fc_vecs = vecs[:, keep].T
+            rho_f = np.diag(np.eye(df)[0])  # carrier vacuum
+        vals, vecs = np.linalg.eigh(np.asarray(rho_f, dtype=complex))
+        keep = vals > 1e-14
+        fc_weights = vals[keep] / vals[keep].sum()
+        fc_vecs = vecs[:, keep].T
 
         kraus = np.stack(carrier_kraus_ops(screen, df, n_nodes))
-        if eta_convention == "positive":
-            inner, outer = F, E   # apply p-gate, then x-gate; reverse after the screen
-        elif eta_convention == "negative":
-            inner, outer = E, F
-        else:
-            raise ValueError(f"unknown eta convention {eta_convention!r}")
-
-        def in_gates(vec):
-            # returns (da, db, df): inner gate indexed by its own mode
-            if eta_convention == "positive":
-                phi = np.einsum("bmn,n->bm", inner, vec)
-                return np.einsum("amn,bn->abm", outer, phi)
-            phi = np.einsum("amn,n->am", inner, vec)
-            return np.einsum("bmn,an->abm", outer, phi)
-
         blocks = []
         leak = 0.0
         for wk, vec in zip(fc_weights, fc_vecs):
-            phi_in = in_gates(vec)                                   # (da, db, df)
-            phi_s = np.einsum("jmn,abn->jabm", kraus, phi_in)        # screen branches
-            if eta_convention == "positive":
-                phi_s = np.einsum("bnm,jabn->jabm", inner.conj(), phi_s)
-                phi_s = np.einsum("anm,jabn->jabm", outer.conj(), phi_s)
-            else:
-                phi_s = np.einsum("anm,jabn->jabm", inner.conj(), phi_s)
-                phi_s = np.einsum("bnm,jabn->jabm", outer.conj(), phi_s)
-            xi = np.sqrt(wk) * np.transpose(phi_s, (1, 2, 0, 3))     # (da, db, j, df)
+            phi = _apply_gates(second, _apply_gates(first, vec))     # (da, db, df)
+            phi = np.einsum("jmn,abn->jabm", kraus, phi)             # screen branches
+            phi = _apply_gates(second_dag, _apply_gates(first_dag, phi))
+            xi = np.sqrt(wk) * np.transpose(phi, (1, 2, 0, 3))       # (da, db, j, df)
             leak = leak + np.sum(np.abs(xi[..., -2:]) ** 2, axis=(-2, -1)).reshape(da * db)
             blocks.append(xi.reshape(da * db, -1))
 
@@ -312,7 +311,9 @@ class TrotterStepper:
         self._leak_row = leak
 
     def apply(self, rho: np.ndarray):
-        """One step; returns (rho_out, leakage_estimate)."""
+        """One step; returns (rho_out, leakage_estimate). A zero-length step is exact."""
+        if self.tau == 0.0:
+            return rho.copy(), 0.0
         rho = _conjugate(self._u_loc, rho)
         rho_eig = self.T.conj().T @ rho @ self.T
         leakage = float(np.real(np.diagonal(rho_eig)) @ self._leak_row)
@@ -320,39 +321,11 @@ class TrotterStepper:
         return self.T @ rho_eig @ self.T.conj().T, leakage
 
 
-def reduced_step(
-    rho_ab: FockState,
-    screen,
-    tau: float,
-    local_h=None,
-    rho_f: np.ndarray = None,
-    eta_convention: str = DEFAULT_ETA_CONVENTION,
-    n_nodes: int = 21,
-    fc_dim: int = None,
-) -> FockState:
-    """Single circuit step of length tau followed by the carrier reset."""
-    if tau == 0.0:
-        return FockState(rho_ab.rho.copy(), rho_ab.dims, rho_ab.notes)
-    stepper = TrotterStepper(
-        screen, tau, dims=rho_ab.dims, fc_dim=fc_dim, rho_f=rho_f,
-        local_h=local_h, eta_convention=eta_convention, n_nodes=n_nodes,
-    )
-    rho, leakage = stepper.apply(rho_ab.rho)
-    out = FockState(rho, rho_ab.dims, rho_ab.notes)
-    if leakage > 1e-4:
-        out = out.with_note(
-            f"carrier truncation leakage {leakage:.2e} exceeds 1e-4; "
-            "increase the carrier dimension"
-        )
-    return out
-
-
 def trotter_evolve(
     rho_ab: FockState,
     screen,
     t: float,
     n: int,
-    local_h=None,
     rho_f: np.ndarray = None,
     eta_convention: str = DEFAULT_ETA_CONVENTION,
     n_nodes: int = 21,
@@ -365,21 +338,22 @@ def trotter_evolve(
     the rotation symmetrically, R(tau/2) E R(tau) E ... E R(tau/2), gives the
     second-order (Strang) splitting; it equals R(tau/2) (E R(tau))^n R(-tau/2),
     so the n steps are conjugated by a half-step rotation. The gates, screen,
-    reset and total rotation t are those of n reduced steps.
+    reset and total rotation t are those of n TrotterStepper steps. A note on
+    the returned state flags carrier leakage above 1e-4 in any step.
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n = {n}")
     tau = t / n
     stepper = TrotterStepper(
         screen, tau, dims=rho_ab.dims, fc_dim=fc_dim, rho_f=rho_f,
-        local_h=local_h, eta_convention=eta_convention, n_nodes=n_nodes,
+        eta_convention=eta_convention, n_nodes=n_nodes,
     )
-    rho = _conjugate(_local_unitary(-tau / 2, rho_ab.dims, local_h), rho_ab.rho)
+    rho = _conjugate(_local_unitary(-tau / 2, rho_ab.dims), rho_ab.rho)
     worst_leak = 0.0
     for _ in range(n):
         rho, leakage = stepper.apply(rho)
         worst_leak = max(worst_leak, leakage)
-    rho = _conjugate(_local_unitary(tau / 2, rho_ab.dims, local_h), rho)
+    rho = _conjugate(_local_unitary(tau / 2, rho_ab.dims), rho)
     out = FockState(rho, rho_ab.dims, rho_ab.notes)
     if worst_leak > 1e-4:
         out = out.with_note(f"carrier truncation leakage up to {worst_leak:.2e}")
@@ -387,27 +361,6 @@ def trotter_evolve(
 
 
 # --- gate identity ---
-
-
-def _exchange_multiplier(tau: float, a_vals, b_vals, df: int, eta_convention: str):
-    """Entrywise multiplier of the bare four-gate block (no screen, no local)."""
-    root = np.sqrt(tau)
-    E = _phase_gates(root * np.asarray(a_vals), position(df))
-    F = _phase_gates(root * np.asarray(b_vals), momentum(df))
-    vac = np.zeros(df, dtype=complex)
-    vac[0] = 1.0
-    if eta_convention == "positive":
-        phi = np.einsum("bmn,n->bm", F, vac)
-        phi = np.einsum("amn,bn->abm", E, phi)
-        phi = np.einsum("bnm,abn->abm", F.conj(), phi)
-        phi = np.einsum("anm,abn->abm", E.conj(), phi)
-    else:
-        phi = np.einsum("amn,n->am", E, vac)
-        phi = np.einsum("bmn,an->abm", F, phi)
-        phi = np.einsum("anm,abn->abm", E.conj(), phi)
-        phi = np.einsum("bnm,abn->abm", F.conj(), phi)
-    Xi = phi.reshape(len(a_vals) * len(b_vals), df)
-    return Xi @ Xi.conj().T
 
 
 def gate_identity_check(
@@ -425,20 +378,16 @@ def gate_identity_check(
             product_state(coherent_vector(0.6, d), coherent_vector(0.0, d)),
             product_state(coherent_vector(0.4, d), coherent_vector(-0.5j, d)),
         ]
-    a_vals, W_a = np.linalg.eigh(position(d))
-    b_vals, W_b = np.linalg.eigh(position(d))
-    T = np.kron(W_a, W_b).astype(complex)
-
-    circuit = _exchange_multiplier(tau, a_vals, b_vals, d, eta_convention)
+    block = TrotterStepper(None, tau, dims=(d, d), eta_convention=eta_convention)
     sign = -1.0 if eta_convention == "positive" else 1.0
-    prods = np.multiply.outer(a_vals, b_vals).ravel()
+    prods = np.multiply.outer(block.a_vals, block.b_vals).ravel()
     phases = np.exp(1j * sign * tau * prods)
     target = np.outer(phases, phases.conj())
 
     worst = 0.0
     for state in test_states:
-        rho_eig = T.conj().T @ state.rho @ T
-        diff = (circuit - target) * rho_eig
+        rho_eig = block.T.conj().T @ state.rho @ block.T
+        diff = (block.multiplier - target) * rho_eig
         # entrywise product of Hermitian matrices is Hermitian
         dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
         worst = max(worst, dist)
@@ -509,18 +458,6 @@ def moments_numeric(
     )
 
 
-def mean_quadratures(state: FockState) -> np.ndarray:
-    """<(x_a, p_a, x_b, p_b)> of a two-mode state."""
-    da, db = state.dims
-    ops = [
-        np.kron(position(da), np.eye(db)),
-        np.kron(momentum(da), np.eye(db)),
-        np.kron(np.eye(da), position(db)),
-        np.kron(np.eye(da), momentum(db)),
-    ]
-    return np.array([np.trace(state.rho @ op).real for op in ops])
-
-
 def _displaced_vacuum(direction: int, delta: float, dims) -> FockState:
     """Vacuum displaced by delta along one quadrature direction."""
     da, db = dims
@@ -530,7 +467,7 @@ def _displaced_vacuum(direction: int, delta: float, dims) -> FockState:
 
 
 def _mean_step_matrix(stepper: TrotterStepper, dims, delta: float = 0.5) -> np.ndarray:
-    """The linear map on quadrature means of one reduced step.
+    """The linear map on quadrature means of one circuit step.
 
     Gaussian channels act linearly on means, so finite displacements probe
     the map exactly (up to truncation).
@@ -607,7 +544,7 @@ def sqrt_step_coefficient(
     n_nodes: int = 21,
     eta_convention: str = DEFAULT_ETA_CONVENTION,
 ) -> float:
-    """Magnitude of the sqrt(tau) term in the reduced step's mean response.
+    """Magnitude of the sqrt(tau) term in one circuit step's mean response.
 
     Nonzero only when the screen fails quadrature-mean preservation, in which
     case the continuous-time limit does not exist. Extracted by Richardson
@@ -644,7 +581,7 @@ def reduced_step_dense(
     """Direct product-space implementation of one circuit step.
 
     Builds the gates with expm on the full a x b x f space and traces the
-    carrier; exponentially slower than reduced_step but shares no code path
+    carrier; exponentially slower than TrotterStepper but shares no code path
     with it, so it validates the multiplier construction.
     """
     da, db = rho_ab.dims

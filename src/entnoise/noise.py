@@ -24,7 +24,8 @@ def excess_variance(gamma: np.ndarray, gamma_r: np.ndarray) -> float:
     """0.5 z^dag (gamma - gamma_r) z with z = [0, 1, 0, i]."""
     diff = np.asarray(gamma, dtype=float) - np.asarray(gamma_r, dtype=float)
     val = 0.5 * (_Z_MOMENTUM.conj() @ diff @ _Z_MOMENTUM)
-    assert abs(val.imag) < 1e-12, "excess variance picked up an imaginary part"
+    if not abs(val.imag) < 1e-12:
+        raise RuntimeError(f"excess variance picked up an imaginary part {val.imag}")
     return float(val.real)
 
 

@@ -9,6 +9,7 @@ truncated carrier space (moments only via the Fock oracle).
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,11 @@ from .errors import PhysicsRejection
 from .phasespace import DELTA_1, TOL_PSD, TOL_SYM, Certificate, min_eig_hermitian, require_symmetric
 
 TOL_CP = 1e-8
+
+
+def _finite(*values) -> bool:
+    """No NaN or +-inf among scalar values; cheaper than np.isfinite at this size."""
+    return all(map(math.isfinite, values))
 
 # Sign convention for the effective coupling of the identity screen. The
 # exchange circuit fixes the coupling magnitude but its sign depends on which
@@ -51,6 +57,11 @@ class ScreenMoments:
         Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
         if Y.shape != (2, 2):
             raise ValueError(f"Y must be 2x2, got shape {Y.shape}")
+        scalars = (self.nu_a, self.nu_b, self.eta, self.xi, self.mean_defect_x, self.mean_defect_p)
+        if not _finite(*scalars, *Y.flat):
+            raise PhysicsRejection(
+                f"screen moments must be finite, got {scalars} and Y = {Y.tolist()}"
+            )
         require_symmetric(Y, TOL_SYM, name="Y")
         object.__setattr__(self, "Y", 0.5 * (Y + Y.T))
 
@@ -78,7 +89,10 @@ class DisplacementScreen:
     sigma_uv: float = 0.0
 
     def __post_init__(self):
-        lam = min_eig_hermitian(self.matrix)
+        sigma = self.matrix
+        if not _finite(*sigma.flat):
+            raise PhysicsRejection(f"displacement moments must be finite, got {sigma.tolist()}")
+        lam = min_eig_hermitian(sigma)
         if lam < -TOL_PSD:
             raise PhysicsRejection(
                 f"displacement moment matrix is not PSD (min eigenvalue {lam:.3e})"
@@ -168,6 +182,8 @@ def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certifica
     has the same spectrum).
     """
     Y = np.asarray(Y, dtype=float)
+    if not _finite(g, *Y.flat):
+        raise PhysicsRejection(f"Y and the coupling g must be finite, got {Y.tolist()} and {g}")
     require_symmetric(Y, name="Y")
     lam = min_eig_hermitian(Y - 2j * abs(g) * DELTA_1)
     return Certificate(lam >= -tol_psd, lam)

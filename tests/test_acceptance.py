@@ -19,13 +19,13 @@ from entnoise.entanglement import (
 )
 from entnoise.experiment import plan_experiment
 from entnoise.fock import (
+    TrotterStepper,
     covariance_of,
     fitted_coupling,
     gate_identity_check,
     position,
     trotter_evolve,
     vacuum_state,
-    _exchange_multiplier,
 )
 from entnoise.noise import noise_rate_at_zero, run_noise_test
 from entnoise.phasespace import validate_covariance
@@ -208,7 +208,7 @@ def test_criterion_5_gate_identity():
 
         def multiplier_defect(d):
             a_vals, _ = np.linalg.eigh(position(d))
-            circ = _exchange_multiplier(0.1, a_vals, a_vals, d, "positive")
+            circ = TrotterStepper(None, 0.1, dims=(d, d)).multiplier
             ph = np.exp(-1j * 0.1 * np.multiply.outer(a_vals, a_vals).ravel())
             return float(np.max(np.abs(circ - np.outer(ph, ph.conj()))))
 

@@ -138,6 +138,26 @@ def test_non_psd_screen_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ("--sxx", "nan", "--spp", "1", "--g", "0.5"),
+    ("--sxx", "1", "--spp", "1", "--g", "nan"),
+    ("--sxx", "inf", "--spp", "1", "--g", "0.5"),
+])
+def test_non_finite_input_exits_3(capsys, flags):
+    code, out, err = run_cli(capsys, "check-classicality", *flags)
+    assert code == 3
+    assert out == ""
+    assert "finite" in err
+
+
+def test_oracle_verify_below_minimum_truncation_exits_2(capsys):
+    code, out, err = run_cli(capsys, "oracle-verify", "--dim", "1", "--t", "0.3",
+                             "--steps", "4")
+    assert code == 2
+    assert out == ""
+    assert "at least 3 levels" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 

@@ -18,13 +18,11 @@ from entnoise.fock import (
     momentum,
     position,
     product_state,
-    reduced_step,
     reduced_step_dense,
     squeezed_vector,
     sqrt_step_coefficient,
     trotter_evolve,
     vacuum_state,
-    _exchange_multiplier,
 )
 from entnoise.screens import DisplacementScreen, moments_from_displacement
 from entnoise.states import vacuum_cov
@@ -61,6 +59,18 @@ def test_squeezed_covariance():
     assert dev < 1e-6
 
 
+def test_two_mode_squeezed_covariance():
+    # the one exact case here with nonzero cross-mode entries
+    d, r = 30, 0.3
+    psi = np.zeros(d * d, dtype=complex)
+    n = np.arange(d)
+    psi[n * d + n] = (-np.tanh(r)) ** n / np.cosh(r)
+    gamma = covariance_of(FockState(np.outer(psi, psi.conj()), (d, d)))
+    c, s = np.cosh(2 * r), np.sinh(2 * r)
+    target = np.array([[c, 0, -s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, s, 0, c]])
+    np.testing.assert_allclose(gamma, target, atol=1e-10)
+
+
 def test_gauss_hermite_mixture_moments():
     screen = DisplacementScreen(0.6, 0.2, 0.15)
     w, shifts = gauss_hermite_mixture(screen, 21)
@@ -83,7 +93,7 @@ def test_gate_identity_truncation_decays_with_d():
     # raw multiplier defect isolates truncation from state weighting
     def defect(d):
         a_vals, _ = np.linalg.eigh(position(d))
-        circ = _exchange_multiplier(0.1, a_vals, a_vals, d, "positive")
+        circ = TrotterStepper(None, 0.1, dims=(d, d)).multiplier
         ph = np.exp(-1j * 0.1 * np.multiply.outer(a_vals, a_vals).ravel())
         return float(np.max(np.abs(circ - np.outer(ph, ph.conj()))))
 
@@ -94,16 +104,16 @@ def test_gate_identity_truncation_decays_with_d():
 def test_reduced_step_trace_preserving(rng):
     st = product_state(coherent_vector(0.4, 10), coherent_vector(-0.2j, 10))
     for screen in (None, DisplacementScreen(0.5, 0.3, 0.1)):
-        out = reduced_step(st, screen, 0.17, n_nodes=11)
-        assert out.trace() == pytest.approx(1.0, abs=1e-10)
-        lam = np.linalg.eigvalsh(out.rho)
+        rho, _ = TrotterStepper(screen, 0.17, dims=st.dims, n_nodes=11).apply(st.rho)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+        lam = np.linalg.eigvalsh(rho)
         assert lam.min() > -1e-8
 
 
 def test_reduced_step_zero_time_is_identity():
     st = vacuum_state((8, 8))
-    out = reduced_step(st, DisplacementScreen(0.4, 0.4), 0.0)
-    np.testing.assert_array_equal(out.rho, st.rho)
+    rho, _ = TrotterStepper(DisplacementScreen(0.4, 0.4), 0.0, dims=st.dims).apply(st.rho)
+    np.testing.assert_array_equal(rho, st.rho)
 
 
 def test_identity_screen_step_collapses_to_gates():
@@ -111,7 +121,7 @@ def test_identity_screen_step_collapses_to_gates():
     # rotation, which we can build directly; residual is pure truncation
     d, tau = 16, 0.23
     st = product_state(coherent_vector(0.5, d), coherent_vector(0.3j, d))
-    out = reduced_step(st, None, tau)
+    rho, _ = TrotterStepper(None, tau, dims=st.dims).apply(st.rho)
 
     xx = np.kron(position(d), position(d))
     n_loc = np.kron(np.diag(np.arange(d) + 0.5), np.eye(d)) + np.kron(
@@ -119,7 +129,7 @@ def test_identity_screen_step_collapses_to_gates():
     )
     U = expm(-1j * tau * xx) @ expm(-1j * tau * n_loc)
     expected = U @ st.rho @ U.conj().T
-    assert np.max(np.abs(out.rho - expected)) < 1e-10
+    assert np.max(np.abs(rho - expected)) < 1e-10
 
 
 def test_fast_step_matches_dense_reference():
@@ -130,18 +140,23 @@ def test_fast_step_matches_dense_reference():
         amplitude_damping_kraus(0.9, 7),
     ]
     for screen in screens:
-        fast = reduced_step(st, screen, 0.2, n_nodes=9)
+        fast, _ = TrotterStepper(screen, 0.2, dims=st.dims, n_nodes=9).apply(st.rho)
         dense = reduced_step_dense(st, screen, 0.2, n_nodes=9)
-        assert np.max(np.abs(fast.rho - dense.rho)) < 1e-12
+        assert np.max(np.abs(fast - dense.rho)) < 1e-12
 
 
 def test_fast_step_matches_dense_swapped_order():
     st = product_state(coherent_vector(0.3, 7), coherent_vector(0.5, 7))
-    fast = reduced_step(st, DisplacementScreen(0.2, 0.4), 0.15, eta_convention="negative",
-                        n_nodes=9)
-    dense = reduced_step_dense(st, DisplacementScreen(0.2, 0.4), 0.15,
-                               eta_convention="negative", n_nodes=9)
-    assert np.max(np.abs(fast.rho - dense.rho)) < 1e-12
+    screens = [
+        None,
+        DisplacementScreen(0.2, 0.4),
+        amplitude_damping_kraus(0.9, 7),
+    ]
+    for screen in screens:
+        fast, _ = TrotterStepper(screen, 0.15, dims=st.dims, eta_convention="negative",
+                                 n_nodes=9).apply(st.rho)
+        dense = reduced_step_dense(st, screen, 0.15, eta_convention="negative", n_nodes=9)
+        assert np.max(np.abs(fast - dense.rho)) < 1e-12
 
 
 def test_trotter_first_order_convergence():
@@ -173,10 +188,17 @@ def test_trotter_rejects_bad_step_count():
         trotter_evolve(vacuum_state((6, 6)), None, 1.0, 0)
 
 
+@pytest.mark.parametrize("dims, fc_dim", [((2, 6), None), ((6, 1), None), ((6, 6), 2)])
+def test_stepper_rejects_truncation_below_three_levels(dims, fc_dim):
+    # the leakage estimate reads the top two levels of the carrier
+    with pytest.raises(ValueError, match="at least 3 levels"):
+        TrotterStepper(None, 0.1, dims=dims, fc_dim=fc_dim)
+
+
 def test_leakage_warning_attached():
     # a strong screen on a tiny carrier leaks population into the top levels
     st = vacuum_state((6, 6))
-    out = reduced_step(st, DisplacementScreen(3.0, 3.0), 0.8, fc_dim=6, n_nodes=11)
+    out = trotter_evolve(st, DisplacementScreen(3.0, 3.0), 0.8, 1, fc_dim=6, n_nodes=11)
     assert any("leakage" in note for note in out.notes)
 
 
@@ -238,8 +260,8 @@ def test_kraus_completeness_defect_is_flagged_not_fatal():
     defect = screen.completeness_defect()
     assert 0 < defect < 1.0
     # the step still runs; its trace defect on near-vacuum support stays tiny
-    out = reduced_step(vacuum_state((6, 6)), screen, 0.1, fc_dim=10)
-    assert out.trace() == pytest.approx(1.0, abs=1e-8)
+    rho, _ = TrotterStepper(screen, 0.1, dims=(6, 6), fc_dim=10).apply(vacuum_state((6, 6)).rho)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_generator_extraction_matches_build_dynamics():
@@ -274,6 +296,6 @@ def test_thermal_carrier_reduced_step_trace_preserving():
     weights = (nbar / (1 + nbar)) ** np.arange(d)
     thermal = np.diag(weights / weights.sum()).astype(complex)
     st = vacuum_state((8, 8))
-    out = reduced_step(st, DisplacementScreen(0.2, 0.2), 0.1, rho_f=thermal, fc_dim=d,
-                       n_nodes=9)
-    assert out.trace() == pytest.approx(1.0, abs=1e-10)
+    rho, _ = TrotterStepper(DisplacementScreen(0.2, 0.2), 0.1, dims=st.dims, rho_f=thermal,
+                            fc_dim=d, n_nodes=9).apply(st.rho)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)

@@ -36,6 +36,14 @@ def test_excess_variance_cross_entries_cancel():
     assert excess_variance(gamma_r + y * t, gamma_r) == pytest.approx(t * (Y[0, 0] + Y[1, 1]) / 2)
 
 
+def test_excess_variance_rejects_asymmetric_difference():
+    # an asymmetric p_a/p_b entry gives the quadratic form an imaginary part
+    gamma = vacuum_cov()
+    gamma[1, 3] = 0.2
+    with pytest.raises(RuntimeError, match="imaginary"):
+        excess_variance(gamma, vacuum_cov())
+
+
 def test_rate_at_zero_identity_screen():
     dyn = build_dynamics(moments_from_displacement(DisplacementScreen(0, 0)))
     assert noise_rate_at_zero(dyn) == 0.0

@@ -48,6 +48,22 @@ def test_non_psd_sigma_rejected():
         DisplacementScreen(0.1, 0.1, 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(PhysicsRejection):
+        DisplacementScreen(bad, 0.1)
+    with pytest.raises(PhysicsRejection):
+        DisplacementScreen(0.1, 0.1, bad)
+    with pytest.raises(PhysicsRejection):
+        moments_with_coupling(np.eye(2), bad)
+    with pytest.raises(PhysicsRejection):
+        moments_with_coupling(np.diag([1.0, bad]), 0.5)
+    with pytest.raises(PhysicsRejection):
+        is_classical(np.eye(2), bad)
+    with pytest.raises(PhysicsRejection):
+        is_classical(np.diag([1.0, bad]), 0.5)
+
+
 def test_negative_convention_flips_eta():
     m = moments_from_displacement(DisplacementScreen(0, 0, 0), eta_convention="negative")
     assert m.eta == -1.0
