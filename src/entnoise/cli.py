@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -107,6 +108,17 @@ def _render(payload, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for times: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_screen_flags(parser, with_g=True):
     parser.add_argument("--screen-file", help="screen spec as a key-value text block")
     parser.add_argument("--family", choices=["identity", "displacement"],
@@ -144,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="covariance trajectory under the screened dynamics")
     _add_screen_flags(p)
-    p.add_argument("--t-max", type=float, default=10.0)
+    p.add_argument("--t-max", type=_finite_float, default=10.0)
     p.add_argument("--grid", type=int, default=501)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
 
     p = sub.add_parser("noise-test", help="excess momentum-noise rate against the bound")
     _add_screen_flags(p)
-    p.add_argument("--t-max", type=float, default=0.3)
+    p.add_argument("--t-max", type=_finite_float, default=0.3)
     p.add_argument("--grid", type=int, default=201)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
 
@@ -161,13 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=float, default=None,
                    help="default: 1.5 |g| (just past the classical boundary)")
     p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--t-max", type=float, default=25.0)
+    p.add_argument("--t-max", type=_finite_float, default=25.0)
     p.add_argument("--grid", type=int, default=2000)
 
     p = sub.add_parser("oracle-verify",
                        help="cross-validate the Gaussian formulas against the circuit oracle")
     p.add_argument("--dim", type=int, default=12, help="Fock truncation per mode")
-    p.add_argument("--t", type=float, default=0.5)
+    p.add_argument("--t", type=_finite_float, default=0.5)
     p.add_argument("--steps", type=int, nargs="+", default=[8, 16, 32])
 
     p = sub.add_parser("plan-experiment", help="budget a torsion-pendulum configuration")

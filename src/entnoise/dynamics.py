@@ -7,7 +7,9 @@ matrix y = -Delta_2 chi Y chi^T Delta_2 from the screen. Covariances obey
     dgamma/dt = x^T gamma + gamma x + y
 
 whose solution gamma(t) = Y_t + X_t^T gamma(0) X_t, with X_t = exp(x t) and
-Y_t the accumulated-noise integral, is evaluated here without time stepping.
+Y_t = int_0^t X_u^T y X_u du the accumulated noise, is exact here: one matrix
+exponential of Van Loan's 8x8 block gives the pair (X_t, Y_t), and grids are
+built from that flow by the semigroup identity, without quadrature or stepping.
 """
 
 from dataclasses import dataclass
@@ -17,14 +19,7 @@ from scipy.linalg import expm
 
 from .errors import EhrenfestViolation, PhysicsRejection
 from .phasespace import CHI, DELTA_2, TOL_PSD, TOL_SYM, min_eig_hermitian
-from .screens import ScreenMoments
-
-# Nodes per quadrature panel for the accumulated-noise integral. The
-# integrand is trigonometric with period ~2*pi in these units, so panels
-# never span more than one period and 32-node Gauss-Legendre resolves each
-# panel to machine precision.
-_GL_NODES = 32
-_PANEL_LENGTH = 2.0 * np.pi
+from .screens import ScreenMoments, _finite
 
 
 @dataclass(frozen=True)
@@ -34,6 +29,12 @@ class QuadraticHamiltonian:
     nu_a: float = 0.0
     nu_b: float = 0.0
     g: float = 0.0
+
+    def __post_init__(self):
+        if not _finite(self.nu_a, self.nu_b, self.g):
+            raise PhysicsRejection(
+                f"nu_a, nu_b and g must be finite, got {(self.nu_a, self.nu_b, self.g)}"
+            )
 
     @property
     def matrix(self) -> np.ndarray:
@@ -93,29 +94,17 @@ def build_dynamics(moments: ScreenMoments, include_shifts: bool = True) -> Gauss
     )
 
 
-def _gl_panels(t: float):
-    """Gauss-Legendre nodes and weights over [0, t], split into <=2*pi panels."""
-    base_x, base_w = np.polynomial.legendre.leggauss(_GL_NODES)
-    n_panels = max(1, int(np.ceil(t / _PANEL_LENGTH)))
-    edges = np.linspace(0.0, t, n_panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * (base_x + 1.0) + lo)
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+def accumulated_noise(dyn: GaussianDynamics, t: float):
+    """The exact flow over time t: (X_t, Y_t) with Y_t = int_0^t X_u^T y X_u du.
 
-
-def accumulated_noise(dyn: GaussianDynamics, t: float) -> np.ndarray:
-    """Y_t = integral_0^t X_u^T y X_u du by fixed high-order quadrature."""
-    if t == 0.0:
-        return np.zeros((4, 4))
-    nodes, weights = _gl_panels(t)
-    Y = np.zeros((4, 4))
-    for u, w in zip(nodes, weights):
-        X = expm(dyn.drift * u)
-        Y += w * (X.T @ dyn.diffusion @ X)
-    return 0.5 * (Y + Y.T)
+    One exponential F of the block [[-x^T, y], [0, x]] t gives F22 = X_t and
+    F12 = X_t^-T Y_t, so Y_t = F22^T F12 (Van Loan, "Computing integrals
+    involving the matrix exponential", IEEE TAC 23, 1978).
+    """
+    F = expm(np.block([[-dyn.drift.T, dyn.diffusion], [np.zeros((4, 4)), dyn.drift]]) * t)
+    X = F[4:, 4:]
+    Y = X.T @ F[:4, 4:]
+    return X, 0.5 * (Y + Y.T)
 
 
 def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray:
@@ -130,8 +119,8 @@ def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray
     gamma0 = np.asarray(gamma0, dtype=float)
     if t == 0.0:
         return gamma0.copy()
-    X = expm(dyn.drift * t)
-    gamma = accumulated_noise(dyn, t) + X.T @ gamma0 @ X
+    X, Y = accumulated_noise(dyn, t)
+    gamma = Y + X.T @ gamma0 @ X
     return 0.5 * (gamma + gamma.T)
 
 
@@ -158,36 +147,47 @@ def iter_grid_segments(
 ):
     """Yield (start, stop, gammas) segments of the grid trajectory in order.
 
-    Lets scans abort early without paying for the rest of the grid; the
-    recurrence state carries over between segments.
+    The flows (X_i, Y_i) over the offsets i dt of one chunk are built by
+    doubling from the one-step flow with the semigroup identity
+    X_{s+t} = X_s X_t, Y_{s+t} = Y_s + X_s^T Y_t X_s. Each segment is then
+    the batched product Y_i + X_i^T gamma_start X_i, and gamma_start advances
+    by the exact flow over one chunk, so scans can stop early without paying
+    for the rest of the grid.
     """
     dt = _check_uniform_grid(times)
-    gamma0 = np.asarray(gamma0, dtype=float)
-    X_step = expm(dyn.drift * dt)
-    Y_step = accumulated_noise(dyn, dt)
-    Y_k = np.zeros((4, 4))
-    X_k = np.eye(4)
+    gamma = np.asarray(gamma0, dtype=float)
     n = np.asarray(times).size
-    start = 0
-    while start < n:
-        stop = min(start + chunk, n)
-        seg = np.empty((stop - start,) + gamma0.shape)
-        for i in range(start, stop):
-            if i == 0:
-                seg[0] = gamma0
-                continue
-            Y_k = Y_step + X_step.T @ Y_k @ X_step
-            X_k = X_k @ X_step
-            seg[i - start] = Y_k + (X_k.T @ gamma0) @ X_k
-        yield start, stop, seg
-        start = stop
+    m = min(chunk, n)
+    X = np.empty((m, 4, 4))
+    Y = np.empty((m, 4, 4))
+    X[0], Y[0] = np.eye(4), 0.0
+    X_s, Y_s = accumulated_noise(dyn, dt)  # the flow over the filled length s = f dt
+    f = 1
+    while f < m:
+        k = min(f, m - f)
+        X[f:f + k] = X_s @ X[:k]
+        Y[f:f + k] = Y_s + X_s.T @ Y[:k] @ X_s
+        X_s, Y_s = X_s @ X_s, Y_s + X_s.T @ Y_s @ X_s
+        f += k
+    # broadcast the offset axis in front of any batch axes of gamma0
+    X = X.reshape((m,) + (1,) * (gamma.ndim - 2) + (4, 4))
+    Y = Y.reshape(X.shape)
+    X_T = np.swapaxes(X, -1, -2)
+    if m < n:
+        X_chunk, Y_chunk = accumulated_noise(dyn, m * dt)
+    for start in range(0, n, m):
+        stop = min(start + m, n)
+        size = stop - start
+        yield start, stop, Y[:size] + X_T[:size] @ gamma @ X[:size]
+        if stop < n:
+            gamma = Y_chunk + X_chunk.T @ gamma @ X_chunk
 
 
 def propagate_grid(gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray) -> np.ndarray:
     """Evaluate gamma(t) on a uniform time grid starting at 0.
 
-    Uses the one-step recurrence Y_{k+1} = Y_step + X_step^T Y_k X_step, so
-    the cost is one quadrature plus two 4x4 products per grid point.
+    Collects the segments of iter_grid_segments: a doubling table of the
+    relative flows and one batched product per segment, no per-point loop.
     gamma0 may carry leading batch dimensions (..., 4, 4); the returned array
     has shape (len(times), ..., 4, 4).
     """

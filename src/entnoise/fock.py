@@ -141,11 +141,16 @@ def covariance_of(state: FockState) -> np.ndarray:
 # --- screens realized on the truncated carrier ---
 
 
-def displacement_operator(u: float, v: float, d: int) -> np.ndarray:
-    """Unitary shifting x by u and p by v: exp(alpha a^dag - conj(alpha) a)."""
-    alpha = (u + 1j * v) / np.sqrt(2)
-    a = ladder(d)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+def displacement_operator(u, v, d: int) -> np.ndarray:
+    """Unitary shifting x by u and p by v: exp(i (v x - u p)), batched over u, v.
+
+    The generators are Hermitian, so one batched eigendecomposition
+    exponentiates them all; the result has shape broadcast(u, v).shape + (d, d).
+    """
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    lam, V = np.linalg.eigh(v[..., None, None] * position(d) - u[..., None, None] * momentum(d))
+    phased = V * np.exp(1j * lam)[..., None, :]
+    return phased @ np.conjugate(V, out=V).swapaxes(-1, -2)
 
 
 def gauss_hermite_mixture(screen: DisplacementScreen, n_nodes: int = 21):
@@ -179,9 +184,9 @@ def carrier_kraus_ops(screen, d: int, n_nodes: int = 21):
         return [np.eye(d, dtype=complex)]
     if isinstance(screen, DisplacementScreen):
         weights, shifts = gauss_hermite_mixture(screen, n_nodes)
-        return [
-            np.sqrt(wj) * displacement_operator(u, v, d) for wj, (u, v) in zip(weights, shifts)
-        ]
+        ops = displacement_operator(shifts[:, 0], shifts[:, 1], d)
+        ops *= np.sqrt(weights)[:, None, None]
+        return list(ops)
     if isinstance(screen, KrausScreen):
         if screen.dim != d:
             raise ValueError(f"KrausScreen was built for dim {screen.dim}, carrier has {d}")

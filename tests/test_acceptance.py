@@ -96,8 +96,9 @@ def test_criterion_2_noise_inequality():
     The benchmark is anchored at t = 0, so the guarantee is exact at t = 0
     and holds on a finite window for screens inside the classical region;
     we sample with certificate margin >= 0.25 * 2|g| and test to t_max = 0.4
-    (grid spacing 0.0025, within the stencil requirement). The long-horizon
-    decline of the anchored rate is a documented finding, see the demos.
+    (grid spacing 0.0025; the rate column is the exact derivative of the
+    excess). The long-horizon decline of the anchored rate is a documented
+    finding, see the demos.
     """
     rng = np.random.default_rng(1002)
     with criterion(2, "noise-rate bound"):

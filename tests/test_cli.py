@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -148,6 +149,22 @@ def test_non_finite_input_exits_3(capsys, flags):
     assert code == 3
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("simulate", "--t-max", "nan"), "--t-max"),
+    (("noise-test", "--t-max", "inf"), "--t-max"),
+    (("entanglement-scan", "--g", "0.4", "--t-max=-inf"), "--t-max"),
+    (("oracle-verify", "--t", "nan"), "--t"),
+])
+def test_non_finite_time_exits_2(capsys, argv, flag):
+    # rejected while parsing, so numpy never sees the value and cannot warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be finite" in err
 
 
 def test_oracle_verify_below_minimum_truncation_exits_2(capsys):

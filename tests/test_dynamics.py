@@ -6,11 +6,12 @@ from scipy.linalg import expm
 from entnoise.dynamics import (
     QuadraticHamiltonian,
     build_dynamics,
+    iter_grid_segments,
     propagate,
     propagate_grid,
     propagate_reversible,
 )
-from entnoise.errors import EhrenfestViolation
+from entnoise.errors import EhrenfestViolation, PhysicsRejection
 from entnoise.phasespace import validate_covariance
 from entnoise.sampling import random_physical_cov
 from entnoise.screens import (
@@ -69,6 +70,13 @@ def test_ehrenfest_violation_refused():
         build_dynamics(m)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_hamiltonian_rejects_non_finite(bad):
+    for kwargs in ({"nu_a": bad}, {"nu_b": bad}, {"g": bad}):
+        with pytest.raises(PhysicsRejection, match="finite"):
+            QuadraticHamiltonian(**kwargs)
+
+
 def test_include_shifts_flag():
     m = ScreenMoments(nu_a=0.3, nu_b=-0.1, eta=0.5, xi=0.0, Y=np.eye(2))
     assert build_dynamics(m).hamiltonian.nu_a == 0.3
@@ -112,6 +120,21 @@ def test_propagate_agrees_with_adaptive_ode(rng):
         np.testing.assert_allclose(
             propagate(gamma0, dyn, t), sol.y[:, -1].reshape(4, 4), atol=5e-9
         )
+
+
+def test_propagate_long_time_agrees_with_adaptive_ode(rng):
+    # t = 500 is about 80 periods; the exact flow has no per-period cost or drift
+    dyn = dyn_from_sigma(0.6, 0.2, 0.1, g=-0.45)
+    gamma0 = random_physical_cov(rng)
+    t = 500.0
+
+    def rhs(_, vec):
+        gamma = vec.reshape(4, 4)
+        return (dyn.drift.T @ gamma + gamma @ dyn.drift + dyn.diffusion).ravel()
+
+    sol = solve_ivp(rhs, (0, t), gamma0.ravel(), method="DOP853", rtol=1e-11, atol=1e-13)
+    ref = sol.y[:, -1].reshape(4, 4)
+    np.testing.assert_allclose(propagate(gamma0, dyn, t), ref, atol=1e-9 * np.abs(ref).max())
 
 
 def test_semigroup_composition(rng):
@@ -196,3 +219,23 @@ def test_propagate_grid_batched(rng):
     assert out.shape == (21, 5, 4, 4)
     for k in range(5):
         np.testing.assert_allclose(out[-1, k], propagate(batch[k], dyn, 2.0), atol=1e-10)
+
+
+def test_grid_segments_carry_matches_pointwise(rng):
+    # chunk 100 does not divide into the doubling table's powers of two and
+    # forces nine carries between segments
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    batch = np.stack([random_physical_cov(rng) for _ in range(3)])
+    times = np.linspace(0.0, 30.0, 1000)
+    segments = list(iter_grid_segments(batch, dyn, times, chunk=100))
+    assert [(start, stop) for start, stop, _ in segments] == [
+        (k, k + 100) for k in range(0, 1000, 100)
+    ]
+    out = np.concatenate([seg for _, _, seg in segments])
+    assert out.shape == (1000, 3, 4, 4)
+    for idx in range(0, 1000, 37):
+        for k in range(3):
+            np.testing.assert_allclose(
+                out[idx, k], propagate(batch[k], dyn, times[idx]), atol=1e-10
+            )
+

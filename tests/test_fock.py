@@ -9,7 +9,9 @@ from entnoise.fock import (
     amplitude_damping_kraus,
     coherent_vector,
     covariance_of,
+    displacement_operator,
     extract_generator,
+    ladder,
     fitted_coupling,
     gate_identity_check,
     gauss_hermite_mixture,
@@ -79,6 +81,19 @@ def test_gauss_hermite_mixture_moments():
     np.testing.assert_allclose(mean, 0.0, atol=1e-12)
     second = (shifts * w[:, None]).T @ shifts
     np.testing.assert_allclose(second, screen.matrix, atol=1e-12)
+
+
+def test_batched_displacement_matches_expm():
+    # reference: one scipy expm of alpha a^dag - conj(alpha) a per shift
+    d = 16
+    a = ladder(d)
+    shifts = np.array([[0.0, 0.0], [0.7, -0.3], [-1.9, 2.4], [0.05, 1.1]])
+    batch = displacement_operator(shifts[:, 0], shifts[:, 1], d)
+    assert batch.shape == (4, d, d)
+    for (u, v), D in zip(shifts, batch):
+        alpha = (u + 1j * v) / np.sqrt(2)
+        np.testing.assert_allclose(D, expm(alpha * a.conj().T - np.conj(alpha) * a), atol=1e-12)
+        np.testing.assert_array_equal(displacement_operator(u, v, d), D)
 
 
 def test_gate_identity_zero_time():

@@ -101,6 +101,16 @@ def test_finite_difference_rate_matches_analytic_zero_rate(rng):
         assert report.rate[0] == pytest.approx(noise_rate_at_zero(dyn), abs=1e-6)
 
 
+def test_rate_matches_finite_difference_of_excess(rng):
+    # the rate column is an exact derivative; a second-order difference of the
+    # excess column, taken here on a fine grid, must agree to its O(h^2) error
+    m = random_classical_screen(rng, 0.55, margin=0.2)
+    report = run_noise_test(build_dynamics(m), random_physical_cov(rng), t_max=1.5, grid=1501)
+    h = report.times[1] - report.times[0]
+    fd = np.gradient(report.excess, h, edge_order=2)
+    np.testing.assert_allclose(report.rate, fd, atol=1e-5)
+
+
 def test_excess_starts_at_zero_exactly(rng):
     m = random_classical_screen(rng, 0.5, margin=0.2)
     report = run_noise_test(build_dynamics(m), random_physical_cov(rng), t_max=0.3, grid=121)
