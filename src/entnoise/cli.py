@@ -261,13 +261,13 @@ def _cmd_oracle_verify(args):
             state = trotter_evolve(vacuum_state((d, d)), oracle_screen, args.t, n, n_nodes=13)
             dev = float(np.max(np.abs(covariance_of(state) - target)))
             rows.append({"check": "trotter-covariance", "screen": label,
-                         "parameter": n, "deviation": dev})
+                         "parameter": n, "deviation": dev, "notes": "; ".join(state.notes)})
         closed = moments_from_displacement(screen)
         numeric = moments_numeric(oracle_screen, dim=max(d, 24), n_nodes=17)
         rows.append({"check": "screen-moments", "screen": label, "parameter": max(d, 24),
-                     "deviation": float(np.max(np.abs(numeric.Y - closed.Y)))})
+                     "deviation": float(np.max(np.abs(numeric.Y - closed.Y))), "notes": ""})
     rows.append({"check": "gate-identity", "screen": "none", "parameter": d,
-                 "deviation": gate_identity_check(0.1, d)})
+                 "deviation": gate_identity_check(0.1, d), "notes": ""})
     return rows, "csv"
 
 

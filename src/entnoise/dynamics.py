@@ -139,6 +139,8 @@ def _check_uniform_grid(times: np.ndarray) -> float:
     steps = np.diff(times)
     if times[0] != 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("times must be uniform and start at 0")
+    if not steps[0] > 0.0:
+        raise ValueError(f"times must increase, got step {steps[0]:g}")
     return float(steps[0])
 
 

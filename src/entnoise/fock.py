@@ -6,16 +6,20 @@ and exposes covariance extraction, generator-coefficient extraction, and the
 gate-identity check. Everything the Gaussian-level modules compute in closed
 form is re-derived here from the circuit, so agreement is a real test.
 
-TrotterStepper is the one circuit step: trotter_evolve composes it, and
+TrotterStepper is the one circuit step: trotter_evolve runs n of them, and
 gate_identity_check reads the bare four-gate block off a stepper with no
 screen. The carrier gates exp(-i sqrt(tau) x_f A) are controlled
-displacements: in the joint eigenbasis of A = x_a and B = x_b a step is an
-entrywise multiplier C = Xi Xi^dag assembled from carrier-space vectors. That
-is algebraically identical to exponentiating the truncated operators
-directly (the gates block-diagonalize over the system eigenbasis), but costs
-O((d_a d_b)^2) instead of a dense three-mode product; the literal three-mode
-step, reduced_step_dense, cross-checks it at small dimension. Quadrature
-moments are contracted on the reshaped density matrix.
+displacements: in the joint eigenbasis of A = x_a and B = x_b the gates,
+screen and carrier reset are an entrywise multiplier C = Xi Xi^dag assembled
+from carrier-space vectors. That is algebraically identical to exponentiating
+the truncated operators directly (the gates block-diagonalize over the system
+eigenbasis), but costs O((d_a d_b)^2) instead of a dense three-mode product;
+a literal three-mode step in the tests cross-checks it at small dimension.
+The local rotation is the Kronecker product V_a tensor V_b in that basis, so
+trotter_evolve changes basis once, takes all n steps there and changes back
+once. Every basis change multiplies the reshaped density matrix by the two
+single-mode factors; no dense basis matrix of the joint space is formed.
+Quadrature moments are contracted on the reshaped density matrix too.
 """
 
 import math
@@ -228,11 +232,15 @@ def _apply_gates(gates: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("...mn,...n->...m", gates, vecs)
 
 
+def _rotation_phases(tau: float, d: int) -> np.ndarray:
+    """Diagonal of exp(-i tau (n + 1/2)) on one d-level mode."""
+    return np.exp(-1j * tau * (np.arange(d) + 0.5))
+
+
 def _local_unitary(tau: float, dims) -> np.ndarray:
     """Diagonal of exp(-i tau (n_a + n_b + 1)), the local rotation of both modes."""
     da, db = dims
-    return np.kron(np.exp(-1j * tau * (np.arange(da) + 0.5)),
-                   np.exp(-1j * tau * (np.arange(db) + 0.5)))
+    return np.kron(_rotation_phases(tau, da), _rotation_phases(tau, db))
 
 
 def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -240,14 +248,31 @@ def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return rho * np.outer(u, u.conj())
 
 
+def _kron_conjugate(A: np.ndarray, B: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(A tensor B) rho (A tensor B)^dag by four factor products; A tensor B is never formed.
+
+    rho is read as rho[i, j, k, l] with (i, k) on mode a and (j, l) on mode b.
+    """
+    da, db = len(A), len(B)
+    n = da * db
+    out = (A @ rho.reshape(da, -1)).reshape(da, db, n)  # i
+    out = (B @ out).reshape(n, da, db)                   # j, batched over i
+    out = A.conj() @ out                                 # k, batched over (i, j)
+    return (out.reshape(-1, db) @ B.conj().T).reshape(n, n)  # l
+
+
 class TrotterStepper:
     """Precomputed one-step superoperator of the exchange circuit.
 
     One step of length tau applies the local rotation, the sqrt(tau) carrier
     gates with the screen in the middle, and traces the carrier (Markovian
-    reset to rho_f). The step acts on two-mode density matrices as a basis
-    change into the joint position eigenbasis followed by an entrywise
-    multiplier. With no screen the multiplier is that of the bare four-gate
+    reset to rho_f). The step runs in the joint position eigenbasis of the two
+    system modes, T = W_a tensor W_b (real): there the rotation is the product
+    V_a tensor V_b with V_a = W_a^T diag(e^{-i tau (n + 1/2)}) W_a, and the
+    gates, screen and reset are an entrywise multiplier, so a step is
+    rho_e -> multiplier * (V rho_e V^dag). Every basis change, into or out of
+    the eigenbasis or by V, is a product with the two factors on the reshaped
+    density matrix. With no screen the multiplier is that of the bare four-gate
     block, which gate_identity_check compares with the direct product gate.
     """
 
@@ -277,10 +302,10 @@ class TrotterStepper:
         # joint position eigenbasis of the two system modes
         self.a_vals, self.W_a = np.linalg.eigh(position(da))
         self.b_vals, self.W_b = np.linalg.eigh(position(db))
-        self.T = np.kron(self.W_a, self.W_b).astype(complex)
 
-        # local unitary, applied first within each step
-        self._u_loc = _local_unitary(self.tau, self.dims)
+        # local rotation of each mode in that basis, applied first within each step
+        self._V_a = (self.W_a.T * _rotation_phases(self.tau, da)) @ self.W_a
+        self._V_b = (self.W_b.T * _rotation_phases(self.tau, db)) @ self.W_b
 
         root = np.sqrt(self.tau)
         # exp(-i sqrt(tau) a_alpha x_f) and exp(-i sqrt(tau) b_beta p_f), broadcast
@@ -290,7 +315,6 @@ class TrotterStepper:
         # "positive" applies the p-gate first; the adjoints follow the screen in
         # the same order
         first, second = (F, E) if eta_convention == "positive" else (E, F)
-        first_dag, second_dag = (G.conj().swapaxes(-1, -2) for G in (first, second))
 
         if rho_f is None:
             rho_f = np.diag(np.eye(df)[0])  # carrier vacuum
@@ -304,26 +328,39 @@ class TrotterStepper:
         leak = 0.0
         for wk, vec in zip(fc_weights, fc_vecs):
             phi = _apply_gates(second, _apply_gates(first, vec))     # (da, db, df)
-            phi = np.einsum("jmn,abn->jabm", kraus, phi)             # screen branches
-            phi = _apply_gates(second_dag, _apply_gates(first_dag, phi))
-            xi = np.sqrt(wk) * np.transpose(phi, (1, 2, 0, 3))       # (da, db, j, df)
-            leak = leak + np.sum(np.abs(xi[..., -2:]) ** 2, axis=(-2, -1)).reshape(da * db)
-            blocks.append(xi.reshape(da * db, -1))
+            # screen branches (da, db, j, df), one row vector each: a gate G acts
+            # as @ G^T, so @ first.conj() applies first^dag, batched over (alpha, beta)
+            phi = (phi.reshape(-1, df) @ kraus.reshape(-1, df).T).reshape(da, db, -1, df)
+            phi = phi @ first.conj()
+            phi = phi @ second.conj()
+            leak = leak + wk * np.sum(np.abs(phi[..., -2:]) ** 2, axis=(-2, -1)).reshape(da * db)
+            blocks.append(np.sqrt(wk) * phi.reshape(da * db, -1))
 
         Xi = np.concatenate(blocks, axis=1)
         self.multiplier = Xi @ Xi.conj().T
         self.trace_defect = float(np.max(np.abs(np.diagonal(self.multiplier).real - 1.0)))
         self._leak_row = leak
 
-    def apply(self, rho: np.ndarray):
-        """One step; returns (rho_out, leakage_estimate). A zero-length step is exact."""
+    def _run(self, rho: np.ndarray, n: int):
+        """n steps between one change into the eigenbasis and one change back.
+
+        Returns (rho_out, worst per-step leakage). The leakage of a step is read
+        off the diagonal after the rotation, before the multiplier. A
+        zero-length step is exact.
+        """
         if self.tau == 0.0:
             return rho.copy(), 0.0
-        rho = _conjugate(self._u_loc, rho)
-        rho_eig = self.T.conj().T @ rho @ self.T
-        leakage = float(np.real(np.diagonal(rho_eig)) @ self._leak_row)
-        rho_eig = self.multiplier * rho_eig
-        return self.T @ rho_eig @ self.T.conj().T, leakage
+        rho = _kron_conjugate(self.W_a.T, self.W_b.T, rho)
+        worst = 0.0
+        for _ in range(n):
+            rho = _kron_conjugate(self._V_a, self._V_b, rho)
+            worst = max(worst, float(np.real(np.diagonal(rho)) @ self._leak_row))
+            rho *= self.multiplier
+        return _kron_conjugate(self.W_a, self.W_b, rho), worst
+
+    def apply(self, rho: np.ndarray):
+        """One step on a Fock-basis density matrix; returns (rho_out, leakage_estimate)."""
+        return self._run(rho, 1)
 
 
 def trotter_evolve(
@@ -343,8 +380,9 @@ def trotter_evolve(
     the rotation symmetrically, R(tau/2) E R(tau) E ... E R(tau/2), gives the
     second-order (Strang) splitting; it equals R(tau/2) (E R(tau))^n R(-tau/2),
     so the n steps are conjugated by a half-step rotation. The gates, screen,
-    reset and total rotation t are those of n TrotterStepper steps. A note on
-    the returned state flags carrier leakage above 1e-4 in any step.
+    reset and total rotation t are those of n TrotterStepper steps, all taken
+    in the joint position eigenbasis between one basis change in and one out.
+    A note on the returned state flags carrier leakage above 1e-4 in any step.
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n = {n}")
@@ -354,10 +392,7 @@ def trotter_evolve(
         eta_convention=eta_convention, n_nodes=n_nodes,
     )
     rho = _conjugate(_local_unitary(-tau / 2, rho_ab.dims), rho_ab.rho)
-    worst_leak = 0.0
-    for _ in range(n):
-        rho, leakage = stepper.apply(rho)
-        worst_leak = max(worst_leak, leakage)
+    rho, worst_leak = stepper._run(rho, n)
     rho = _conjugate(_local_unitary(tau / 2, rho_ab.dims), rho)
     out = FockState(rho, rho_ab.dims, rho_ab.notes)
     if worst_leak > 1e-4:
@@ -391,7 +426,7 @@ def gate_identity_check(
 
     worst = 0.0
     for state in test_states:
-        rho_eig = block.T.conj().T @ state.rho @ block.T
+        rho_eig = _kron_conjugate(block.W_a.T, block.W_b.T, state.rho)
         diff = (block.multiplier - target) * rho_eig
         # entrywise product of Hermitian matrices is Hermitian
         dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
@@ -570,54 +605,3 @@ def sqrt_step_coefficient(
         mean_shift(tau) / 3.0 - 4.0 * mean_shift(tau / 4) + (32.0 / 3.0) * mean_shift(tau / 16)
     ) / np.sqrt(tau)
     return float(np.max(np.abs(coeff)))
-
-
-# --- literal three-mode reference (small dimensions only) ---
-
-
-def reduced_step_dense(
-    rho_ab: FockState,
-    screen,
-    tau: float,
-    rho_f: np.ndarray = None,
-    eta_convention: str = DEFAULT_ETA_CONVENTION,
-    n_nodes: int = 21,
-) -> FockState:
-    """Direct product-space implementation of one circuit step.
-
-    Builds the gates with expm on the full a x b x f space and traces the
-    carrier; exponentially slower than TrotterStepper but shares no code path
-    with it, so it validates the multiplier construction.
-    """
-    da, db = rho_ab.dims
-    df = max(da, db)
-    if rho_f is None:
-        rho_f = np.zeros((df, df), dtype=complex)
-        rho_f[0, 0] = 1.0
-    root = np.sqrt(tau)
-    Ia, Ib, If = np.eye(da), np.eye(db), np.eye(df)
-    XA = np.kron(np.kron(position(da), Ib), position(df))
-    PB = np.kron(np.kron(Ia, position(db)), momentum(df))
-    UA = expm(-1j * root * XA)
-    UB = expm(-1j * root * PB)
-    n_a = np.kron(np.kron(number(da) + 0.5 * Ia, Ib), If)
-    n_b = np.kron(np.kron(Ia, number(db) + 0.5 * Ib), If)
-    U_loc = expm(-1j * tau * (n_a + n_b))
-
-    rho = np.kron(rho_ab.rho, rho_f)
-    rho = U_loc @ rho @ U_loc.conj().T
-    if eta_convention == "positive":
-        before, after = (UB, UA), (UB.conj().T, UA.conj().T)
-    else:
-        before, after = (UA, UB), (UA.conj().T, UB.conj().T)
-    for U in before:
-        rho = U @ rho @ U.conj().T
-    kraus = carrier_kraus_ops(screen, df, n_nodes)
-    rho = sum(
-        np.kron(np.eye(da * db), K) @ rho @ np.kron(np.eye(da * db), K).conj().T for K in kraus
-    )
-    for U in after:
-        rho = U @ rho @ U.conj().T
-    rho = rho.reshape(da * db, df, da * db, df)
-    reduced = np.einsum("afbf->ab", rho)
-    return FockState(reduced, rho_ab.dims, rho_ab.notes)

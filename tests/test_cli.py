@@ -74,6 +74,13 @@ def test_oracle_verify_table(capsys):
     rows = list(csv.DictReader(out.splitlines()))
     checks = {row["check"] for row in rows}
     assert {"trotter-covariance", "screen-moments", "gate-identity"} <= checks
+    # the oracle's notes reach the table: at this truncation only the anisotropic
+    # screen leaks past the 1e-4 threshold, and only circuit rows carry notes
+    for row in rows:
+        if row["check"] == "trotter-covariance" and row["screen"] == "anisotropic":
+            assert row["notes"].startswith("carrier truncation leakage up to 2.1")
+        else:
+            assert row["notes"] == ""
     gate_dev = [float(r["deviation"]) for r in rows if r["check"] == "gate-identity"]
     assert gate_dev[0] < 1e-6
     # trotter deviation shrinks with more steps for each screen
@@ -165,6 +172,18 @@ def test_non_finite_time_exits_2(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert f"argument {flag}: must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--t-max", "-1"),
+    ("noise-test", "--t-max", "-1"),
+    ("entanglement-scan", "--g", "0.4", "--t-max", "-5"),
+])
+def test_descending_time_grid_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "times must increase" in err
 
 
 def test_oracle_verify_below_minimum_truncation_exits_2(capsys):

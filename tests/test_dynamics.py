@@ -152,6 +152,14 @@ def test_propagate_rejects_negative_time():
         propagate(vacuum_cov(), dyn, -0.1)
 
 
+@pytest.mark.parametrize("t_end", [-1.0, 0.0])
+def test_propagate_grid_rejects_non_increasing_times(t_end):
+    # a descending grid would run the flow backwards into unphysical covariances
+    dyn = dyn_from_sigma(0.1, 0.1)
+    with pytest.raises(ValueError, match="times must increase"):
+        propagate_grid(vacuum_cov(), dyn, np.linspace(0.0, t_end, 5))
+
+
 def test_reversible_at_zero_and_uncoupled():
     dyn = dyn_from_sigma(0.2, 0.2, g=0.0)
     gamma0 = vacuum_cov()

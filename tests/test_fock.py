@@ -6,7 +6,9 @@ from entnoise.dynamics import build_dynamics, propagate
 from entnoise.fock import (
     FockState,
     TrotterStepper,
+    _kron_conjugate,
     amplitude_damping_kraus,
+    carrier_kraus_ops,
     coherent_vector,
     covariance_of,
     displacement_operator,
@@ -18,16 +20,67 @@ from entnoise.fock import (
     mean_quadratures,
     moments_numeric,
     momentum,
+    number,
     position,
     product_state,
-    reduced_step_dense,
     squeezed_vector,
     sqrt_step_coefficient,
     trotter_evolve,
     vacuum_state,
 )
-from entnoise.screens import DisplacementScreen, moments_from_displacement
+from entnoise.screens import DEFAULT_ETA_CONVENTION, DisplacementScreen, moments_from_displacement
 from entnoise.states import vacuum_cov
+
+
+# literal three-mode reference (small dimensions only)
+
+
+def reduced_step_dense(
+    rho_ab: FockState,
+    screen,
+    tau: float,
+    rho_f: np.ndarray = None,
+    eta_convention: str = DEFAULT_ETA_CONVENTION,
+    n_nodes: int = 21,
+) -> FockState:
+    """Direct product-space implementation of one circuit step.
+
+    Builds the gates with expm on the full a x b x f space and traces the
+    carrier; exponentially slower than TrotterStepper but shares no code path
+    with it, so it validates the multiplier construction.
+    """
+    da, db = rho_ab.dims
+    df = max(da, db)
+    if rho_f is None:
+        rho_f = np.zeros((df, df), dtype=complex)
+        rho_f[0, 0] = 1.0
+    root = np.sqrt(tau)
+    Ia, Ib, If = np.eye(da), np.eye(db), np.eye(df)
+    XA = np.kron(np.kron(position(da), Ib), position(df))
+    PB = np.kron(np.kron(Ia, position(db)), momentum(df))
+    UA = expm(-1j * root * XA)
+    UB = expm(-1j * root * PB)
+    n_a = np.kron(np.kron(number(da) + 0.5 * Ia, Ib), If)
+    n_b = np.kron(np.kron(Ia, number(db) + 0.5 * Ib), If)
+    U_loc = expm(-1j * tau * (n_a + n_b))
+
+    rho = np.kron(rho_ab.rho, rho_f)
+    rho = U_loc @ rho @ U_loc.conj().T
+    if eta_convention == "positive":
+        before, after = (UB, UA), (UB.conj().T, UA.conj().T)
+    else:
+        before, after = (UA, UB), (UA.conj().T, UB.conj().T)
+    for U in before:
+        rho = U @ rho @ U.conj().T
+    kraus = carrier_kraus_ops(screen, df, n_nodes)
+    rho = sum(
+        np.kron(np.eye(da * db), K) @ rho @ np.kron(np.eye(da * db), K).conj().T for K in kraus
+    )
+    for U in after:
+        rho = U @ rho @ U.conj().T
+    rho = rho.reshape(da * db, df, da * db, df)
+    reduced = np.einsum("afbf->ab", rho)
+    return FockState(reduced, rho_ab.dims, rho_ab.notes)
 
 
 def test_commutator_on_interior():
@@ -198,6 +251,53 @@ def test_trotter_first_order_convergence():
     assert abs(extrapolated) < 2e-3
 
 
+def test_factor_basis_change_matches_dense_kron(rng):
+    da, db = 7, 5
+    A = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
+    B = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
+    rho = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
+    AB = np.kron(A, B)
+    np.testing.assert_allclose(_kron_conjugate(A, B, rho), AB @ rho @ AB.conj().T,
+                               rtol=0, atol=1e-12)
+
+
+def _thermal(d, nbar):
+    weights = (nbar / (1 + nbar)) ** np.arange(d)
+    return np.diag(weights / weights.sum()).astype(complex)
+
+
+def _rotated(rho, dims, angle):
+    """exp(-i angle (n_a + n_b + 1)) rho exp(+i angle (n_a + n_b + 1)) in the Fock basis."""
+    u = np.kron(np.exp(-1j * angle * (np.arange(dims[0]) + 0.5)),
+                np.exp(-1j * angle * (np.arange(dims[1]) + 0.5)))
+    return rho * np.outer(u, u.conj())
+
+
+@pytest.mark.parametrize("screen, convention, dims, fc_dim, rho_f", [
+    (None, "positive", (8, 8), None, None),
+    (None, "negative", (8, 8), None, None),
+    (DisplacementScreen(0.3, 0.2, 0.1), "positive", (8, 8), None, None),
+    (DisplacementScreen(0.3, 0.2, 0.1), "negative", (8, 8), None, None),
+    (amplitude_damping_kraus(0.9, 9), "positive", (8, 6), 9, None),
+    (DisplacementScreen(0.2, 0.4), "negative", (7, 9), 10, _thermal(10, 0.5)),
+])
+def test_trotter_evolve_is_conjugated_apply_composition(screen, convention, dims, fc_dim, rho_f):
+    # R(-tau/2), then n single steps in the Fock basis, then R(+tau/2)
+    t, n = 0.6, 5
+    tau = t / n
+    st = product_state(coherent_vector(0.4, dims[0]), coherent_vector(-0.3j, dims[1]))
+    kw = dict(fc_dim=fc_dim, rho_f=rho_f, eta_convention=convention, n_nodes=7)
+    out = trotter_evolve(st, screen, t, n, **kw)
+    stepper = TrotterStepper(screen, tau, dims=dims, **kw)
+    rho, leaks = _rotated(st.rho, dims, -tau / 2), []
+    for _ in range(n):
+        rho, leak = stepper.apply(rho)
+        leaks.append(leak)
+    np.testing.assert_allclose(out.rho, _rotated(rho, dims, tau / 2), rtol=0, atol=1e-12)
+    worst = max(leaks)
+    assert out.notes == ((f"carrier truncation leakage up to {worst:.2e}",) if worst > 1e-4 else ())
+
+
 def test_trotter_rejects_bad_step_count():
     with pytest.raises(ValueError):
         trotter_evolve(vacuum_state((6, 6)), None, 1.0, 0)
@@ -215,6 +315,21 @@ def test_leakage_warning_attached():
     st = vacuum_state((6, 6))
     out = trotter_evolve(st, DisplacementScreen(3.0, 3.0), 0.8, 1, fc_dim=6, n_nodes=11)
     assert any("leakage" in note for note in out.notes)
+    assert out.notes == ("carrier truncation leakage up to 2.35e-01",)
+
+
+def test_step_leakage_weighs_the_rotated_eigenbasis_diagonal():
+    # the gates see each joint position eigenstate with its population after
+    # the local rotation; a moving coherent state makes that differ from before
+    d, tau = 6, 0.8
+    st = product_state(coherent_vector(0.8, d), coherent_vector(0.5j, d))
+    stepper = TrotterStepper(DisplacementScreen(3.0, 3.0), tau, dims=st.dims, n_nodes=11)
+    T = np.kron(stepper.W_a, stepper.W_b)
+    rotated = T.T @ _rotated(st.rho, st.dims, tau) @ T
+    _, leakage = stepper.apply(st.rho)
+    assert leakage == pytest.approx(np.real(np.diagonal(rotated)) @ stepper._leak_row, rel=1e-12)
+    assert leakage != pytest.approx(np.real(np.diagonal(T.T @ st.rho @ T)) @ stepper._leak_row,
+                                    rel=1e-3)
 
 
 def test_moments_numeric_identity_screen():

@@ -1,4 +1,4 @@
-"""Property checks of the exact flow and of the two classicality routes.
+"""Property checks of the exact flow, its physicality and the two classicality routes.
 
 Examples are derandomized with a fixed budget, so every run draws the same
 cases and the module stays fast.
@@ -8,7 +8,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entnoise.dynamics import accumulated_noise, build_dynamics
+from entnoise.dynamics import accumulated_noise, build_dynamics, propagate
+from entnoise.phasespace import validate_covariance
+from entnoise.sampling import random_physical_cov
 from entnoise.screens import is_classical, is_classical_det, moments_with_coupling
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -17,6 +19,8 @@ sigmas = st.floats(0.0, 1.5)
 correlations = st.floats(-1.0, 1.0)
 couplings = st.floats(-0.95, 0.95)
 durations = st.floats(0.0, 20.0)
+fractions = st.floats(-1.0, 1.0)
+seeds = st.integers(0, 2**32 - 1)
 
 
 def _noise(a, b, rho):
@@ -58,3 +62,15 @@ def test_eigenvalue_and_determinant_routes_agree_off_the_boundary(a, b, rho, g):
     certificate = is_classical(Y, g)
     assume(abs(certificate.min_eigenvalue) > 1e-6)
     assert certificate.ok == is_classical_det(Y, g)
+
+
+@PROPERTY_SETTINGS
+@given(sigmas, sigmas, correlations, fractions, seeds, st.floats(0.0, 50.0, exclude_min=True))
+def test_propagate_keeps_a_physical_start_physical(a, b, rho, fraction, seed, t):
+    # a coupling up to sqrt(det Y) / 2 keeps the screen classical
+    Y = _noise(a, b, rho)
+    g = fraction * min(0.95, 0.5 * np.sqrt(max(np.linalg.det(Y), 0.0)))
+    assert is_classical(Y, g).ok
+    gamma0 = random_physical_cov(np.random.default_rng(seed))
+    assert validate_covariance(gamma0).ok
+    assert validate_covariance(propagate(gamma0, _dynamics(a, b, rho, g), t)).ok
