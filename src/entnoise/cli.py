@@ -119,6 +119,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float that is not negative."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _add_screen_flags(parser, with_g=True):
     parser.add_argument("--screen-file", help="screen spec as a key-value text block")
     parser.add_argument("--family", choices=["identity", "displacement"],
@@ -140,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Screened-exchange oscillator simulations and experiment budgeting",
     )
     parser.add_argument("--version", action="version", version=f"entnoise {__version__}")
-    parser.add_argument("--tol", type=float, default=TOL_PSD,
-                        help="PSD decision tolerance (default 1e-10)")
+    parser.add_argument("--tol", type=_tolerance, default=TOL_PSD,
+                        help="PSD decision tolerance, finite and >= 0 (default 1e-10)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for random inputs")
     parser.add_argument("--omega-convention", choices=["hz-cycles", "rad-s"],
                         default="hz-cycles", help="how frequency figures are interpreted")

@@ -7,6 +7,8 @@ and the converse witness) lives here too so the covariance-level decisions
 can be audited against closed forms.
 """
 
+import math
+
 import numpy as np
 
 from .errors import UnphysicalCovariance
@@ -15,6 +17,7 @@ from .phasespace import (
     DELTA_1,
     DELTA_2,
     DELTA_2_TILDE,
+    K_REVERSAL,
     TOL_PSD,
     Certificate,
     min_eig_hermitian,
@@ -40,11 +43,103 @@ def ppt_margin(gamma: np.ndarray) -> float:
     return min_eig_hermitian(partial_reverse(gamma) + 1j * DELTA_2)
 
 
+# Lower-triangle entries of a 4x4 gamma in row-major order: the Hermitian
+# matrix that eigvalsh reads, named a b e c f h d g i j below.
+_LOWER = [0, 4, 5, 8, 9, 10, 12, 13, 14, 15]
+_REVERSAL_SIGNS = np.outer(np.diag(K_REVERSAL), np.diag(K_REVERSAL))
+_U = np.finfo(float).eps / 2  # unit roundoff
+# matrices per screening pass: small enough that the temporaries stay in cache
+_CHUNK = 4096
+
+
+def _reversal_invariants(gammas: np.ndarray):
+    """nu~_-^2 of each partially reversed gamma, its rounding bound and an eigenvalue floor.
+
+    gammas has shape (n, 4, 4) and each output shape (n,). With
+    blocks gamma = [[A, C], [C^T, B]], the reversal keeps det A, det B and
+    det gamma and flips det C, so its symplectic invariant is
+    Delta~ = det A + det B - 2 det C and nu~_-^2 = 2 det / (Delta~ + sqrt(Delta~^2 - 4 det))
+    (Simon, PRL 84, 2726, 2000; Serafini, Illuminati and De Siena, J. Phys. B
+    37, L21, 2004); this root does not cancel when nu~_+ >> nu~_-.
+
+    Returns (nu2, delta, floor). The true nu~_-^2 lies within delta of nu2;
+    floor is 27 det / tr^3 <= lambda_min(gamma) where gamma is certified
+    positive definite, and NaN elsewhere.
+    """
+    lower = gammas.reshape(-1, 16).T[_LOWER]
+    a, b, e, c, f, h, d, g, i, j = lower
+    det_a, det_b, det_c = a * e - b * b, h * j - i * i, c * g - d * f
+    # the other 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair
+    p02, p03, p12, p13 = a * f - b * c, a * g - b * d, b * f - c * e, b * g - d * e
+    q02, q03, q12, q13 = c * i - d * h, c * j - d * i, f * i - g * h, f * j - g * i
+    # Laplace expansion along rows (0, 1) by complementary minors; minor3 is
+    # the leading 3x3 minor, by expansion along row 2
+    det = det_a * det_b - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + det_c * det_c
+    minor3 = c * p12 - f * p02 + h * det_a
+    tilde = det_a + det_b - 2.0 * det_c
+    # a positive definite gamma has real symplectic eigenvalues, so the true
+    # discriminant (nu~_+^2 - nu~_-^2)^2 is >= 0 and clipping only cuts error
+    root = np.sqrt(np.maximum(tilde * tilde - 4.0 * det, 0.0))
+    den = tilde + root
+    nu2 = 2.0 * det / den
+
+    # Rounding bound, to first order in the unit roundoff u. With
+    # M = max |gamma_ij|, a sum of monomials whose terms each pass through
+    # k roundings is off by at most k u times the sum of |monomials|
+    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+    #   a 2x2 minor:  2 monomials of <= M^2, k = 2              -> 4 u M^2
+    #   minor3:       6 monomials of <= M^3, k = 2 + 1 + 2      -> 30 u M^3
+    #   det:          24 monomials of <= M^4, k = 2 + 2 + 1 + 5 -> 240 u M^4
+    #   Delta~:       |monomials| sum to <= 8 M^2, k = 2 + 2    -> 32 u M^2
+    #   discriminant: 2 |Delta~| 32 u M^2 + 4 (240 u M^4)
+    #                 + u (2 Delta~^2 + 4 |det|), with |Delta~| <= 8 M^2
+    #                 and |det| <= 24 M^4                       -> 1696 u M^4
+    # |sqrt x - sqrt y| <= min(|x - y| / sqrt x, sqrt |x - y|) carries the
+    # discriminant's error into the root, and the quotient adds the relative
+    # errors of det and of Delta~ + root. So delta scales as u M^4 / det, and
+    # as sqrt(u) M^2 / sqrt(det) when nu~_+ ~ nu~_-.
+    m2 = np.abs(lower).max(axis=0) ** 2
+    err_det = 240 * _U * m2 * m2
+    err_disc = 1696 * _U * m2 * m2
+    err_den = 32 * _U * m2 + err_disc / np.maximum(root, np.sqrt(err_disc)) + _U * (root + den)
+    delta = np.abs(nu2) * (err_det / np.abs(det) + err_den / np.abs(den) + _U)
+    # Sylvester's criterion, each leading minor clear of its own bound
+    positive = ((a > 0) & (det_a > 4 * _U * m2)
+                & (minor3 > 30 * _U * m2 * np.sqrt(m2)) & (det > err_det))
+    floor = np.where(positive, 27.0 * det / (a + e + h + j) ** 3, np.nan)
+    return nu2, delta, floor
+
+
 def ppt_margins(gammas: np.ndarray) -> np.ndarray:
-    """Batched ppt_margin over an array of shape (..., 4, 4)."""
+    """Batched lower bound on ppt_margin over an array of shape (..., 4, 4).
+
+    Returns m_i <= lambda_min(gamma~_i + i Delta_2), with equality on every
+    entry the closed-form screen does not clear; so m_i < -tol exactly when
+    the eigenvalue margin is below -tol, for every tol >= 0. The screen clears
+    a positive definite gamma whose reversal has nu~_-^2 - 1 > delta_i (see
+    _reversal_invariants): that state is separable, and since
+    gamma~ + i Delta >= (1 - 1/nu~_-) gamma~ and, by AM-GM on the other three
+    eigenvalues, lambda_min(gamma) >= 27 det gamma / (tr gamma)^3, it gets the
+    positive bound (1 - 1/nu~_-) 27 det gamma / (tr gamma)^3, with nu~_-^2
+    lowered by delta_i. Every other entry gets the eigenvalue margin.
+    """
     gammas = np.asarray(gammas, dtype=float)
-    reversed_batch = np.einsum("i,...ij,j->...ij", np.r_[1.0, 1, 1, -1], gammas, np.r_[1.0, 1, 1, -1])
-    return np.linalg.eigvalsh(reversed_batch + 1j * DELTA_2)[..., 0]
+    if gammas.shape[-2:] != (4, 4):
+        raise ValueError(f"two-mode covariances expected, got shape {gammas.shape}")
+    flat = gammas.reshape(-1, 4, 4)
+    margins = np.empty(len(flat))
+    for start in range(0, len(flat), _CHUNK):
+        block = flat[start:start + _CHUNK]
+        # entries that overflow, divide by zero or go NaN here are not cleared
+        with np.errstate(all="ignore"):
+            nu2, delta, floor = _reversal_invariants(block)
+            cleared = (nu2 - 1.0 > delta) & (floor > 0)
+            margins[start:start + len(block)] = (1.0 - 1.0 / np.sqrt(nu2 - delta)) * floor
+        routed = np.flatnonzero(~cleared)
+        if routed.size:
+            reversed_batch = block[routed] * _REVERSAL_SIGNS
+            margins[start + routed] = np.linalg.eigvalsh(reversed_batch + 1j * DELTA_2)[:, 0]
+    return margins.reshape(gammas.shape[:-2])
 
 
 def is_separable(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> Certificate:
@@ -57,25 +152,19 @@ def is_separable(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> Certificate:
     return Certificate(lam >= -tol_psd, lam)
 
 
-def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
-    """The two symplectic eigenvalues of a (not necessarily physical) 4x4 gamma."""
-    ev = np.linalg.eigvals(1j * DELTA_2 @ np.asarray(gamma, dtype=float))
-    ev = np.sort(np.abs(ev))
-    return ev[[0, 2]]
-
-
 def log_negativity(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> float:
-    """Sum of -log of sub-unit symplectic eigenvalues of the partial reversal.
+    """-log nu~_- of the partial reversal when nu~_- < 1, else 0.
 
     Quantitative companion to is_separable for scan output; zero exactly when
-    the state is separable.
+    the state is separable. Only the smaller symplectic eigenvalue of a
+    physical state's reversal can fall below 1, so it is the whole sum.
     """
     gamma = np.asarray(gamma, dtype=float)
     _require_physical(gamma, tol_psd)
-    nus = symplectic_eigenvalues(partial_reverse(gamma))
-    # eigenvalues within tol of 1 are separability-marginal, not entangled
-    below_one = nus < 1.0 - tol_psd
-    return float(np.sum(-np.log(nus[below_one]))) if np.any(below_one) else 0.0
+    (nu2,), _, _ = _reversal_invariants(gamma.reshape(1, 4, 4))
+    nu = float(np.sqrt(nu2))
+    # a value within tol of 1 is separability-marginal, not entangled
+    return -math.log(nu) if nu < 1.0 - tol_psd else 0.0
 
 
 def entanglement_onset(
@@ -90,9 +179,13 @@ def entanglement_onset(
     Scans a uniform grid, then refines the first crossing by bisection on the
     reversal margin to relative precision 1e-6. Returns None when the state
     stays separable up to t_max.
+    tol_psd must be finite and >= 0: the batched scan's margins are sign-exact
+    only for thresholds at or below zero.
     """
     if grid < 100:
         raise ValueError(f"grid must be at least 100 points, got {grid}")
+    if not 0.0 <= tol_psd < math.inf:
+        raise ValueError(f"tol_psd must be finite and non-negative, got {tol_psd}")
     gamma0 = np.asarray(gamma0, dtype=float)
     _require_physical(gamma0, tol_psd)
     if ppt_margin(gamma0) < -tol_psd:

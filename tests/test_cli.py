@@ -174,6 +174,20 @@ def test_non_finite_time_exits_2(capsys, argv, flag):
     assert f"argument {flag}: must be finite" in err
 
 
+@pytest.mark.parametrize("tol, message", [
+    ("nan", "must be finite"), ("inf", "must be finite"), ("-1", "must be >= 0"),
+])
+@pytest.mark.parametrize("argv", [
+    ("check-classicality", "--sxx", "1", "--spp", "1", "--sxp", "0", "--g", "0.1"),
+    ("entanglement-scan", "--g", "0.4", "--steps", "2", "--grid", "200"),
+])
+def test_bad_tolerance_exits_2(capsys, tol, message, argv):
+    code, out, err = run_cli(capsys, f"--tol={tol}", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument --tol: {message}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--t-max", "-1"),
     ("noise-test", "--t-max", "-1"),

@@ -9,6 +9,7 @@ from entnoise.entanglement import (
     is_separable,
     log_negativity,
     ppt_margin,
+    ppt_margins,
 )
 from entnoise.errors import UnphysicalCovariance
 from entnoise.phasespace import DELTA_2_TILDE, min_eig_hermitian
@@ -43,6 +44,25 @@ def test_product_states_are_separable(rng):
 def test_unphysical_input_rejected():
     with pytest.raises(UnphysicalCovariance):
         is_separable(0.1 * np.eye(4))
+
+
+def test_ppt_margins_route_indefinite_matrices_to_eigvalsh():
+    # each has a formal nu~_-^2 >= 1 from the closed form, yet is not positive
+    # definite, so only the eigenvalue margin may decide it
+    c = 3.0 * np.eye(2)
+    indefinite = np.stack([-2.0 * np.eye(4), np.diag([2.0, 2.0, -2.0, -2.0]),
+                           np.block([[np.eye(2), c], [c, np.eye(2)]])])
+    direct = [ppt_margin(gamma) for gamma in indefinite]
+    np.testing.assert_array_equal(ppt_margins(indefinite), direct)
+    assert max(direct) < 0
+
+
+def test_ppt_margins_keeps_batch_shape_and_rejects_other_shapes():
+    gammas = np.broadcast_to(vacuum_cov(), (3, 2, 4, 4))
+    assert ppt_margins(gammas).shape == (3, 2)
+    assert ppt_margins(np.empty((0, 4, 4))).shape == (0,)
+    with pytest.raises(ValueError):
+        ppt_margins(np.eye(2))
 
 
 def test_log_negativity_vacuum_zero():
@@ -102,6 +122,13 @@ def test_onset_rejects_tiny_grid():
     dyn = build_dynamics(moments_with_coupling(np.eye(2), 0.1))
     with pytest.raises(ValueError):
         entanglement_onset(dyn, vacuum_cov(), t_max=1.0, grid=50)
+
+
+@pytest.mark.parametrize("tol", [-1e-10, np.nan, np.inf])
+def test_onset_rejects_bad_tolerance(tol):
+    dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
+    with pytest.raises(ValueError, match="tol_psd"):
+        entanglement_onset(dyn, vacuum_cov(), t_max=10.0, grid=200, tol_psd=tol)
 
 
 def test_onset_bisection_is_tight():

@@ -1,17 +1,28 @@
-"""Property checks of the exact flow, its physicality and the two classicality routes.
+"""Property checks of the exact flow, its physicality, the two classicality routes
+and the contract of the batched separability screen.
 
 Examples are derandomized with a fixed budget, so every run draws the same
 cases and the module stays fast.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from entnoise.dynamics import accumulated_noise, build_dynamics, propagate
-from entnoise.phasespace import validate_covariance
-from entnoise.sampling import random_physical_cov
+from entnoise.entanglement import ppt_margin, ppt_margins
+from entnoise.phasespace import K_REVERSAL, validate_covariance
+from entnoise.sampling import (
+    random_classical_screen,
+    random_physical_cov,
+    random_separable_cov,
+    random_symplectic,
+)
 from entnoise.screens import is_classical, is_classical_det, moments_with_coupling
+from entnoise.states import two_mode_squeezed_cov
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -74,3 +85,100 @@ def test_propagate_keeps_a_physical_start_physical(a, b, rho, fraction, seed, t)
     gamma0 = random_physical_cov(np.random.default_rng(seed))
     assert validate_covariance(gamma0).ok
     assert validate_covariance(propagate(gamma0, _dynamics(a, b, rho, g), t)).ok
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(couplings, seeds, st.floats(0.0, 50.0, exclude_min=True))
+def test_propagate_matches_dop853_on_classical_screens(g, seed, t):
+    rng = np.random.default_rng(seed)
+    dyn = build_dynamics(random_classical_screen(rng, g))
+    gamma0 = random_physical_cov(rng)
+
+    def rhs(_, vec):
+        gamma = vec.reshape(4, 4)
+        return (dyn.drift.T @ gamma + gamma @ dyn.drift + dyn.diffusion).ravel()
+
+    sol = solve_ivp(rhs, (0, t), gamma0.ravel(), method="DOP853", rtol=1e-11, atol=1e-13)
+    ref = sol.y[:, -1].reshape(4, 4)
+    np.testing.assert_allclose(propagate(gamma0, dyn, t), ref, atol=1e-9 * np.abs(ref).max())
+
+
+# --- ppt_margins: a lower bound on the eigenvalue margin, exact where it is routed ---
+
+BATCH = 16
+
+
+def _screened(gammas):
+    """ppt_margins of a stack, and which entries it sent to eigvalsh.
+
+    A spy on eigvalsh records the reversed matrices it receives; undoing the
+    reversal (an exact sign flip) names the routed entries.
+    """
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrices):
+        sent.extend(K_REVERSAL @ matrices.real @ K_REVERSAL)
+        return eigvalsh(matrices)
+
+    with mock.patch.object(np.linalg, "eigvalsh", spy):
+        margins = ppt_margins(gammas)
+    routed = np.array([any(np.array_equal(gamma, s) for s in sent) for gamma in gammas])
+    return margins, routed
+
+
+def _assert_screen_contract(gammas):
+    margins, routed = _screened(gammas)
+    direct = np.array([ppt_margin(gamma) for gamma in gammas])
+    np.testing.assert_array_equal(margins[routed], direct[routed])
+    # a cleared entry carries a positive bound that the eigenvalue margin clears
+    assert np.all(margins[~routed] > 0)
+    assert np.all(margins[~routed] <= direct[~routed])
+    for tol in (0.0, 1e-10, 1e-8):
+        np.testing.assert_array_equal(margins < -tol, direct < -tol)
+    return routed
+
+
+def _boundary_states(rng, r_min, r_max, strength):
+    """Two-mode squeezed thermal states with nu~_- = nu e^{-2r} = 1 +- 1e-9,
+    moved by random local symplectics (which keep nu~_-)."""
+    out = []
+    for _ in range(BATCH):
+        r = rng.uniform(r_min, r_max)
+        nu = np.exp(2 * r) * (1 + rng.choice([-1e-9, 1e-9]))
+        S = np.zeros((4, 4))
+        S[:2, :2] = random_symplectic(rng, 1, strength)
+        S[2:, 2:] = random_symplectic(rng, 1, strength)
+        gamma = S.T @ (nu * two_mode_squeezed_cov(r)) @ S
+        out.append(0.5 * (gamma + gamma.T))
+    return np.stack(out)
+
+
+@PROPERTY_SETTINGS
+@given(seeds, st.floats(0.0, 2.0))
+def test_screen_contract_on_physical_states(seed, strength):
+    rng = np.random.default_rng(seed)
+    _assert_screen_contract(
+        np.stack([random_physical_cov(rng, strength=strength) for _ in range(BATCH)]))
+
+
+@PROPERTY_SETTINGS
+@given(seeds)
+def test_screen_contract_on_separable_states(seed):
+    rng = np.random.default_rng(seed)
+    _assert_screen_contract(np.stack([random_separable_cov(rng) for _ in range(BATCH)]))
+
+
+@PROPERTY_SETTINGS
+@given(seeds, st.floats(0.0, 1.0))
+def test_screen_contract_at_the_boundary(seed, strength):
+    _assert_screen_contract(_boundary_states(np.random.default_rng(seed), 0.0, 4.0, strength))
+
+
+@PROPERTY_SETTINGS
+@given(seeds, st.floats(0.0, 1.0))
+def test_strongly_squeezed_boundary_states_take_the_eigenvalue_route(seed, strength):
+    # at r >= 2 the rounding bound of nu~_-^2 exceeds its 2e-9 distance from 1
+    routed = _assert_screen_contract(
+        _boundary_states(np.random.default_rng(seed), 2.0, 4.0, strength))
+    assert routed.all()
