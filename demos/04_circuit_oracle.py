@@ -7,7 +7,7 @@ coefficients numerically, and shows the second-order convergence of the
 stepped circuit (local rotation split symmetrically around the exchange
 steps) toward the continuous-time covariance propagation.
 
-Run with: python3 demos/04_circuit_oracle.py  (takes a minute or two)
+Run with: python3 demos/04_circuit_oracle.py  (the slowest demo, a few seconds)
 """
 
 import numpy as np

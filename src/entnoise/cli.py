@@ -127,7 +127,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_screen_flags(parser, with_g=True):
+def _add_screen_flags(parser):
     parser.add_argument("--screen-file", help="screen spec as a key-value text block")
     parser.add_argument("--family", choices=["identity", "displacement"],
                         default="displacement")
@@ -137,9 +137,8 @@ def _add_screen_flags(parser, with_g=True):
                         help="displacement variance driving p (sigma_vv)")
     parser.add_argument("--sxp", type=float, default=0.0,
                         help="displacement covariance (sigma_uv)")
-    if with_g:
-        parser.add_argument("--g", type=float, default=None,
-                            help="coupling strength (default: the screen's own eta)")
+    parser.add_argument("--g", type=float, default=None,
+                        help="coupling strength (default: the screen's own eta)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -184,8 +184,6 @@ def entanglement_onset(
     """
     if grid < 100:
         raise ValueError(f"grid must be at least 100 points, got {grid}")
-    if not 0.0 <= tol_psd < math.inf:
-        raise ValueError(f"tol_psd must be finite and non-negative, got {tol_psd}")
     gamma0 = np.asarray(gamma0, dtype=float)
     _require_physical(gamma0, tol_psd)
     if ppt_margin(gamma0) < -tol_psd:

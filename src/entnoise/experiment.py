@@ -13,14 +13,26 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import G_NEWTON, HBAR, K_BOLTZMANN, YEAR_SECONDS
 from .dynamics import QuadraticHamiltonian
 from .errors import PhysicsRejection
-from .noise import NoiseReport
+from .screens import _key_value_lines
 
 OMEGA_CONVENTIONS = ("hz-cycles", "rad-s")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise PhysicsRejection(f"{name} must be positive and finite, got {value}")
+
+
+def _require_geometry(geometry_factor: float) -> None:
+    if not 0.1 <= geometry_factor <= 10.0:
+        raise PhysicsRejection(f"geometry_factor must lie in [0.1, 10], got {geometry_factor}")
+
+
+def _coupling(geometry_factor: float, density: float, omega: float) -> float:
+    return geometry_factor * G_NEWTON * density / omega
 
 
 def angular_frequency(value: float, convention: str) -> float:
@@ -44,31 +56,17 @@ class ExperimentConfig:
     moment_of_inertia: float = None  # kg m^2, optional
 
     def __post_init__(self):
-        positive = {
-            "mass_density": self.mass_density,
-            "omega": self.omega,
-            "quality_factor": self.quality_factor,
-            "temperature": self.temperature,
-            "sigma_target": self.sigma_target,
-        }
-        for name, value in positive.items():
-            if not (value > 0 and math.isfinite(value)):
-                raise PhysicsRejection(f"{name} must be positive and finite, got {value}")
-        if not 0.1 <= self.geometry_factor <= 10.0:
-            raise PhysicsRejection(
-                f"geometry_factor must lie in [0.1, 10], got {self.geometry_factor}"
-            )
-        if self.shot_time is not None and not self.shot_time > 0:
-            raise PhysicsRejection(f"shot_time must be positive, got {self.shot_time}")
-        if self.moment_of_inertia is not None and not self.moment_of_inertia > 0:
-            raise PhysicsRejection("moment_of_inertia must be positive")
+        for name in ("mass_density", "omega", "quality_factor", "temperature", "sigma_target"):
+            _require_positive(name, getattr(self, name))
+        _require_geometry(self.geometry_factor)
+        for name in ("shot_time", "moment_of_inertia"):
+            if getattr(self, name) is not None:
+                _require_positive(name, getattr(self, name))
 
 
 def coupling_g(config: ExperimentConfig) -> float:
     """Gravitational coupling rate, geometry_factor * G * density / omega (1/s)."""
-    if config.omega == 0:
-        raise PhysicsRejection("omega must be nonzero")
-    return config.geometry_factor * G_NEWTON * config.mass_density / config.omega
+    return _coupling(config.geometry_factor, config.mass_density, config.omega)
 
 
 def thermal_occupation(config: ExperimentConfig) -> float:
@@ -175,17 +173,19 @@ def gravitational_hamiltonian(
     from the rotation axis; expanding the gravitational interaction of
     adjacent spheres to quadratic order gives kinetic L^2 / 2I, a stiffness
     (I omega (omega + g) / 2) theta^2 per oscillator, and the cross term
-    -I omega g theta_a theta_b.
+    -I omega g theta_a theta_b. Inputs obey the ExperimentConfig rules:
+    positive and finite, with geometry_factor in [0.1, 10].
     """
-    if not (M > 0 and R > 0 and r > 0 and omega > 0):
-        raise PhysicsRejection("mass, lengths, and frequency must be positive")
+    for name, value in (("M", M), ("R", R), ("r", r), ("omega", omega)):
+        _require_positive(name, value)
+    _require_geometry(geometry_factor)
     if r >= R:
         raise PhysicsRejection(
             f"sphere radius r = {r} must be smaller than the arm length R = {R}"
         )
     density = M / (4.0 / 3.0 * math.pi * r ** 3)
     I = 2.0 * M * R ** 2
-    g = geometry_factor * G_NEWTON * density / omega
+    g = _coupling(geometry_factor, density, omega)
     return GravitationalHamiltonian(
         moment_of_inertia=I,
         omega=omega,
@@ -193,28 +193,6 @@ def gravitational_hamiltonian(
         stiffness=0.5 * I * omega * (omega + g),
         cross_term=-I * omega * g,
     )
-
-
-# --- damping transforms (beyond the dimensionless model) ---
-
-
-def damped_dynamics(dyn, kappa: float, nbar: float):
-    """Add weak-coupling thermal damping to a Gaussian generator.
-
-    drift -= kappa/2, diffusion += kappa (2 nbar + 1). This weak-coupling
-    bath is extra modeling beyond the dimensionless core: the damped form of
-    the noise test only needs the (d/dt + kappa) transform, not this bath.
-    """
-    from .dynamics import GaussianDynamics
-
-    drift = dyn.drift - 0.5 * kappa * np.eye(4)
-    diffusion = dyn.diffusion + kappa * (2.0 * nbar + 1.0) * np.eye(4)
-    return GaussianDynamics(drift=drift, diffusion=diffusion, hamiltonian=dyn.hamiltonian)
-
-
-def damped_rate_series(report: NoiseReport, kappa: float) -> np.ndarray:
-    """(d/dt + kappa) applied to the excess series: the damped-test statistic."""
-    return report.rate + kappa * report.excess
 
 
 # --- configuration files ---
@@ -246,21 +224,12 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {exc.lineno}: invalid JSON config ({exc.msg})") from exc
         if not isinstance(raw, dict):
             raise ValueError("line 1: JSON config must be an object")
-        items = list(raw.items())
+        items = [(key, value, 0) for key, value in raw.items()]
     else:
-        items = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in body.split("=", 1))
-            items.append((key, value, lineno))
+        items = _key_value_lines(text)
 
     fields_out = {}
-    for item in items:
-        key, value, lineno = item if len(item) == 3 else (item[0], item[1], 0)
+    for key, value, lineno in items:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         caster = _CONFIG_KEYS[key]

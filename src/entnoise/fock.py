@@ -22,11 +22,11 @@ single-mode factors; no dense basis matrix of the joint space is formed.
 Quadrature moments are contracted on the reshaped density matrix too.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+# unused here; bench/tracer.py rebinds fock.expm to count calls through it
+from scipy.linalg import expm  # noqa: F401
 
 from .screens import (
     DEFAULT_ETA_CONVENTION,
@@ -57,10 +57,6 @@ def momentum(d: int) -> np.ndarray:
     return 1j * (a.conj().T - a) / np.sqrt(2)
 
 
-def number(d: int) -> np.ndarray:
-    return np.diag(np.arange(d, dtype=float))
-
-
 def coherent_vector(alpha: complex, d: int) -> np.ndarray:
     """Truncated coherent state, renormalized on the truncated space."""
     if alpha == 0:
@@ -68,14 +64,6 @@ def coherent_vector(alpha: complex, d: int) -> np.ndarray:
     ns = np.arange(d)
     log_fact = np.cumsum(np.log(np.maximum(ns, 1)))
     vec = np.exp(-0.5 * abs(alpha) ** 2 + ns * np.log(complex(alpha)) - 0.5 * log_fact)
-    return vec / np.linalg.norm(vec)
-
-
-def squeezed_vector(r: float, d: int) -> np.ndarray:
-    """Truncated single-mode squeezed vacuum exp(r(a^2 - a^dag^2)/2)|0>."""
-    a = ladder(d)
-    gen = 0.5 * r * (a @ a - a.conj().T @ a.conj().T)
-    vec = expm(gen)[:, 0]
     return vec / np.linalg.norm(vec)
 
 
@@ -89,9 +77,6 @@ class FockState:
     rho: np.ndarray
     dims: tuple
     notes: tuple = field(default_factory=tuple)
-
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
 
     def with_note(self, note: str) -> "FockState":
         return FockState(self.rho, self.dims, self.notes + (note,))
@@ -196,21 +181,6 @@ def carrier_kraus_ops(screen, d: int, n_nodes: int = 21):
             raise ValueError(f"KrausScreen was built for dim {screen.dim}, carrier has {d}")
         return list(screen.kraus_ops)
     raise TypeError(f"unsupported screen type {type(screen).__name__}")
-
-
-def amplitude_damping_kraus(transmissivity: float, d: int) -> KrausScreen:
-    """Standard bosonic loss channel; violates mean preservation."""
-    eta = float(transmissivity)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("transmissivity must be in (0, 1]")
-    ops = []
-    for k in range(d):
-        K = np.zeros((d, d), dtype=complex)
-        for n in range(k, d):
-            K[n - k, n] = np.sqrt(math.comb(n, k) * eta ** (n - k) * (1 - eta) ** k)
-        if np.any(K):
-            ops.append(K)
-    return KrausScreen(kraus_ops=tuple(ops), dim=d)
 
 
 # --- the exchange step ---
@@ -403,25 +373,21 @@ def trotter_evolve(
 # --- gate identity ---
 
 
-def gate_identity_check(
-    tau: float, d: int, test_states=None, eta_convention: str = DEFAULT_ETA_CONVENTION
-) -> float:
+def gate_identity_check(tau: float, d: int) -> float:
     """Max trace distance between the four-gate block and the direct product gate.
 
     The block acts on system tensor vacuum-carrier and the carrier is traced;
-    the target is exp(-i tau x_a x_b) applied directly (+i under the
-    negative convention). Any deviation is pure truncation.
+    the target is exp(-i tau x_a x_b) applied directly. Three test states:
+    the vacuum and two coherent products. Any deviation is pure truncation.
     """
-    if test_states is None:
-        test_states = [
-            vacuum_state((d, d)),
-            product_state(coherent_vector(0.6, d), coherent_vector(0.0, d)),
-            product_state(coherent_vector(0.4, d), coherent_vector(-0.5j, d)),
-        ]
-    block = TrotterStepper(None, tau, dims=(d, d), eta_convention=eta_convention)
-    sign = -1.0 if eta_convention == "positive" else 1.0
+    test_states = [
+        vacuum_state((d, d)),
+        product_state(coherent_vector(0.6, d), coherent_vector(0.0, d)),
+        product_state(coherent_vector(0.4, d), coherent_vector(-0.5j, d)),
+    ]
+    block = TrotterStepper(None, tau, dims=(d, d))
     prods = np.multiply.outer(block.a_vals, block.b_vals).ravel()
-    phases = np.exp(1j * sign * tau * prods)
+    phases = np.exp(-1j * tau * prods)
     target = np.outer(phases, phases.conj())
 
     worst = 0.0
@@ -446,7 +412,6 @@ def moments_numeric(
     rho_f: np.ndarray = None,
     dim: int = 30,
     n_nodes: int = 21,
-    eta_convention: str = DEFAULT_ETA_CONVENTION,
 ) -> ScreenMoments:
     """Extract (nu_a, nu_b, eta, xi, Y) by applying the adjoint screen.
 
@@ -479,8 +444,7 @@ def moments_numeric(
     nu_b = (-1j * mean(p @ Sp - Sp @ p)).real
     c1 = (-1j * mean(Sx @ p - p @ Sx)).real
     c2 = (-1j * mean(x @ Sp - Sp @ x)).real
-    base = 1.0 if eta_convention == "positive" else -1.0
-    eta = base - (c1 - c2) / 2.0
+    eta = 1.0 - (c1 - c2) / 2.0
     xi = 1.0 - (c1 + c2) / 2.0
 
     Y_xx = 2.0 * mean(Sxx + x @ x - x @ Sx - Sx @ x).real
@@ -506,12 +470,13 @@ def _displaced_vacuum(direction: int, delta: float, dims) -> FockState:
     return product_state(coherent_vector(alphas[0], da), coherent_vector(alphas[1], db))
 
 
-def _mean_step_matrix(stepper: TrotterStepper, dims, delta: float = 0.5) -> np.ndarray:
+def _mean_step_matrix(stepper: TrotterStepper, dims) -> np.ndarray:
     """The linear map on quadrature means of one circuit step.
 
-    Gaussian channels act linearly on means, so finite displacements probe
-    the map exactly (up to truncation).
+    Gaussian channels act linearly on means, so finite displacements (of 0.5
+    along each quadrature) probe the map exactly (up to truncation).
     """
+    delta = 0.5
     base, _ = stepper.apply(vacuum_state(dims).rho)
     base_mean = mean_quadratures(FockState(base, dims))
     cols = []
@@ -523,24 +488,22 @@ def _mean_step_matrix(stepper: TrotterStepper, dims, delta: float = 0.5) -> np.n
 
 def extract_generator(
     screen,
-    tau: float = 0.02,
     dims=(14, 14),
-    rho_f: np.ndarray = None,
     eta_convention: str = DEFAULT_ETA_CONVENTION,
     n_nodes: int = 21,
 ):
     """Drift and diffusion of the circuit's continuous-time limit.
 
-    Richardson-extrapolates (step - identity)/tau over tau, tau/2 and tau/4,
-    cancelling the first- and second-order remainders; the result matches the
-    assembled Gaussian generator when the screen satisfies its constraints.
+    Richardson-extrapolates (step - identity)/tau over tau = 0.02, tau/2 and
+    tau/4 with a vacuum carrier, cancelling the first- and second-order
+    remainders; the result matches the assembled Gaussian generator when the
+    screen satisfies its constraints.
     Returns (drift, diffusion) in the same convention as GaussianDynamics.
     """
 
     def one(tau_k):
         stepper = TrotterStepper(
-            screen, tau_k, dims=dims, rho_f=rho_f,
-            eta_convention=eta_convention, n_nodes=n_nodes,
+            screen, tau_k, dims=dims, eta_convention=eta_convention, n_nodes=n_nodes,
         )
         A = _mean_step_matrix(stepper, dims)
         drift_T = (A - np.eye(4)) / tau_k
@@ -551,6 +514,7 @@ def extract_generator(
         y_hat = (gamma_out - evolved) / tau_k
         return drift_T.T, y_hat
 
+    tau = 0.02
     x1, y1 = one(tau)
     x2, y2 = one(tau / 2)
     x4, y4 = one(tau / 4)
@@ -561,10 +525,7 @@ def extract_generator(
 
 
 def fitted_coupling(
-    screen=None,
-    tau: float = 0.02,
-    dims=(14, 14),
-    eta_convention: str = DEFAULT_ETA_CONVENTION,
+    screen=None, dims=(14, 14), eta_convention: str = DEFAULT_ETA_CONVENTION
 ) -> float:
     """Effective x_a x_b coupling of the circuit's reduced dynamics.
 
@@ -572,36 +533,6 @@ def fitted_coupling(
     entry is -H_13). For the identity screen this arbitrates the sign
     convention.
     """
-    drift, _ = extract_generator(screen, tau=tau, dims=dims, eta_convention=eta_convention)
+    drift, _ = extract_generator(screen, dims=dims, eta_convention=eta_convention)
     return -float(drift.T[1, 2])
 
-
-def sqrt_step_coefficient(
-    screen,
-    tau: float = 0.0025,
-    dims=(14, 14),
-    rho_f: np.ndarray = None,
-    n_nodes: int = 21,
-    eta_convention: str = DEFAULT_ETA_CONVENTION,
-) -> float:
-    """Magnitude of the sqrt(tau) term in one circuit step's mean response.
-
-    Nonzero only when the screen fails quadrature-mean preservation, in which
-    case the continuous-time limit does not exist. Extracted by Richardson
-    combination of one-step mean displacements at tau and tau/4.
-    """
-
-    def mean_shift(tau_k):
-        stepper = TrotterStepper(
-            screen, tau_k, dims=dims, rho_f=rho_f,
-            eta_convention=eta_convention, n_nodes=n_nodes,
-        )
-        state = _displaced_vacuum(0, 0.5, dims)
-        rho_out, _ = stepper.apply(state.rho)
-        return mean_quadratures(FockState(rho_out, dims)) - mean_quadratures(state)
-
-    # eliminate the tau and tau^(3/2) terms of the expansion in sqrt(tau)
-    coeff = (
-        mean_shift(tau) / 3.0 - 4.0 * mean_shift(tau / 4) + (32.0 / 3.0) * mean_shift(tau / 16)
-    ) / np.sqrt(tau)
-    return float(np.max(np.abs(coeff)))

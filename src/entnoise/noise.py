@@ -7,7 +7,6 @@ rate of at least twice the coupling strength. Everything here is
 dimensionless; unit restoration lives in the experiment module.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,14 +58,6 @@ class NoiseReport:
     def rows(self):
         for t, e, r, v in zip(self.times, self.excess, self.rate, self.verdict):
             yield {"time": t, "excess": e, "rate": r, "bound": self.bound, "verdict": bool(v)}
-
-    def write_csv(self, stream) -> None:
-        writer = csv.DictWriter(
-            stream, fieldnames=["time", "excess", "rate", "bound", "verdict"]
-        )
-        writer.writeheader()
-        for row in self.rows():
-            writer.writerow(row)
 
 
 def reversible_benchmark(dyn: GaussianDynamics) -> GaussianDynamics:

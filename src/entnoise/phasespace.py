@@ -5,6 +5,7 @@ symmetrized second-moment convention in which the two-mode vacuum is the
 identity (hbar = m = omega = 1 throughout the dimensionless modules).
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -48,19 +49,29 @@ CHI[0, 0] = 1.0
 CHI[2, 1] = 1.0
 
 
-def require_symmetric(matrix: np.ndarray, tol: float = TOL_SYM, name: str = "matrix") -> None:
+def require_symmetric(matrix: np.ndarray, name: str = "matrix") -> None:
     """Raise ValueError naming the worst entry pair if ``matrix`` is not symmetric."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be square, got shape {matrix.shape}")
     defect = np.abs(matrix - matrix.T)
     worst = np.unravel_index(np.argmax(defect), defect.shape)
-    if defect[worst] > tol:
+    if defect[worst] > TOL_SYM:
         i, j = worst
         raise ValueError(
             f"{name} is not symmetric: entries ({i},{j}) and ({j},{i}) "
-            f"differ by {defect[worst]:.3e} (tol {tol:.1e})"
+            f"differ by {defect[worst]:.3e} (tol {TOL_SYM:.1e})"
         )
+
+
+def _require_tolerance(tol_psd: float) -> None:
+    """Raise ValueError unless tol_psd is finite and >= 0.
+
+    A NaN threshold fails every comparison and an infinite one passes every
+    matrix, so either would turn a PSD decision into a constant.
+    """
+    if not 0.0 <= tol_psd < math.inf:
+        raise ValueError(f"tol_psd must be finite and non-negative, got {tol_psd}")
 
 
 def min_eig_hermitian(matrix: np.ndarray) -> float:
@@ -72,17 +83,17 @@ def min_eig_hermitian(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
-def validate_covariance(
-    gamma: np.ndarray, tol_sym: float = TOL_SYM, tol_psd: float = TOL_PSD
-) -> Certificate:
+def validate_covariance(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> Certificate:
     """Check the uncertainty principle, gamma + i Delta_2 >= 0.
 
     Returns a Certificate carrying the minimum eigenvalue of the Hermitian
     matrix gamma + i Delta_2; the state is physical iff that eigenvalue is
-    >= -tol_psd. Raises ValueError on non-symmetric input.
+    >= -tol_psd. Raises ValueError on non-symmetric input or on a tol_psd
+    that is negative or not finite.
     """
+    _require_tolerance(tol_psd)
     gamma = np.asarray(gamma, dtype=float)
-    require_symmetric(gamma, tol_sym, name="covariance matrix")
+    require_symmetric(gamma, name="covariance matrix")
     if gamma.shape[0] % 2:
         raise ValueError(f"covariance must be 2n x 2n, got shape {gamma.shape}")
     n = gamma.shape[0] // 2

@@ -12,6 +12,9 @@ from .phasespace import symplectic_form
 from .screens import ScreenMoments, is_classical, moments_with_coupling
 from .states import direct_sum
 
+# Rejection-sampling budget of the screen generators.
+_MAX_TRIES = 10_000
+
 
 def random_symplectic(rng: np.random.Generator, n_modes: int = 2, strength: float = 1.0) -> np.ndarray:
     """exp(Delta H) for a random symmetric H; exactly symplectic."""
@@ -21,18 +24,17 @@ def random_symplectic(rng: np.random.Generator, n_modes: int = 2, strength: floa
     return expm(symplectic_form(n_modes) @ H)
 
 
-def random_physical_cov(
-    rng: np.random.Generator, n_modes: int = 2, nu_max: float = 3.0, strength: float = 0.6
-) -> np.ndarray:
-    nus = rng.uniform(1.0, nu_max, size=n_modes)
+def random_physical_cov(rng: np.random.Generator, n_modes: int = 2, strength: float = 0.6) -> np.ndarray:
+    """S^T (D oplus D') S with symplectic eigenvalues drawn from [1, 3)."""
+    nus = rng.uniform(1.0, 3.0, size=n_modes)
     D = np.diag(np.repeat(nus, 2))
     S = random_symplectic(rng, n_modes, strength)
     gamma = S.T @ D @ S
     return 0.5 * (gamma + gamma.T)
 
 
-def random_separable_cov(rng: np.random.Generator, classical_noise: bool = True) -> np.ndarray:
-    """Product-state covariance, optionally with correlated classical noise.
+def random_separable_cov(rng: np.random.Generator) -> np.ndarray:
+    """Product-state covariance, with correlated classical noise half the time.
 
     Adding a PSD matrix to a product covariance keeps the state separable, so
     this samples a strict superset of product states.
@@ -40,7 +42,7 @@ def random_separable_cov(rng: np.random.Generator, classical_noise: bool = True)
     gamma = direct_sum(
         random_physical_cov(rng, n_modes=1), random_physical_cov(rng, n_modes=1)
     )
-    if classical_noise and rng.random() < 0.5:
+    if rng.random() < 0.5:
         A = rng.normal(scale=0.4, size=(4, 4))
         gamma = gamma + A @ A.T
     return 0.5 * (gamma + gamma.T)
@@ -53,13 +55,13 @@ def _random_Y(rng: np.random.Generator, scale: float) -> np.ndarray:
 
 
 def random_classical_screen(
-    rng: np.random.Generator, g: float, margin: float = 0.0, max_tries: int = 10_000
+    rng: np.random.Generator, g: float, margin: float = 0.0
 ) -> ScreenMoments:
     """Screen moments with coupling g whose classicality certificate clears
     ``margin * 2|g|``; rejection-sampled so the distribution covers the whole
     admissible region above the requested margin."""
     floor = margin * 2.0 * abs(g)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         Y = _random_Y(rng, scale=8.0 * max(abs(g), 0.25))
         cert = is_classical(Y, g)
         if cert.ok and cert.min_eigenvalue >= floor:
@@ -68,11 +70,11 @@ def random_classical_screen(
 
 
 def random_nonclassical_screen(
-    rng: np.random.Generator, g: float, margin: float = 0.0, max_tries: int = 10_000
+    rng: np.random.Generator, g: float, margin: float = 0.0
 ) -> ScreenMoments:
     """Screen moments whose certificate is below ``-margin * 2|g|``."""
     ceiling = -margin * 2.0 * abs(g)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         Y = _random_Y(rng, scale=3.0 * max(abs(g), 0.25))
         cert = is_classical(Y, g)
         if not cert.ok and cert.min_eigenvalue <= ceiling:

@@ -8,16 +8,20 @@ phase-space displacements (closed-form moments), and raw Kraus operators on a
 truncated carrier space (moments only via the Fock oracle).
 """
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PhysicsRejection
-from .phasespace import DELTA_1, TOL_PSD, TOL_SYM, Certificate, min_eig_hermitian, require_symmetric
-
-TOL_CP = 1e-8
+from .phasespace import (
+    DELTA_1,
+    TOL_PSD,
+    Certificate,
+    _require_tolerance,
+    min_eig_hermitian,
+    require_symmetric,
+)
 
 
 def _finite(*values) -> bool:
@@ -62,7 +66,7 @@ class ScreenMoments:
             raise PhysicsRejection(
                 f"screen moments must be finite, got {scalars} and Y = {Y.tolist()}"
             )
-        require_symmetric(Y, TOL_SYM, name="Y")
+        require_symmetric(Y, name="Y")
         object.__setattr__(self, "Y", 0.5 * (Y + Y.T))
 
 
@@ -140,12 +144,8 @@ def moments_from_displacement(
     coupling, and Y = 2 Sigma. The Fock oracle confirms each of these
     numerically (see the test suite).
     """
-    sigma = screen.matrix
-    lam = min_eig_hermitian(sigma)
-    if lam < -TOL_PSD:
-        raise PhysicsRejection(f"displacement moment matrix is not PSD (min eigenvalue {lam:.3e})")
     eta = ETA_CONVENTIONS[eta_convention]
-    return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=eta, xi=0.0, Y=2.0 * sigma)
+    return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=eta, xi=0.0, Y=2.0 * screen.matrix)
 
 
 @dataclass(frozen=True)
@@ -162,12 +162,13 @@ class ConstraintReport:
         return self.converges and self.ehrenfest
 
 
-def check_constraints(moments: ScreenMoments, tol: float = 1e-6) -> ConstraintReport:
-    """Flag mean-preservation and Ehrenfest failures for extracted moments."""
+def check_constraints(moments: ScreenMoments) -> ConstraintReport:
+    """Flag mean-preservation and Ehrenfest failures (beyond 1e-6) for extracted moments."""
+    tol = 1e-6
     mean_defect = max(abs(moments.mean_defect_x), abs(moments.mean_defect_p))
     return ConstraintReport(
         converges=mean_defect <= tol,
-        ehrenfest=abs(moments.xi) <= max(tol, TOL_SYM),
+        ehrenfest=abs(moments.xi) <= tol,
         mean_defect=mean_defect,
         xi=moments.xi,
     )
@@ -179,8 +180,10 @@ def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certifica
     True iff the Hermitian matrix Y - 2i|g| Delta_1 has no eigenvalue below
     -tol_psd; when it does, the exchange can generate entanglement. The |g|
     form covers both coupling signs (the g < 0 case is the transpose, which
-    has the same spectrum).
+    has the same spectrum). Raises ValueError on a tol_psd that is negative
+    or not finite.
     """
+    _require_tolerance(tol_psd)
     Y = np.asarray(Y, dtype=float)
     if not _finite(g, *Y.flat):
         raise PhysicsRejection(f"Y and the coupling g must be finite, got {Y.tolist()} and {g}")
@@ -189,37 +192,28 @@ def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certifica
     return Certificate(lam >= -tol_psd, lam)
 
 
-def is_classical_det(Y: np.ndarray, g: float, tol: float = TOL_PSD) -> bool:
+def is_classical_det(Y: np.ndarray, g: float) -> bool:
     """Determinant route to the same decision: Y PSD and det Y >= 4 g^2.
 
-    Kept as an independent code path for cross-checking is_classical.
+    Kept as an independent code path for cross-checking is_classical, at the
+    default tolerance TOL_PSD.
     """
     Y = np.asarray(Y, dtype=float)
-    psd = min_eig_hermitian(Y) >= -tol
+    psd = min_eig_hermitian(Y) >= -TOL_PSD
     scale = max(1.0, float(np.abs(Y).max()), 4.0 * g * g)
-    return psd and float(np.linalg.det(Y)) >= 4.0 * g * g - tol * scale
+    return psd and float(np.linalg.det(Y)) >= 4.0 * g * g - TOL_PSD * scale
 
 
-# --- flat text serialization (consumed by the command line tool) ---
+# --- flat text input (screen files and experiment configs) ---
 
 
-def screen_to_text(screen) -> str:
-    buf = io.StringIO()
-    if screen is None:
-        buf.write("family = identity\n")
-    elif isinstance(screen, DisplacementScreen):
-        buf.write("family = displacement\n")
-        buf.write(f"sigma_uu = {screen.sigma_uu!r}\n")
-        buf.write(f"sigma_vv = {screen.sigma_vv!r}\n")
-        buf.write(f"sigma_uv = {screen.sigma_uv!r}\n")
-    else:
-        raise ValueError("only identity and displacement screens serialize to text")
-    return buf.getvalue()
+def _key_value_lines(text: str) -> list:
+    """(key, value, line number) per 'key = value' line, as strings.
 
-
-def screen_from_text(text: str):
-    """Parse a key-value screen block; returns None for the identity screen."""
-    fields = {}
+    Drops '#' comments and blank lines; any other line without '=' raises
+    ValueError naming its line number.
+    """
+    items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -227,7 +221,13 @@ def screen_from_text(text: str):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        fields[key] = value
+        items.append((key, value, lineno))
+    return items
+
+
+def screen_from_text(text: str):
+    """Parse a key-value screen block; returns None for the identity screen."""
+    fields = {key: value for key, value, _ in _key_value_lines(text)}
     family = fields.pop("family", None)
     if family is None:
         raise ValueError("screen block is missing the 'family' key")

@@ -3,12 +3,9 @@
 import numpy as np
 
 
-def vacuum_cov(n_modes: int = 2) -> np.ndarray:
-    return np.eye(2 * n_modes)
-
-
-def thermal_cov(nbar: float, n_modes: int = 1) -> np.ndarray:
-    return (2.0 * nbar + 1.0) * np.eye(2 * n_modes)
+def vacuum_cov() -> np.ndarray:
+    """Two-mode vacuum, the identity."""
+    return np.eye(4)
 
 
 def squeezed_cov(r: float) -> np.ndarray:

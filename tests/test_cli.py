@@ -130,6 +130,17 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_infinite_shot_time_exits_3(tmp_path, capsys):
+    # an infinite shot time would print Infinity, which is not JSON
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("mass_density = 22000\nfrequency = 1e-3\nquality_factor = 1e9\n"
+                   "temperature = 0.01\nshot_time = inf\n")
+    code, out, err = run_cli(capsys, "plan-experiment", "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert "shot_time must be positive and finite" in err
+
+
 def test_unphysical_config_exits_3(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(
@@ -223,6 +234,27 @@ def test_screen_file_input(tmp_path, capsys):
                            "--g", "0.5")
     assert code == 0
     assert json.loads(out)["classical"] is True
+
+
+def test_malformed_screen_file_exits_2(tmp_path, capsys):
+    screen_file = tmp_path / "screen.txt"
+    screen_file.write_text("family = displacement\nsigma_uu 1.0\n")
+    code, out, err = run_cli(capsys, "check-classicality", "--screen-file", str(screen_file))
+    assert code == 2
+    assert out == ""
+    assert "line 2: expected 'key = value'" in err
+
+
+def test_screen_file_skips_comments_and_blank_lines(tmp_path, capsys):
+    screen_file = tmp_path / "screen.txt"
+    screen_file.write_text("# isotropic screen\n\nfamily = displacement  # the only family\n"
+                           "sigma_uu = 1.0\n   \n# sigma_uv = 5\nsigma_vv = 1.0\n")
+    code, out, _ = run_cli(capsys, "check-classicality", "--screen-file", str(screen_file),
+                           "--g", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["screen"] == {"sigma_uu": 1.0, "sigma_vv": 1.0, "sigma_uv": 0.0}
+    assert doc["classical"] is True
 
 
 def test_seeded_random_start_is_reproducible(tmp_path, capsys):

@@ -196,3 +196,15 @@ def test_nonclassical_screens_entangle_sampled(rng):
         dyn = build_dynamics(m)
         onset = entanglement_onset(dyn, vacuum_cov(), t_max=50.0, grid=2000, tol_psd=1e-8)
         assert onset is not None
+
+
+BAD_TOLERANCES = [np.nan, np.inf, -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+@pytest.mark.parametrize("decide", [is_separable, log_negativity])
+def test_decisions_reject_bad_tolerance(decide, tol):
+    # a bad threshold is a usage error, not an unphysical vacuum
+    with pytest.raises(ValueError, match="tol_psd must be finite and non-negative") as caught:
+        decide(np.eye(4), tol_psd=tol)
+    assert caught.type is ValueError

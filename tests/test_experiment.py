@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entnoise.constants import G_NEWTON, HBAR, K_BOLTZMANN
-from entnoise.dynamics import build_dynamics
+from entnoise.dynamics import GaussianDynamics, build_dynamics
 from entnoise.errors import PhysicsRejection
 from entnoise.experiment import (
     ExperimentConfig,
@@ -13,14 +13,12 @@ from entnoise.experiment import (
     budget,
     config_from_fields,
     coupling_g,
-    damped_dynamics,
-    damped_rate_series,
     gravitational_hamiltonian,
     parse_config_text,
     plan_experiment,
     thermal_occupation,
 )
-from entnoise.noise import run_noise_test
+from entnoise.noise import NoiseReport, run_noise_test
 from entnoise.screens import moments_with_coupling
 from entnoise.states import vacuum_cov
 
@@ -29,6 +27,26 @@ PLATINUM = dict(
     quality_factor=1e9,
     temperature=0.010,           # 10 mK
 )
+
+
+# damping transforms (beyond the dimensionless model)
+
+
+def damped_dynamics(dyn, kappa: float, nbar: float):
+    """Add weak-coupling thermal damping to a Gaussian generator.
+
+    drift -= kappa/2, diffusion += kappa (2 nbar + 1). This weak-coupling
+    bath is extra modeling beyond the dimensionless core: the damped form of
+    the noise test only needs the (d/dt + kappa) transform, not this bath.
+    """
+    drift = dyn.drift - 0.5 * kappa * np.eye(4)
+    diffusion = dyn.diffusion + kappa * (2.0 * nbar + 1.0) * np.eye(4)
+    return GaussianDynamics(drift=drift, diffusion=diffusion, hamiltonian=dyn.hamiltonian)
+
+
+def damped_rate_series(report: NoiseReport, kappa: float) -> np.ndarray:
+    """(d/dt + kappa) applied to the excess series: the damped-test statistic."""
+    return report.rate + kappa * report.excess
 
 
 def platinum_config(convention="hz-cycles"):
@@ -242,3 +260,40 @@ def test_config_validation():
     with pytest.raises(PhysicsRejection):
         ExperimentConfig(mass_density=1, omega=1, quality_factor=1, temperature=1,
                          geometry_factor=100.0)
+
+
+@pytest.mark.parametrize("field", ["shot_time", "moment_of_inertia", "mass_density", "omega"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_config_rejects_non_positive_or_non_finite(field, value):
+    kwargs = dict(mass_density=22_000.0, omega=1e-3, quality_factor=1e9, temperature=0.01)
+    kwargs[field] = value
+    with pytest.raises(PhysicsRejection, match=f"{field} must be positive and finite"):
+        ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["M", "R", "r", "omega"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_gravitational_hamiltonian_rejects_non_positive_or_non_finite(field, value):
+    kwargs = dict(M=1.0, R=0.1, r=0.02, omega=1e-3)
+    kwargs[field] = value
+    with pytest.raises(PhysicsRejection, match=f"{field} must be positive and finite"):
+        gravitational_hamiltonian(**kwargs)
+
+
+@pytest.mark.parametrize("factor", [-5.0, 0.05, 11.0, math.nan])
+def test_gravitational_hamiltonian_applies_the_config_geometry_range(factor):
+    with pytest.raises(PhysicsRejection, match=r"geometry_factor must lie in \[0.1, 10\]"):
+        gravitational_hamiltonian(1.0, 0.1, 0.02, 1e-3, geometry_factor=factor)
+    with pytest.raises(PhysicsRejection, match=r"geometry_factor must lie in \[0.1, 10\]"):
+        ExperimentConfig(mass_density=1.0, omega=1.0, quality_factor=1.0, temperature=1.0,
+                         geometry_factor=factor)
+
+
+def test_coupling_matches_the_dumbbell_model():
+    # one formula: the config's g equals the Hamiltonian's at the same density
+    M, R, r, omega = 1.0, 0.1, 0.02, 1e-3
+    ham = gravitational_hamiltonian(M, R, r, omega, geometry_factor=2.0)
+    density = M / (4.0 / 3.0 * math.pi * r ** 3)
+    cfg = ExperimentConfig(mass_density=density, omega=omega, quality_factor=1e9,
+                           temperature=0.01, geometry_factor=2.0)
+    assert coupling_g(cfg) == ham.g

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,8 +8,8 @@ from entnoise.dynamics import build_dynamics, propagate
 from entnoise.fock import (
     FockState,
     TrotterStepper,
+    _displaced_vacuum,
     _kron_conjugate,
-    amplitude_damping_kraus,
     carrier_kraus_ops,
     coherent_vector,
     covariance_of,
@@ -20,16 +22,79 @@ from entnoise.fock import (
     mean_quadratures,
     moments_numeric,
     momentum,
-    number,
     position,
     product_state,
-    squeezed_vector,
-    sqrt_step_coefficient,
     trotter_evolve,
     vacuum_state,
 )
-from entnoise.screens import DEFAULT_ETA_CONVENTION, DisplacementScreen, moments_from_displacement
+from entnoise.screens import (
+    DEFAULT_ETA_CONVENTION,
+    DisplacementScreen,
+    KrausScreen,
+    moments_from_displacement,
+)
 from entnoise.states import vacuum_cov
+
+
+# test-only states, screens and probes
+
+
+def number(d: int) -> np.ndarray:
+    return np.diag(np.arange(d, dtype=float))
+
+
+def squeezed_vector(r: float, d: int) -> np.ndarray:
+    """Truncated single-mode squeezed vacuum exp(r(a^2 - a^dag^2)/2)|0>."""
+    a = ladder(d)
+    gen = 0.5 * r * (a @ a - a.conj().T @ a.conj().T)
+    vec = expm(gen)[:, 0]
+    return vec / np.linalg.norm(vec)
+
+
+def amplitude_damping_kraus(transmissivity: float, d: int) -> KrausScreen:
+    """Standard bosonic loss channel; violates mean preservation."""
+    eta = float(transmissivity)
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("transmissivity must be in (0, 1]")
+    ops = []
+    for k in range(d):
+        K = np.zeros((d, d), dtype=complex)
+        for n in range(k, d):
+            K[n - k, n] = np.sqrt(math.comb(n, k) * eta ** (n - k) * (1 - eta) ** k)
+        if np.any(K):
+            ops.append(K)
+    return KrausScreen(kraus_ops=tuple(ops), dim=d)
+
+
+def sqrt_step_coefficient(
+    screen,
+    tau: float = 0.0025,
+    dims=(14, 14),
+    rho_f: np.ndarray = None,
+    n_nodes: int = 21,
+    eta_convention: str = DEFAULT_ETA_CONVENTION,
+) -> float:
+    """Magnitude of the sqrt(tau) term in one circuit step's mean response.
+
+    Nonzero only when the screen fails quadrature-mean preservation, in which
+    case the continuous-time limit does not exist. Extracted by Richardson
+    combination of one-step mean displacements at tau and tau/4.
+    """
+
+    def mean_shift(tau_k):
+        stepper = TrotterStepper(
+            screen, tau_k, dims=dims, rho_f=rho_f,
+            eta_convention=eta_convention, n_nodes=n_nodes,
+        )
+        state = _displaced_vacuum(0, 0.5, dims)
+        rho_out, _ = stepper.apply(state.rho)
+        return mean_quadratures(FockState(rho_out, dims)) - mean_quadratures(state)
+
+    # eliminate the tau and tau^(3/2) terms of the expansion in sqrt(tau)
+    coeff = (
+        mean_shift(tau) / 3.0 - 4.0 * mean_shift(tau / 4) + (32.0 / 3.0) * mean_shift(tau / 16)
+    ) / np.sqrt(tau)
+    return float(np.max(np.abs(coeff)))
 
 
 # literal three-mode reference (small dimensions only)

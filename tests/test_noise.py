@@ -1,8 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
+from entnoise.cli import _render
 from entnoise.dynamics import build_dynamics
 from entnoise.noise import (
     coupling_bound,
@@ -160,8 +159,6 @@ def test_rate_series_is_start_independent(rng):
 def test_csv_serialization(rng):
     m = random_classical_screen(rng, 0.3, margin=0.2)
     report = run_noise_test(build_dynamics(m), vacuum_cov(), t_max=0.1, grid=11)
-    buf = io.StringIO()
-    report.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    lines = _render(list(report.rows()), "csv").strip().splitlines()
     assert lines[0] == "time,excess,rate,bound,verdict"
     assert len(lines) == 12

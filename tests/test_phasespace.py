@@ -99,3 +99,14 @@ def test_partial_reverse_is_involutive(rng):
 
 def test_two_mode_squeezed_is_physical():
     assert validate_covariance(two_mode_squeezed_cov(0.3)).ok
+
+
+BAD_TOLERANCES = [np.nan, np.inf, -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_validate_covariance_rejects_bad_tolerance(tol):
+    # NaN fails every comparison and inf passes every matrix
+    with pytest.raises(ValueError, match="tol_psd must be finite and non-negative") as caught:
+        validate_covariance(np.zeros((4, 4)), tol_psd=tol)
+    assert caught.type is ValueError

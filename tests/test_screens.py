@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,21 @@ from entnoise.screens import (
     moments_from_displacement,
     moments_with_coupling,
     screen_from_text,
-    screen_to_text,
 )
+
+
+def screen_to_text(screen) -> str:
+    buf = io.StringIO()
+    if screen is None:
+        buf.write("family = identity\n")
+    elif isinstance(screen, DisplacementScreen):
+        buf.write("family = displacement\n")
+        buf.write(f"sigma_uu = {screen.sigma_uu!r}\n")
+        buf.write(f"sigma_vv = {screen.sigma_vv!r}\n")
+        buf.write(f"sigma_uv = {screen.sigma_uv!r}\n")
+    else:
+        raise ValueError("only identity and displacement screens serialize to text")
+    return buf.getvalue()
 
 
 def test_identity_screen_moments():
@@ -155,3 +170,10 @@ def test_screen_text_roundtrip():
         screen_from_text("family = nope\n")
     with pytest.raises(ValueError):
         screen_from_text("sigma_uu = 1\n")
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_is_classical_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol_psd must be finite and non-negative") as caught:
+        is_classical(np.eye(2), 0.1, tol_psd=tol)
+    assert caught.type is ValueError
