@@ -26,11 +26,6 @@ def _require_positive(name: str, value: float) -> None:
         raise PhysicsRejection(f"{name} must be positive and finite, got {value}")
 
 
-def _require_geometry(geometry_factor: float) -> None:
-    if not 0.1 <= geometry_factor <= 10.0:
-        raise PhysicsRejection(f"geometry_factor must lie in [0.1, 10], got {geometry_factor}")
-
-
 def _coupling(geometry_factor: float, density: float, omega: float) -> float:
     return geometry_factor * G_NEWTON * density / omega
 
@@ -58,7 +53,10 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("mass_density", "omega", "quality_factor", "temperature", "sigma_target"):
             _require_positive(name, getattr(self, name))
-        _require_geometry(self.geometry_factor)
+        if not 0.1 <= self.geometry_factor <= 10.0:
+            raise PhysicsRejection(
+                f"geometry_factor must lie in [0.1, 10], got {self.geometry_factor}"
+            )
         for name in ("shot_time", "moment_of_inertia"):
             if getattr(self, name) is not None:
                 _require_positive(name, getattr(self, name))
@@ -165,7 +163,7 @@ class GravitationalHamiltonian:
 
 
 def gravitational_hamiltonian(
-    M: float, R: float, r: float, omega: float, geometry_factor: float = 1.0
+    M: float, R: float, r: float, omega: float
 ) -> GravitationalHamiltonian:
     """Coefficients of the coupled-dumbbell Hamiltonian.
 
@@ -173,19 +171,18 @@ def gravitational_hamiltonian(
     from the rotation axis; expanding the gravitational interaction of
     adjacent spheres to quadratic order gives kinetic L^2 / 2I, a stiffness
     (I omega (omega + g) / 2) theta^2 per oscillator, and the cross term
-    -I omega g theta_a theta_b. Inputs obey the ExperimentConfig rules:
-    positive and finite, with geometry_factor in [0.1, 10].
+    -I omega g theta_a theta_b, with g at geometry factor 1. Inputs must be
+    positive and finite, as in ExperimentConfig.
     """
     for name, value in (("M", M), ("R", R), ("r", r), ("omega", omega)):
         _require_positive(name, value)
-    _require_geometry(geometry_factor)
     if r >= R:
         raise PhysicsRejection(
             f"sphere radius r = {r} must be smaller than the arm length R = {R}"
         )
     density = M / (4.0 / 3.0 * math.pi * r ** 3)
     I = 2.0 * M * R ** 2
-    g = _coupling(geometry_factor, density, omega)
+    g = _coupling(1.0, density, omega)
     return GravitationalHamiltonian(
         moment_of_inertia=I,
         omega=omega,

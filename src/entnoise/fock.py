@@ -25,7 +25,7 @@ Quadrature moments are contracted on the reshaped density matrix too.
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused here; bench/tracer.py rebinds fock.expm to count calls through it
+# unused here; only bench/tracer.py's fock.expm rebinding needs the name
 from scipy.linalg import expm  # noqa: F401
 
 from .screens import (

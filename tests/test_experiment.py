@@ -281,9 +281,7 @@ def test_gravitational_hamiltonian_rejects_non_positive_or_non_finite(field, val
 
 
 @pytest.mark.parametrize("factor", [-5.0, 0.05, 11.0, math.nan])
-def test_gravitational_hamiltonian_applies_the_config_geometry_range(factor):
-    with pytest.raises(PhysicsRejection, match=r"geometry_factor must lie in \[0.1, 10\]"):
-        gravitational_hamiltonian(1.0, 0.1, 0.02, 1e-3, geometry_factor=factor)
+def test_config_rejects_geometry_outside_range(factor):
     with pytest.raises(PhysicsRejection, match=r"geometry_factor must lie in \[0.1, 10\]"):
         ExperimentConfig(mass_density=1.0, omega=1.0, quality_factor=1.0, temperature=1.0,
                          geometry_factor=factor)
@@ -292,8 +290,8 @@ def test_gravitational_hamiltonian_applies_the_config_geometry_range(factor):
 def test_coupling_matches_the_dumbbell_model():
     # one formula: the config's g equals the Hamiltonian's at the same density
     M, R, r, omega = 1.0, 0.1, 0.02, 1e-3
-    ham = gravitational_hamiltonian(M, R, r, omega, geometry_factor=2.0)
+    ham = gravitational_hamiltonian(M, R, r, omega)
     density = M / (4.0 / 3.0 * math.pi * r ** 3)
     cfg = ExperimentConfig(mass_density=density, omega=omega, quality_factor=1e9,
-                           temperature=0.01, geometry_factor=2.0)
+                           temperature=0.01)
     assert coupling_g(cfg) == ham.g
