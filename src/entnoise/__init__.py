@@ -11,9 +11,7 @@ from .phasespace import (
 )
 from .screens import (
     DisplacementScreen,
-    KrausScreen,
     ScreenMoments,
-    check_constraints,
     is_classical,
     moments_from_displacement,
     moments_with_coupling,
@@ -24,7 +22,6 @@ from .dynamics import (
     build_dynamics,
     propagate,
     propagate_grid,
-    propagate_reversible,
 )
 from .entanglement import (
     converse_witness,

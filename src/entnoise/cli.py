@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .dynamics import build_dynamics, propagate_grid
+from .dynamics import build_dynamics, propagate, propagate_grid
 from .entanglement import entanglement_onset
 from .errors import PhysicsRejection
 from .experiment import parse_config_text, plan_experiment
@@ -36,28 +36,26 @@ from .states import vacuum_cov
 
 
 def _screen_from_args(args) -> DisplacementScreen:
-    """Resolve the screen selection flags; identity maps to zero sigmas."""
-    if getattr(args, "screen_file", None):
+    """Resolve the screen flags: a screen file, else the sigmas (all zero is identity)."""
+    if args.screen_file:
         with open(args.screen_file) as fh:
             screen = screen_from_text(fh.read())
         return screen if screen is not None else DisplacementScreen(0.0, 0.0, 0.0)
-    if getattr(args, "family", None) == "identity":
-        return DisplacementScreen(0.0, 0.0, 0.0)
     return DisplacementScreen(args.sxx, args.spp, args.sxp)
 
 
 def _dynamics_from_args(args):
     screen = _screen_from_args(args)
     moments = moments_from_displacement(screen)
-    if getattr(args, "g", None) is not None:
+    if args.g is not None:
         moments = moments_with_coupling(moments.Y, args.g)
     return build_dynamics(moments)
 
 
-def _initial_covariance(args, rng):
+def _initial_covariance(args):
     if args.gamma0 == "vacuum":
         return vacuum_cov()
-    return random_physical_cov(rng)
+    return random_physical_cov(np.random.default_rng(args.seed))
 
 
 def _write_output(text: str, path) -> None:
@@ -129,8 +127,6 @@ def _tolerance(text: str) -> float:
 
 def _add_screen_flags(parser):
     parser.add_argument("--screen-file", help="screen spec as a key-value text block")
-    parser.add_argument("--family", choices=["identity", "displacement"],
-                        default="displacement")
     parser.add_argument("--sxx", type=float, default=0.0,
                         help="displacement variance driving x (sigma_uu)")
     parser.add_argument("--spp", type=float, default=0.0,
@@ -160,18 +156,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-classicality", help="decide whether a screen forbids entanglement")
     _add_screen_flags(p)
+    p.set_defaults(run=_cmd_check_classicality)
 
     p = sub.add_parser("simulate", help="covariance trajectory under the screened dynamics")
     _add_screen_flags(p)
     p.add_argument("--t-max", type=_finite_float, default=10.0)
     p.add_argument("--grid", type=int, default=501)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("noise-test", help="excess momentum-noise rate against the bound")
     _add_screen_flags(p)
     p.add_argument("--t-max", type=_finite_float, default=0.3)
     p.add_argument("--grid", type=int, default=201)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
+    p.set_defaults(run=_cmd_noise_test)
 
     p = sub.add_parser("entanglement-scan",
                        help="entanglement onset versus isotropic screen strength")
@@ -182,15 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=16)
     p.add_argument("--t-max", type=_finite_float, default=25.0)
     p.add_argument("--grid", type=int, default=2000)
+    p.set_defaults(run=_cmd_entanglement_scan)
 
     p = sub.add_parser("oracle-verify",
                        help="cross-validate the Gaussian formulas against the circuit oracle")
     p.add_argument("--dim", type=int, default=12, help="Fock truncation per mode")
     p.add_argument("--t", type=_finite_float, default=0.5)
     p.add_argument("--steps", type=int, nargs="+", default=[8, 16, 32])
+    p.set_defaults(run=_cmd_oracle_verify)
 
     p = sub.add_parser("plan-experiment", help="budget a torsion-pendulum configuration")
     p.add_argument("--config", required=True, help="key-value or JSON config file")
+    p.set_defaults(run=_cmd_plan_experiment)
 
     return parser
 
@@ -210,9 +212,9 @@ def _cmd_check_classicality(args):
     }, "json"
 
 
-def _cmd_simulate(args, rng):
+def _cmd_simulate(args):
     dyn = _dynamics_from_args(args)
-    gamma0 = _initial_covariance(args, rng)
+    gamma0 = _initial_covariance(args)
     times = np.linspace(0.0, args.t_max, args.grid)
     gammas = propagate_grid(gamma0, dyn, times)
     labels = [f"g{i + 1}{j + 1}" for i in range(4) for j in range(i, 4)]
@@ -226,14 +228,16 @@ def _cmd_simulate(args, rng):
     return rows, "csv"
 
 
-def _cmd_noise_test(args, rng):
+def _cmd_noise_test(args):
     dyn = _dynamics_from_args(args)
-    gamma0 = _initial_covariance(args, rng)
+    gamma0 = _initial_covariance(args)
     report = run_noise_test(dyn, gamma0, args.t_max, args.grid)
     return list(report.rows()), "csv"
 
 
 def _cmd_entanglement_scan(args):
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     s_max = args.s_max if args.s_max is not None else 1.5 * abs(args.g)
     rows = []
     for s in np.linspace(args.s_min, s_max, args.steps):
@@ -253,8 +257,6 @@ def _cmd_entanglement_scan(args):
 
 
 def _cmd_oracle_verify(args):
-    from .dynamics import propagate
-
     d = args.dim
     rows = []
     for label, screen in [
@@ -296,22 +298,8 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    rng = np.random.default_rng(args.seed)
     try:
-        if args.command == "check-classicality":
-            payload, natural = _cmd_check_classicality(args)
-        elif args.command == "simulate":
-            payload, natural = _cmd_simulate(args, rng)
-        elif args.command == "noise-test":
-            payload, natural = _cmd_noise_test(args, rng)
-        elif args.command == "entanglement-scan":
-            payload, natural = _cmd_entanglement_scan(args)
-        elif args.command == "oracle-verify":
-            payload, natural = _cmd_oracle_verify(args)
-        elif args.command == "plan-experiment":
-            payload, natural = _cmd_plan_experiment(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command}")
+        payload, natural = args.run(args)
     except PhysicsRejection as exc:
         print(f"physics constraint rejected: {exc}", file=sys.stderr)
         return 3

@@ -112,23 +112,12 @@ def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     if t < 0:
-        raise ValueError(
-            "propagate requires t >= 0; run the reversible part backwards "
-            "with propagate_reversible instead"
-        )
+        raise ValueError(f"propagate requires t >= 0, got {t}")
     gamma0 = np.asarray(gamma0, dtype=float)
     if t == 0.0:
         return gamma0.copy()
     X, Y = accumulated_noise(dyn, t)
     gamma = Y + X.T @ gamma0 @ X
-    return 0.5 * (gamma + gamma.T)
-
-
-def propagate_reversible(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray:
-    """Drop the diffusion: exp(x^T t) gamma(0) exp(x t). Valid for any sign of t."""
-    gamma0 = np.asarray(gamma0, dtype=float)
-    X = expm(dyn.drift * t)
-    gamma = X.T @ gamma0 @ X
     return 0.5 * (gamma + gamma.T)
 
 

@@ -197,7 +197,6 @@ def gravitational_hamiltonian(
 _CONFIG_KEYS = {
     "mass_density": float,
     "frequency": float,
-    "omega_convention": str,
     "quality_factor": float,
     "temperature": float,
     "geometry_factor": float,

@@ -32,7 +32,6 @@ from .screens import (
     DEFAULT_ETA_CONVENTION,
     ETA_CONVENTIONS,
     DisplacementScreen,
-    KrausScreen,
     ScreenMoments,
 )
 
@@ -167,20 +166,25 @@ def gauss_hermite_mixture(screen: DisplacementScreen, n_nodes: int = 21):
     return w, shifts[keep]
 
 
-def carrier_kraus_ops(screen, d: int, n_nodes: int = 21):
-    """Kraus operators of a screen on the d-level carrier (identity = None)."""
+def carrier_kraus_ops(screen, d: int, n_nodes: int = 21) -> np.ndarray:
+    """Kraus stack (k, d, d) of a screen on the d-level carrier.
+
+    screen is None (the identity), a DisplacementScreen, or a (k, d, d) stack
+    of Kraus operators, k >= 1; a stack of any other shape raises ValueError.
+    Completeness sum K^dag K = I can only hold approximately at the truncation
+    edge, so it is not checked.
+    """
     if screen is None:
-        return [np.eye(d, dtype=complex)]
+        return np.eye(d, dtype=complex)[None]
     if isinstance(screen, DisplacementScreen):
         weights, shifts = gauss_hermite_mixture(screen, n_nodes)
         ops = displacement_operator(shifts[:, 0], shifts[:, 1], d)
         ops *= np.sqrt(weights)[:, None, None]
-        return list(ops)
-    if isinstance(screen, KrausScreen):
-        if screen.dim != d:
-            raise ValueError(f"KrausScreen was built for dim {screen.dim}, carrier has {d}")
-        return list(screen.kraus_ops)
-    raise TypeError(f"unsupported screen type {type(screen).__name__}")
+        return ops
+    ops = np.asarray(screen, dtype=complex)
+    if ops.ndim != 3 or ops.shape[1:] != (d, d) or len(ops) == 0:
+        raise ValueError(f"Kraus stack has shape {ops.shape}, the carrier needs (k, {d}, {d})")
+    return ops
 
 
 # --- the exchange step ---
@@ -293,7 +297,7 @@ class TrotterStepper:
         fc_weights = vals[keep] / vals[keep].sum()
         fc_vecs = vecs[:, keep].T
 
-        kraus = np.stack(carrier_kraus_ops(screen, df, n_nodes))
+        kraus = carrier_kraus_ops(screen, df, n_nodes)
         blocks = []
         leak = 0.0
         for wk, vec in zip(fc_weights, fc_vecs):

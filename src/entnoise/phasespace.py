@@ -77,8 +77,10 @@ def _require_tolerance(tol_psd: float) -> None:
 def min_eig_hermitian(matrix: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
-    Single certified PSD primitive: every positivity decision in the package
-    routes through this call so tolerance semantics stay uniform.
+    The PSD primitive of every single-matrix positivity decision, so tolerance
+    semantics stay uniform. The batched entanglement.ppt_margins does not call
+    it: it clears most matrices by a closed-form symplectic invariant and gives
+    the rest the same eigenvalue margin from one batched eigvalsh.
     """
     return float(np.linalg.eigvalsh(matrix)[0])
 

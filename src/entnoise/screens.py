@@ -3,9 +3,11 @@
 A screen is a trace-preserving completely positive map applied to the carrier
 mode in the middle of each exchange step. Its second-moment footprint (the
 2x2 matrix Y) and the effective coupling eta are everything the reduced
-two-mode dynamics sees. The shipped families are the identity screen, random
-phase-space displacements (closed-form moments), and raw Kraus operators on a
-truncated carrier space (moments only via the Fock oracle).
+two-mode dynamics sees. The shipped families are the identity screen and
+random phase-space displacements (closed-form moments). Any other screen goes
+to the Fock oracle as a plain complex (k, d, d) stack of Kraus operators on
+its d-level carrier (see fock.carrier_kraus_ops); its moments come only from
+that oracle.
 """
 
 import math
@@ -109,31 +111,6 @@ class DisplacementScreen:
         )
 
 
-@dataclass(frozen=True)
-class KrausScreen:
-    """Explicit Kraus representation on a truncated carrier space.
-
-    Completeness sum(K^dag K) = I can only hold approximately at the
-    truncation boundary; the defect is reported, not fatal.
-    """
-
-    kraus_ops: tuple
-    dim: int
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        if not ops:
-            raise ValueError("KrausScreen needs at least one operator")
-        for k in ops:
-            if k.shape != (self.dim, self.dim):
-                raise ValueError(f"Kraus operator shape {k.shape} != ({self.dim}, {self.dim})")
-        object.__setattr__(self, "kraus_ops", ops)
-
-    def completeness_defect(self) -> float:
-        acc = sum(k.conj().T @ k for k in self.kraus_ops)
-        return float(np.max(np.abs(acc - np.eye(self.dim))))
-
-
 def moments_from_displacement(
     screen: DisplacementScreen, eta_convention: str = DEFAULT_ETA_CONVENTION
 ) -> ScreenMoments:
@@ -146,32 +123,6 @@ def moments_from_displacement(
     """
     eta = ETA_CONVENTIONS[eta_convention]
     return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=eta, xi=0.0, Y=2.0 * screen.matrix)
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Diagnostics for the two physical screen constraints."""
-
-    converges: bool
-    ehrenfest: bool
-    mean_defect: float
-    xi: float
-
-    @property
-    def ok(self) -> bool:
-        return self.converges and self.ehrenfest
-
-
-def check_constraints(moments: ScreenMoments) -> ConstraintReport:
-    """Flag mean-preservation and Ehrenfest failures (beyond 1e-6) for extracted moments."""
-    tol = 1e-6
-    mean_defect = max(abs(moments.mean_defect_x), abs(moments.mean_defect_p))
-    return ConstraintReport(
-        converges=mean_defect <= tol,
-        ehrenfest=abs(moments.xi) <= tol,
-        mean_defect=mean_defect,
-        xi=moments.xi,
-    )
 
 
 def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certificate:

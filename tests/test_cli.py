@@ -24,10 +24,18 @@ def test_check_classicality_boundary(capsys):
 
 
 def test_check_classicality_nonclassical(capsys):
-    code, out, _ = run_cli(capsys, "check-classicality", "--family", "identity",
-                           "--g", "0.5")
+    code, out, _ = run_cli(capsys, "check-classicality", "--g", "0.5")
     assert code == 0
     assert json.loads(out)["verdict"] == "non-classical"
+
+
+def test_family_flag_is_gone_exits_2(capsys):
+    # the sigmas default to zero, the identity screen, so there is no flag to discard them
+    code, out, err = run_cli(capsys, "check-classicality", "--family", "identity",
+                             "--sxx", "5", "--spp", "5", "--g", "0.1")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --family identity" in err
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -43,8 +51,7 @@ def test_simulate_writes_csv(tmp_path, capsys):
 
 
 def test_noise_test_identity_screen_fails_near_zero(capsys):
-    code, out, _ = run_cli(capsys, "noise-test", "--family", "identity", "--g", "0.2",
-                           "--t-max", "0.1", "--grid", "41")
+    code, out, _ = run_cli(capsys, "noise-test", "--g", "0.2", "--t-max", "0.1", "--grid", "41")
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert rows[0]["verdict"] == "False"
@@ -65,6 +72,13 @@ def test_entanglement_scan_crosses_boundary(capsys):
         if is_classical_row:
             assert onset == ""
     assert classical[-1] and not classical[0]
+
+
+def test_entanglement_scan_zero_steps_exits_2(capsys):
+    code, out, err = run_cli(capsys, "entanglement-scan", "--g", "0.4", "--steps", "0")
+    assert code == 2
+    assert out == ""
+    assert "--steps must be >= 1" in err
 
 
 def test_oracle_verify_table(capsys):
@@ -128,6 +142,17 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "plan-experiment", "--config", str(cfg))
     assert code == 2
     assert "line 2" in err
+
+
+def test_omega_convention_config_key_exits_2(tmp_path, capsys):
+    # the convention is the --omega-convention flag; the config has no such key
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("mass_density = 22000\nfrequency = 1e-3\nquality_factor = 1e9\n"
+                   "temperature = 0.01\nomega_convention = bogus\n")
+    code, out, err = run_cli(capsys, "plan-experiment", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "line 5: unknown config key 'omega_convention'" in err
 
 
 def test_infinite_shot_time_exits_3(tmp_path, capsys):

@@ -9,7 +9,6 @@ from entnoise.dynamics import (
     iter_grid_segments,
     propagate,
     propagate_grid,
-    propagate_reversible,
 )
 from entnoise.errors import EhrenfestViolation, PhysicsRejection
 from entnoise.phasespace import validate_covariance
@@ -21,6 +20,14 @@ from entnoise.screens import (
     moments_with_coupling,
 )
 from entnoise.states import vacuum_cov
+
+
+def propagate_reversible(gamma0: np.ndarray, dyn, t: float) -> np.ndarray:
+    """Zero-diffusion reference: exp(x^T t) gamma(0) exp(x t), for any sign of t."""
+    gamma0 = np.asarray(gamma0, dtype=float)
+    X = expm(dyn.drift * t)
+    gamma = X.T @ gamma0 @ X
+    return 0.5 * (gamma + gamma.T)
 
 
 def dyn_from_sigma(s_uu, s_vv, s_uv=0.0, g=None):
@@ -148,7 +155,7 @@ def test_semigroup_composition(rng):
 
 def test_propagate_rejects_negative_time():
     dyn = dyn_from_sigma(0.1, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires t >= 0"):
         propagate(vacuum_cov(), dyn, -0.1)
 
 

@@ -30,7 +30,6 @@ from entnoise.fock import (
 from entnoise.screens import (
     DEFAULT_ETA_CONVENTION,
     DisplacementScreen,
-    KrausScreen,
     moments_from_displacement,
 )
 from entnoise.states import vacuum_cov
@@ -51,8 +50,8 @@ def squeezed_vector(r: float, d: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def amplitude_damping_kraus(transmissivity: float, d: int) -> KrausScreen:
-    """Standard bosonic loss channel; violates mean preservation."""
+def amplitude_damping_kraus(transmissivity: float, d: int) -> np.ndarray:
+    """Kraus stack of the standard bosonic loss channel; violates mean preservation."""
     eta = float(transmissivity)
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmissivity must be in (0, 1]")
@@ -63,7 +62,13 @@ def amplitude_damping_kraus(transmissivity: float, d: int) -> KrausScreen:
             K[n - k, n] = np.sqrt(math.comb(n, k) * eta ** (n - k) * (1 - eta) ** k)
         if np.any(K):
             ops.append(K)
-    return KrausScreen(kraus_ops=tuple(ops), dim=d)
+    return np.array(ops)
+
+
+def completeness_defect(kraus: np.ndarray) -> float:
+    """max |sum K^dag K - I|: zero for a trace-preserving stack."""
+    acc = np.einsum("kji,kjl->il", kraus.conj(), kraus)
+    return float(np.max(np.abs(acc - np.eye(kraus.shape[-1]))))
 
 
 def sqrt_step_coefficient(
@@ -435,8 +440,6 @@ def test_moments_independent_of_reference_state():
 
 
 def test_amplitude_damping_fails_convergence_on_displaced_state():
-    from entnoise.screens import check_constraints
-
     d = 20
     screen = amplitude_damping_kraus(0.9, d)
     m_vac = moments_numeric(screen, dim=d)
@@ -445,14 +448,24 @@ def test_amplitude_damping_fails_convergence_on_displaced_state():
     displaced = np.outer(alpha, alpha.conj())
     m_disp = moments_numeric(screen, rho_f=displaced, dim=d)
     assert m_disp.mean_defect_x > 1e-2
-    report = check_constraints(m_disp)
-    assert not report.converges
+
+
+def test_carrier_kraus_ops_returns_a_stack():
+    for screen in (None, DisplacementScreen(0.3, 0.2, 0.1), amplitude_damping_kraus(0.9, 6)):
+        ops = carrier_kraus_ops(screen, 6, n_nodes=5)
+        assert ops.dtype == complex and ops.ndim == 3 and ops.shape[1:] == (6, 6)
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 5), (1, 6, 5), (6, 6), (0, 6, 6)])
+def test_carrier_kraus_ops_rejects_mismatched_stack(shape):
+    with pytest.raises(ValueError, match=r"Kraus stack has shape .* \(k, 6, 6\)"):
+        carrier_kraus_ops(np.zeros(shape, dtype=complex), 6)
 
 
 def test_kraus_completeness_defect_is_flagged_not_fatal():
     # the truncated loss channel loses completeness only near the boundary
     screen = amplitude_damping_kraus(0.8, 10)
-    defect = screen.completeness_defect()
+    defect = completeness_defect(screen)
     assert 0 < defect < 1.0
     # the step still runs; its trace defect on near-vacuum support stays tiny
     rho, _ = TrotterStepper(screen, 0.1, dims=(6, 6), fc_dim=10).apply(vacuum_state((6, 6)).rho)

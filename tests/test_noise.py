@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from entnoise.cli import _render
-from entnoise.dynamics import build_dynamics
+from entnoise.dynamics import build_dynamics, propagate_grid
 from entnoise.noise import (
     coupling_bound,
     excess_variance,
     noise_rate_at_zero,
+    reversible_benchmark,
     run_noise_test,
 )
 from entnoise.sampling import random_classical_screen, random_physical_cov
@@ -41,6 +42,30 @@ def test_excess_variance_rejects_asymmetric_difference():
     gamma[1, 3] = 0.2
     with pytest.raises(RuntimeError, match="imaginary"):
         excess_variance(gamma, vacuum_cov())
+
+
+def test_batched_excess_matches_pairs_and_report(rng):
+    dyn = build_dynamics(moments_from_displacement(DisplacementScreen(0.3, 0.2, 0.05)))
+    gamma0 = random_physical_cov(rng)
+    report = run_noise_test(dyn, gamma0, 2.0, 41)
+    gammas = propagate_grid(gamma0, dyn, report.times)
+    gammas_r = propagate_grid(gamma0, reversible_benchmark(dyn), report.times)
+    batched = excess_variance(gammas, gammas_r)
+    assert batched.shape == (41,)
+    pairs = [excess_variance(g, g_r) for g, g_r in zip(gammas, gammas_r)]
+    np.testing.assert_array_equal(batched, pairs)
+    np.testing.assert_array_equal(report.excess, batched)
+
+
+def test_excess_imaginary_bound_scales_with_the_difference():
+    # the same relative asymmetry passes at any scale; a larger one does not
+    gamma_r = vacuum_cov()
+    big = gamma_r + 1e6 * np.diag([0.0, 1.0, 0.0, 1.0])
+    big[1, 3] += 1e-12 * 1e6 / 2
+    assert excess_variance(big, gamma_r) == pytest.approx(1e6)
+    big[1, 3] += 1e-12 * 1e6 * 2
+    with pytest.raises(RuntimeError, match="imaginary"):
+        excess_variance(np.stack([gamma_r, big]), np.stack([gamma_r, gamma_r]))
 
 
 def test_rate_at_zero_identity_screen():

@@ -20,9 +20,11 @@ def test_no_assert_statements_in_library():
 
 
 def _referenced_names(node, skip=None):
-    """Names, attributes and import aliases under node, leaving out the subtree skip.
+    """Names and attributes used under node, leaving out the subtree skip.
 
-    Words in strings, comments and docstrings are not references.
+    Import aliases are not uses: a name that is only imported or re-exported
+    (from __init__.py, say) has no caller. Words in strings, comments and
+    docstrings are not references either.
     """
     if node is skip:
         return
@@ -30,16 +32,15 @@ def _referenced_names(node, skip=None):
         yield node.id
     elif isinstance(node, ast.Attribute):
         yield node.attr
-    elif isinstance(node, ast.alias):
-        yield node.name
     for child in ast.iter_child_nodes(node):
         yield from _referenced_names(child, skip)
 
 
 def test_every_public_definition_has_a_caller():
-    # a public top-level function or class must be exported from __init__.py
-    # (an import alias there) or used outside its own definition; code that
-    # only the tests call belongs in the tests
+    # a public top-level function or class must be used outside its own
+    # definition by the package, a demo or the bench; an export from
+    # __init__.py does not count, and code that only the tests call belongs in
+    # the tests
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for directory in CALLER_DIRS for path in sorted(directory.glob("*.py"))}
     library = sorted(CALLER_DIRS[0].glob("*.py"))
