@@ -48,7 +48,7 @@ d = 16
 print(f"  (vacuum start, t = 1, per-mode dimension {d})")
 prev = None
 for n in (8, 16, 32, 64):
-    state = trotter_evolve(vacuum_state((d, d)), screen, 1.0, n, n_nodes=13)
+    state = trotter_evolve(vacuum_state((d, d)), screen, 1.0, n)
     dev = np.max(np.abs(covariance_of(state) - target))
     ratio = "" if prev is None else f"  (x{prev / dev:.2f} better)"
     print(f"  n = {n:3d}: max deviation = {dev:.3e}{ratio}")

@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entanglement-scan",
                        help="entanglement onset versus isotropic screen strength")
     p.add_argument("--g", type=float, required=True)
-    p.add_argument("--s-min", type=float, default=0.0)
-    p.add_argument("--s-max", type=float, default=None,
+    p.add_argument("--s-min", type=_finite_float, default=0.0)
+    p.add_argument("--s-max", type=_finite_float, default=None,
                    help="default: 1.5 |g| (just past the classical boundary)")
     p.add_argument("--steps", type=int, default=16)
     p.add_argument("--t-max", type=_finite_float, default=25.0)
@@ -267,12 +267,12 @@ def _cmd_oracle_verify(args):
         target = propagate(vacuum_cov(), build_dynamics(moments_from_displacement(screen)), args.t)
         oracle_screen = None if label == "identity" else screen
         for n in args.steps:
-            state = trotter_evolve(vacuum_state((d, d)), oracle_screen, args.t, n, n_nodes=13)
+            state = trotter_evolve(vacuum_state((d, d)), oracle_screen, args.t, n)
             dev = float(np.max(np.abs(covariance_of(state) - target)))
             rows.append({"check": "trotter-covariance", "screen": label,
                          "parameter": n, "deviation": dev, "notes": "; ".join(state.notes)})
         closed = moments_from_displacement(screen)
-        numeric = moments_numeric(oracle_screen, dim=max(d, 24), n_nodes=17)
+        numeric = moments_numeric(oracle_screen, dim=max(d, 24))
         rows.append({"check": "screen-moments", "screen": label, "parameter": max(d, 24),
                      "deviation": float(np.max(np.abs(numeric.Y - closed.Y))), "notes": ""})
     rows.append({"check": "gate-identity", "screen": "none", "parameter": d,

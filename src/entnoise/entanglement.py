@@ -142,17 +142,17 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
     return margins.reshape(gammas.shape[:-2])
 
 
-def is_separable(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> Certificate:
+def is_separable(gamma: np.ndarray) -> Certificate:
     """Momentum-reversal separability test with its eigenvalue certificate."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (4, 4):
         raise ValueError(f"two-mode covariance expected, got shape {gamma.shape}")
-    _require_physical(gamma, tol_psd)
+    _require_physical(gamma, TOL_PSD)
     lam = ppt_margin(gamma)
-    return Certificate(lam >= -tol_psd, lam)
+    return Certificate(lam >= -TOL_PSD, lam)
 
 
-def log_negativity(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> float:
+def log_negativity(gamma: np.ndarray) -> float:
     """-log nu~_- of the partial reversal when nu~_- < 1, else 0.
 
     Quantitative companion to is_separable for scan output; zero exactly when
@@ -160,11 +160,11 @@ def log_negativity(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> float:
     physical state's reversal can fall below 1, so it is the whole sum.
     """
     gamma = np.asarray(gamma, dtype=float)
-    _require_physical(gamma, tol_psd)
+    _require_physical(gamma, TOL_PSD)
     (nu2,), _, _ = _reversal_invariants(gamma.reshape(1, 4, 4))
     nu = float(np.sqrt(nu2))
     # a value within tol of 1 is separability-marginal, not entangled
-    return -math.log(nu) if nu < 1.0 - tol_psd else 0.0
+    return -math.log(nu) if nu < 1.0 - TOL_PSD else 0.0
 
 
 def entanglement_onset(

@@ -141,32 +141,24 @@ def displacement_operator(u, v, d: int) -> np.ndarray:
     return phased @ np.conjugate(V, out=V).swapaxes(-1, -2)
 
 
-def gauss_hermite_mixture(screen: DisplacementScreen, n_nodes: int = 21):
-    """Finite mixture of displacements matching the screen's Gaussian moments.
+def gauss_hermite_mixture(screen: DisplacementScreen):
+    """Nine-point displacement mixture with the screen's moments up to degree 5.
 
-    Gauss-Hermite nodes along the principal axes of Sigma; weights sum to one
-    exactly, so trace preservation is exact. Returns (weights, shifts) with
-    shifts[j] = (u_j, v_j).
+    Along each principal axis of Sigma (variance lam) the three-point
+    Gauss-Hermite rule: shifts 0 and +-sqrt(3 lam) with weights 2/3 and 1/6,
+    exact for polynomials up to degree 5 (the unscented transform's sigma
+    points). The 3x3 product grid is rotated back to (u, v); a zero axis gives
+    coincident shifts, which is the same channel. Returns (weights, shifts)
+    with shifts[j] = (u_j, v_j).
     """
-    sigma = screen.matrix
-    vals, vecs = np.linalg.eigh(sigma)
-    vals = np.maximum(vals, 0.0)
-    axes = []
-    for lam in vals:
-        if lam <= 0.0:
-            axes.append((np.array([1.0]), np.array([0.0])))
-        else:
-            nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-            axes.append((weights / np.sqrt(np.pi), np.sqrt(2.0 * lam) * nodes))
-    w = np.outer(axes[0][0], axes[1][0]).ravel()
-    grid = np.stack(np.meshgrid(axes[0][1], axes[1][1], indexing="ij"), axis=-1).reshape(-1, 2)
-    shifts = grid @ vecs.T  # back from principal axes to (u, v)
-    keep = w > 1e-16
-    w = w[keep] / w[keep].sum()
-    return w, shifts[keep]
+    vals, vecs = np.linalg.eigh(screen.matrix)
+    nodes = np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij"), axis=-1)
+    shifts = (nodes.reshape(9, 2) * np.sqrt(3.0 * np.maximum(vals, 0.0))) @ vecs.T
+    weights = np.array([1.0, 4.0, 1.0]) / 6.0
+    return np.outer(weights, weights).ravel(), shifts
 
 
-def carrier_kraus_ops(screen, d: int, n_nodes: int = 21) -> np.ndarray:
+def carrier_kraus_ops(screen, d: int) -> np.ndarray:
     """Kraus stack (k, d, d) of a screen on the d-level carrier.
 
     screen is None (the identity), a DisplacementScreen, or a (k, d, d) stack
@@ -177,7 +169,7 @@ def carrier_kraus_ops(screen, d: int, n_nodes: int = 21) -> np.ndarray:
     if screen is None:
         return np.eye(d, dtype=complex)[None]
     if isinstance(screen, DisplacementScreen):
-        weights, shifts = gauss_hermite_mixture(screen, n_nodes)
+        weights, shifts = gauss_hermite_mixture(screen)
         ops = displacement_operator(shifts[:, 0], shifts[:, 1], d)
         ops *= np.sqrt(weights)[:, None, None]
         return ops
@@ -258,7 +250,6 @@ class TrotterStepper:
         fc_dim: int = None,
         rho_f: np.ndarray = None,
         eta_convention: str = DEFAULT_ETA_CONVENTION,
-        n_nodes: int = 21,
     ):
         if tau < 0:
             raise ValueError("step length must be nonnegative")
@@ -297,7 +288,7 @@ class TrotterStepper:
         fc_weights = vals[keep] / vals[keep].sum()
         fc_vecs = vecs[:, keep].T
 
-        kraus = carrier_kraus_ops(screen, df, n_nodes)
+        kraus = carrier_kraus_ops(screen, df)
         blocks = []
         leak = 0.0
         for wk, vec in zip(fc_weights, fc_vecs):
@@ -312,7 +303,6 @@ class TrotterStepper:
 
         Xi = np.concatenate(blocks, axis=1)
         self.multiplier = Xi @ Xi.conj().T
-        self.trace_defect = float(np.max(np.abs(np.diagonal(self.multiplier).real - 1.0)))
         self._leak_row = leak
 
     def _run(self, rho: np.ndarray, n: int):
@@ -344,7 +334,6 @@ def trotter_evolve(
     n: int,
     rho_f: np.ndarray = None,
     eta_convention: str = DEFAULT_ETA_CONVENTION,
-    n_nodes: int = 21,
     fc_dim: int = None,
 ) -> FockState:
     """Circuit evolution to time t in n steps of tau = t / n, symmetrically split.
@@ -362,8 +351,7 @@ def trotter_evolve(
         raise ValueError(f"need at least one step, got n = {n}")
     tau = t / n
     stepper = TrotterStepper(
-        screen, tau, dims=rho_ab.dims, fc_dim=fc_dim, rho_f=rho_f,
-        eta_convention=eta_convention, n_nodes=n_nodes,
+        screen, tau, dims=rho_ab.dims, fc_dim=fc_dim, rho_f=rho_f, eta_convention=eta_convention,
     )
     rho = _conjugate(_local_unitary(-tau / 2, rho_ab.dims), rho_ab.rho)
     rho, worst_leak = stepper._run(rho, n)
@@ -411,19 +399,14 @@ def _adjoint_apply(kraus_ops, op: np.ndarray) -> np.ndarray:
     return sum(K.conj().T @ op @ K for K in kraus_ops)
 
 
-def moments_numeric(
-    screen,
-    rho_f: np.ndarray = None,
-    dim: int = 30,
-    n_nodes: int = 21,
-) -> ScreenMoments:
+def moments_numeric(screen, rho_f: np.ndarray = None, dim: int = 30) -> ScreenMoments:
     """Extract (nu_a, nu_b, eta, xi, Y) by applying the adjoint screen.
 
     Evaluates the adjoint channel on x, p, x^2, p^2, {x, p} and takes
     expectations in the carrier reference state (vacuum by default). This is
     the oracle side of the closed-form displacement moments.
     """
-    kraus = carrier_kraus_ops(screen, dim, n_nodes)
+    kraus = carrier_kraus_ops(screen, dim)
     x = position(dim).astype(complex)
     p = momentum(dim)
     if rho_f is None:
@@ -490,12 +473,7 @@ def _mean_step_matrix(stepper: TrotterStepper, dims) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def extract_generator(
-    screen,
-    dims=(14, 14),
-    eta_convention: str = DEFAULT_ETA_CONVENTION,
-    n_nodes: int = 21,
-):
+def extract_generator(screen, dims=(14, 14), eta_convention: str = DEFAULT_ETA_CONVENTION):
     """Drift and diffusion of the circuit's continuous-time limit.
 
     Richardson-extrapolates (step - identity)/tau over tau = 0.02, tau/2 and
@@ -506,9 +484,7 @@ def extract_generator(
     """
 
     def one(tau_k):
-        stepper = TrotterStepper(
-            screen, tau_k, dims=dims, eta_convention=eta_convention, n_nodes=n_nodes,
-        )
+        stepper = TrotterStepper(screen, tau_k, dims=dims, eta_convention=eta_convention)
         A = _mean_step_matrix(stepper, dims)
         drift_T = (A - np.eye(4)) / tau_k
         rho_out, _ = stepper.apply(vacuum_state(dims).rho)
@@ -528,15 +504,13 @@ def extract_generator(
     return x_hat, y_hat
 
 
-def fitted_coupling(
-    screen=None, dims=(14, 14), eta_convention: str = DEFAULT_ETA_CONVENTION
-) -> float:
+def fitted_coupling(screen=None, eta_convention: str = DEFAULT_ETA_CONVENTION) -> float:
     """Effective x_a x_b coupling of the circuit's reduced dynamics.
 
     Reads eta off the extracted drift (drift^T = Delta_2 H, so the (p_a, x_b)
     entry is -H_13). For the identity screen this arbitrates the sign
     convention.
     """
-    drift, _ = extract_generator(screen, dims=dims, eta_convention=eta_convention)
+    drift, _ = extract_generator(screen, eta_convention=eta_convention)
     return -float(drift.T[1, 2])
 

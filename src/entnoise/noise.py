@@ -7,7 +7,7 @@ rate of at least twice the coupling strength. Everything here is
 dimensionless; unit restoration lives in the experiment module.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class NoiseReport:
     rate: np.ndarray
     bound: float
     verdict: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def all_pass(self) -> bool:
         return bool(np.all(self.verdict))
@@ -104,11 +103,4 @@ def run_noise_test(
     bound = coupling_bound(dyn)
     tol_rate = 1e-6 * max(1.0, bound)
     verdict = rate >= bound - tol_rate
-    return NoiseReport(
-        times=times,
-        excess=excess,
-        rate=rate,
-        bound=bound,
-        verdict=verdict,
-        metadata={"tol_rate": tol_rate, "grid_spacing": times[1] - times[0]},
-    )
+    return NoiseReport(times=times, excess=excess, rate=rate, bound=bound, verdict=verdict)

@@ -82,17 +82,22 @@ def test_entanglement_scan_zero_steps_exits_2(capsys):
 
 
 def test_oracle_verify_table(capsys):
-    code, out, _ = run_cli(capsys, "oracle-verify", "--dim", "8", "--t", "0.3",
+    code, out, _ = run_cli(capsys, "oracle-verify", "--dim", "7", "--t", "0.3",
                            "--steps", "4", "8")
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     checks = {row["check"] for row in rows}
     assert {"trotter-covariance", "screen-moments", "gate-identity"} <= checks
-    # the oracle's notes reach the table: at this truncation only the anisotropic
-    # screen leaks past the 1e-4 threshold, and only circuit rows carry notes
+    # the oracle's notes reach the table: at this truncation both displacement
+    # screens leak past the 1e-4 threshold, the identity screen does not, and
+    # only circuit rows carry notes
+    leaks = {"isotropic-0.25": (1.3e-4, 1.5e-4), "anisotropic": (2.3e-4, 2.5e-4)}
     for row in rows:
-        if row["check"] == "trotter-covariance" and row["screen"] == "anisotropic":
-            assert row["notes"].startswith("carrier truncation leakage up to 2.1")
+        if row["check"] == "trotter-covariance" and row["screen"] in leaks:
+            prefix = "carrier truncation leakage up to "
+            assert row["notes"].startswith(prefix)
+            low, high = leaks[row["screen"]]
+            assert low < float(row["notes"][len(prefix):]) < high
         else:
             assert row["notes"] == ""
     gate_dev = [float(r["deviation"]) for r in rows if r["check"] == "gate-identity"]
@@ -199,6 +204,11 @@ def test_non_finite_input_exits_3(capsys, flags):
     (("noise-test", "--t-max", "inf"), "--t-max"),
     (("entanglement-scan", "--g", "0.4", "--t-max=-inf"), "--t-max"),
     (("oracle-verify", "--t", "nan"), "--t"),
+    # the isotropic screen strengths of the scan go through the same check
+    (("entanglement-scan", "--g", "0.4", "--s-min", "nan"), "--s-min"),
+    (("entanglement-scan", "--g", "0.4", "--s-min", "inf"), "--s-min"),
+    (("entanglement-scan", "--g", "0.4", "--s-max", "nan"), "--s-max"),
+    (("entanglement-scan", "--g", "0.4", "--s-max", "inf"), "--s-max"),
 ])
 def test_non_finite_time_exits_2(capsys, argv, flag):
     # rejected while parsing, so numpy never sees the value and cannot warn

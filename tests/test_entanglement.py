@@ -12,7 +12,7 @@ from entnoise.entanglement import (
     ppt_margins,
 )
 from entnoise.errors import UnphysicalCovariance
-from entnoise.phasespace import DELTA_2_TILDE, min_eig_hermitian
+from entnoise.phasespace import DELTA_2_TILDE, TOL_PSD, min_eig_hermitian
 from entnoise.sampling import (
     random_classical_screen,
     random_nonclassical_screen,
@@ -198,13 +198,16 @@ def test_nonclassical_screens_entangle_sampled(rng):
         assert onset is not None
 
 
-BAD_TOLERANCES = [np.nan, np.inf, -1.0]
-
-
-@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+@pytest.mark.parametrize("scale", [0.5, 2.0])
 @pytest.mark.parametrize("decide", [is_separable, log_negativity])
-def test_decisions_reject_bad_tolerance(decide, tol):
-    # a bad threshold is a usage error, not an unphysical vacuum
-    with pytest.raises(ValueError, match="tol_psd must be finite and non-negative") as caught:
-        decide(np.eye(4), tol_psd=tol)
-    assert caught.type is ValueError
+def test_decisions_use_the_fixed_tolerance(decide, scale):
+    # (1 - delta) I sits delta below the uncertainty bound: within TOL_PSD it
+    # is a physical, separable vacuum, beyond it an unphysical covariance
+    gamma = (1.0 - scale * TOL_PSD) * np.eye(4)
+    if scale > 1.0:
+        with pytest.raises(UnphysicalCovariance):
+            decide(gamma)
+    elif decide is is_separable:
+        assert decide(gamma).ok
+    else:
+        assert decide(gamma) == 0.0

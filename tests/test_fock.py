@@ -76,7 +76,6 @@ def sqrt_step_coefficient(
     tau: float = 0.0025,
     dims=(14, 14),
     rho_f: np.ndarray = None,
-    n_nodes: int = 21,
     eta_convention: str = DEFAULT_ETA_CONVENTION,
 ) -> float:
     """Magnitude of the sqrt(tau) term in one circuit step's mean response.
@@ -87,10 +86,8 @@ def sqrt_step_coefficient(
     """
 
     def mean_shift(tau_k):
-        stepper = TrotterStepper(
-            screen, tau_k, dims=dims, rho_f=rho_f,
-            eta_convention=eta_convention, n_nodes=n_nodes,
-        )
+        stepper = TrotterStepper(screen, tau_k, dims=dims, rho_f=rho_f,
+                                 eta_convention=eta_convention)
         state = _displaced_vacuum(0, 0.5, dims)
         rho_out, _ = stepper.apply(state.rho)
         return mean_quadratures(FockState(rho_out, dims)) - mean_quadratures(state)
@@ -111,7 +108,6 @@ def reduced_step_dense(
     tau: float,
     rho_f: np.ndarray = None,
     eta_convention: str = DEFAULT_ETA_CONVENTION,
-    n_nodes: int = 21,
 ) -> FockState:
     """Direct product-space implementation of one circuit step.
 
@@ -142,7 +138,7 @@ def reduced_step_dense(
         before, after = (UA, UB), (UA.conj().T, UB.conj().T)
     for U in before:
         rho = U @ rho @ U.conj().T
-    kraus = carrier_kraus_ops(screen, df, n_nodes)
+    kraus = carrier_kraus_ops(screen, df)
     rho = sum(
         np.kron(np.eye(da * db), K) @ rho @ np.kron(np.eye(da * db), K).conj().T for K in kraus
     )
@@ -197,13 +193,18 @@ def test_two_mode_squeezed_covariance():
 
 
 def test_gauss_hermite_mixture_moments():
+    # the three-point rule per principal axis is exact to degree 5: nine shifts
+    # with zero mean, Sigma itself, and the Gaussian fourth moment 3 lam^2
     screen = DisplacementScreen(0.6, 0.2, 0.15)
-    w, shifts = gauss_hermite_mixture(screen, 21)
+    w, shifts = gauss_hermite_mixture(screen)
+    assert w.shape == (9,) and shifts.shape == (9, 2)
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
-    mean = w @ shifts
-    np.testing.assert_allclose(mean, 0.0, atol=1e-12)
+    np.testing.assert_allclose(w @ shifts, 0.0, atol=1e-12)
     second = (shifts * w[:, None]).T @ shifts
     np.testing.assert_allclose(second, screen.matrix, atol=1e-12)
+    vals, vecs = np.linalg.eigh(screen.matrix)
+    along = shifts @ vecs
+    np.testing.assert_allclose(w @ along**4, 3.0 * vals**2, rtol=0, atol=1e-12)
 
 
 def test_batched_displacement_matches_expm():
@@ -242,7 +243,7 @@ def test_gate_identity_truncation_decays_with_d():
 def test_reduced_step_trace_preserving(rng):
     st = product_state(coherent_vector(0.4, 10), coherent_vector(-0.2j, 10))
     for screen in (None, DisplacementScreen(0.5, 0.3, 0.1)):
-        rho, _ = TrotterStepper(screen, 0.17, dims=st.dims, n_nodes=11).apply(st.rho)
+        rho, _ = TrotterStepper(screen, 0.17, dims=st.dims).apply(st.rho)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         lam = np.linalg.eigvalsh(rho)
         assert lam.min() > -1e-8
@@ -278,8 +279,8 @@ def test_fast_step_matches_dense_reference():
         amplitude_damping_kraus(0.9, 7),
     ]
     for screen in screens:
-        fast, _ = TrotterStepper(screen, 0.2, dims=st.dims, n_nodes=9).apply(st.rho)
-        dense = reduced_step_dense(st, screen, 0.2, n_nodes=9)
+        fast, _ = TrotterStepper(screen, 0.2, dims=st.dims).apply(st.rho)
+        dense = reduced_step_dense(st, screen, 0.2)
         assert np.max(np.abs(fast - dense.rho)) < 1e-12
 
 
@@ -291,9 +292,9 @@ def test_fast_step_matches_dense_swapped_order():
         amplitude_damping_kraus(0.9, 7),
     ]
     for screen in screens:
-        fast, _ = TrotterStepper(screen, 0.15, dims=st.dims, eta_convention="negative",
-                                 n_nodes=9).apply(st.rho)
-        dense = reduced_step_dense(st, screen, 0.15, eta_convention="negative", n_nodes=9)
+        fast, _ = TrotterStepper(screen, 0.15, dims=st.dims,
+                                 eta_convention="negative").apply(st.rho)
+        dense = reduced_step_dense(st, screen, 0.15, eta_convention="negative")
         assert np.max(np.abs(fast - dense.rho)) < 1e-12
 
 
@@ -307,7 +308,7 @@ def test_trotter_first_order_convergence():
     dims = (14, 14)
     devs = []
     for n in (8, 16, 32, 64):
-        stepper = TrotterStepper(screen, 1.0 / n, dims=dims, n_nodes=13)
+        stepper = TrotterStepper(screen, 1.0 / n, dims=dims)
         rho = vacuum_state(dims).rho
         for _ in range(n):
             rho, _ = stepper.apply(rho)
@@ -356,7 +357,7 @@ def test_trotter_evolve_is_conjugated_apply_composition(screen, convention, dims
     t, n = 0.6, 5
     tau = t / n
     st = product_state(coherent_vector(0.4, dims[0]), coherent_vector(-0.3j, dims[1]))
-    kw = dict(fc_dim=fc_dim, rho_f=rho_f, eta_convention=convention, n_nodes=7)
+    kw = dict(fc_dim=fc_dim, rho_f=rho_f, eta_convention=convention)
     out = trotter_evolve(st, screen, t, n, **kw)
     stepper = TrotterStepper(screen, tau, dims=dims, **kw)
     rho, leaks = _rotated(st.rho, dims, -tau / 2), []
@@ -383,9 +384,9 @@ def test_stepper_rejects_truncation_below_three_levels(dims, fc_dim):
 def test_leakage_warning_attached():
     # a strong screen on a tiny carrier leaks population into the top levels
     st = vacuum_state((6, 6))
-    out = trotter_evolve(st, DisplacementScreen(3.0, 3.0), 0.8, 1, fc_dim=6, n_nodes=11)
+    out = trotter_evolve(st, DisplacementScreen(3.0, 3.0), 0.8, 1, fc_dim=6)
     assert any("leakage" in note for note in out.notes)
-    assert out.notes == ("carrier truncation leakage up to 2.35e-01",)
+    assert out.notes == ("carrier truncation leakage up to 3.23e-01",)
 
 
 def test_step_leakage_weighs_the_rotated_eigenbasis_diagonal():
@@ -393,7 +394,7 @@ def test_step_leakage_weighs_the_rotated_eigenbasis_diagonal():
     # the local rotation; a moving coherent state makes that differ from before
     d, tau = 6, 0.8
     st = product_state(coherent_vector(0.8, d), coherent_vector(0.5j, d))
-    stepper = TrotterStepper(DisplacementScreen(3.0, 3.0), tau, dims=st.dims, n_nodes=11)
+    stepper = TrotterStepper(DisplacementScreen(3.0, 3.0), tau, dims=st.dims)
     T = np.kron(stepper.W_a, stepper.W_b)
     rotated = T.T @ _rotated(st.rho, st.dims, tau) @ T
     _, leakage = stepper.apply(st.rho)
@@ -417,8 +418,8 @@ def test_moments_numeric_matches_closed_form():
         DisplacementScreen(0.4, 0.9, -0.3),
     ):
         closed = moments_from_displacement(screen)
-        numeric = moments_numeric(screen, dim=30, n_nodes=21)
-        np.testing.assert_allclose(numeric.Y, closed.Y, atol=1e-6)
+        numeric = moments_numeric(screen, dim=30)
+        np.testing.assert_allclose(numeric.Y, closed.Y, atol=1e-12)
         assert numeric.eta == pytest.approx(closed.eta, abs=1e-6)
         assert abs(numeric.xi) < 1e-6
         assert abs(numeric.nu_a) < 1e-6 and abs(numeric.nu_b) < 1e-6
@@ -452,8 +453,10 @@ def test_amplitude_damping_fails_convergence_on_displaced_state():
 
 def test_carrier_kraus_ops_returns_a_stack():
     for screen in (None, DisplacementScreen(0.3, 0.2, 0.1), amplitude_damping_kraus(0.9, 6)):
-        ops = carrier_kraus_ops(screen, 6, n_nodes=5)
+        ops = carrier_kraus_ops(screen, 6)
         assert ops.dtype == complex and ops.ndim == 3 and ops.shape[1:] == (6, 6)
+    # a displacement screen is the nine-point sigma-point mixture
+    assert len(carrier_kraus_ops(DisplacementScreen(0.3, 0.2, 0.1), 6)) == 9
 
 
 @pytest.mark.parametrize("shape", [(2, 5, 5), (1, 6, 5), (6, 6), (0, 6, 6)])
@@ -475,7 +478,7 @@ def test_kraus_completeness_defect_is_flagged_not_fatal():
 def test_generator_extraction_matches_build_dynamics():
     screen = DisplacementScreen(0.4, 0.3, 0.1)
     dyn = build_dynamics(moments_from_displacement(screen))
-    x_hat, y_hat = extract_generator(screen, n_nodes=15)
+    x_hat, y_hat = extract_generator(screen)
     assert np.max(np.abs(x_hat - dyn.drift)) < 1e-4
     assert np.max(np.abs(y_hat - dyn.diffusion)) < 1e-4
 
@@ -486,7 +489,7 @@ def test_fitted_coupling_sign_arbitration():
 
 
 def test_sqrt_step_coefficient_vanishes_for_valid_screens():
-    assert sqrt_step_coefficient(DisplacementScreen(0.4, 0.3, 0.1), n_nodes=15) < 1e-5
+    assert sqrt_step_coefficient(DisplacementScreen(0.4, 0.3, 0.1)) < 1e-5
     assert sqrt_step_coefficient(None) < 1e-5
 
 
@@ -505,5 +508,5 @@ def test_thermal_carrier_reduced_step_trace_preserving():
     thermal = np.diag(weights / weights.sum()).astype(complex)
     st = vacuum_state((8, 8))
     rho, _ = TrotterStepper(DisplacementScreen(0.2, 0.2), 0.1, dims=st.dims, rho_f=thermal,
-                            fc_dim=d, n_nodes=9).apply(st.rho)
+                            fc_dim=d).apply(st.rho)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
