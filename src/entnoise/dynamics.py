@@ -125,6 +125,8 @@ def _check_uniform_grid(times: np.ndarray) -> float:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("times must be a 1d grid with at least two points")
+    if not np.isfinite(times).all():
+        raise ValueError(f"propagation time must be finite, got {times[~np.isfinite(times)][-1]}")
     steps = np.diff(times)
     if times[0] != 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("times must be uniform and start at 0")
@@ -133,58 +135,77 @@ def _check_uniform_grid(times: np.ndarray) -> float:
     return float(steps[0])
 
 
+# The batched core carries a symmetric 4x4 gamma as its lower-triangle entries
+# in row-major order; _FULL names the one that each row-major entry reads.
+_LOWER = np.array([0, 4, 5, 8, 9, 10, 12, 13, 14, 15])
+_FULL = np.array([0, 1, 3, 6, 1, 2, 4, 7, 3, 4, 5, 8, 6, 7, 8, 9])
+_BASIS = np.eye(10)[_FULL].T.reshape(10, 4, 4)  # E_k: symmetric, lower(E_k) = e_k
+
+
+def _lower_flow(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[[S, y], [0, 1]] with lower(Y + X^T g X) = y + S lower(g) for symmetric g.
+
+    Column k of S is lower(X^T E_k X), where vec E_k is column k of the
+    duplication matrix (Magnus and Neudecker, SIAM J. Algebraic Discrete Methods 1, 422, 1980).
+    """
+    flow = np.eye(11)
+    flow[:10, :10] = (X.T @ _BASIS @ X).reshape(10, 16).T[_LOWER]
+    flow[:10, 10] = Y.reshape(16)[_LOWER]
+    return flow
+
+
 def iter_grid_segments(
     gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray, chunk: int = 512
 ):
     """Yield (start, stop, gammas) segments of the grid trajectory in order.
 
-    The flows (X_i, Y_i) over the offsets i dt of one chunk are built by
-    doubling from the one-step flow with the semigroup identity
-    X_{s+t} = X_s X_t, Y_{s+t} = Y_s + X_s^T Y_t X_s. Each segment is then
-    the batched product Y_i + X_i^T gamma_start X_i, and gamma_start advances
-    by the exact flow over one chunk, so scans can stop early without paying
-    for the rest of the grid.
+    On the ten lower-triangle entries the flow over i dt is an affine map
+    [S_i, y_i] (_lower_flow). Those over one chunk's offsets are built by
+    doubling, S_{s+i} = S_i S_s and y_{s+i} = y_i + S_i y_s; a segment is one
+    product of them with the start entries, which then advance by the exact
+    map over one chunk, so scans can stop early without paying for the rest.
+    Only the lower triangle of gamma0 (..., 4, 4) is read. Each gammas is a
+    possibly non-contiguous view (stop - start, ..., 4, 4), symmetric exactly.
     """
     dt = _check_uniform_grid(times)
-    gamma = np.asarray(gamma0, dtype=float)
+    gamma0 = np.asarray(gamma0, dtype=float)
+    if gamma0.shape[-2:] != (4, 4):
+        raise ValueError(f"two-mode covariances expected, got shape {gamma0.shape}")
     n = np.asarray(times).size
     m = min(chunk, n)
-    X = np.empty((m, 4, 4))
-    Y = np.empty((m, 4, 4))
-    X[0], Y[0] = np.eye(4), 0.0
-    X_s, Y_s = accumulated_noise(dyn, dt)  # the flow over the filled length s = f dt
+    # one column per start, and a row of ones that adds y
+    starts = np.ones((11, gamma0.size // 16))
+    starts[:10] = gamma0.reshape(-1, 16).T[_LOWER]
+    maps = np.empty((m, 10, 11))
+    maps[0] = np.eye(10, 11)
+    flow = _lower_flow(*accumulated_noise(dyn, dt))  # the map over the filled length s = f dt
     f = 1
+    # Stacks of 10-row products, never one large GEMM: OpenBLAS threads a large
+    # one, its threads spin on after it, and scipy's own OpenBLAS then runs the
+    # onset bisection's 8x8 expm about ten times slower.
     while f < m:
         k = min(f, m - f)
-        X[f:f + k] = X_s @ X[:k]
-        Y[f:f + k] = Y_s + X_s.T @ Y[:k] @ X_s
-        X_s, Y_s = X_s @ X_s, Y_s + X_s.T @ Y_s @ X_s
+        np.matmul(maps[:k], flow, out=maps[f:f + k])
+        flow = flow @ flow
         f += k
-    # broadcast the offset axis in front of any batch axes of gamma0
-    X = X.reshape((m,) + (1,) * (gamma.ndim - 2) + (4, 4))
-    Y = Y.reshape(X.shape)
-    X_T = np.swapaxes(X, -1, -2)
     if m < n:
-        X_chunk, Y_chunk = accumulated_noise(dyn, m * dt)
+        chunk_flow = _lower_flow(*accumulated_noise(dyn, m * dt))
     for start in range(0, n, m):
-        stop = min(start + m, n)
-        size = stop - start
-        yield start, stop, Y[:size] + X_T[:size] @ gamma @ X[:size]
-        if stop < n:
-            gamma = Y_chunk + X_chunk.T @ gamma @ X_chunk
+        size = min(m, n - start)
+        full = np.take(maps[:size] @ starts, _FULL, axis=1)  # (size, 16, starts)
+        yield start, start + size, np.moveaxis(full, 2, 1).reshape(
+            (size,) + gamma0.shape[:-2] + (4, 4))
+        if start + size < n:
+            starts = chunk_flow @ starts
 
 
 def propagate_grid(gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray) -> np.ndarray:
     """Evaluate gamma(t) on a uniform time grid starting at 0.
 
-    Collects the segments of iter_grid_segments: a doubling table of the
-    relative flows and one batched product per segment, no per-point loop.
-    gamma0 may carry leading batch dimensions (..., 4, 4); the returned array
-    has shape (len(times), ..., 4, 4).
+    Joins the segments of iter_grid_segments. gamma0 may carry leading batch
+    dimensions (..., 4, 4), of which only the lower triangle is read; the
+    result has shape (len(times), ..., 4, 4), is symmetric by construction
+    and may be a non-contiguous view.
     """
-    gamma0 = np.asarray(gamma0, dtype=float)
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.shape + gamma0.shape)
-    for start, stop, seg in iter_grid_segments(gamma0, dyn, times, chunk=4096):
-        out[start:stop] = seg
-    return out
+    segments = [seg for _, _, seg in iter_grid_segments(gamma0, dyn, times, chunk=4096)]
+    return segments[0] if len(segments) == 1 else np.concatenate(segments)

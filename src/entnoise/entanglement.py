@@ -25,7 +25,8 @@ from .phasespace import (
     require_symmetric,
     validate_covariance,
 )
-from .dynamics import GaussianDynamics, build_dynamics, iter_grid_segments, propagate
+from .dynamics import (
+    _FULL, _LOWER, GaussianDynamics, build_dynamics, iter_grid_segments, propagate)
 from .screens import is_classical, moments_with_coupling
 
 
@@ -43,19 +44,17 @@ def ppt_margin(gamma: np.ndarray) -> float:
     return min_eig_hermitian(partial_reverse(gamma) + 1j * DELTA_2)
 
 
-# Lower-triangle entries of a 4x4 gamma in row-major order: the Hermitian
-# matrix that eigvalsh reads, named a b e c f h d g i j below.
-_LOWER = [0, 4, 5, 8, 9, 10, 12, 13, 14, 15]
 _REVERSAL_SIGNS = np.outer(np.diag(K_REVERSAL), np.diag(K_REVERSAL))
 _U = np.finfo(float).eps / 2  # unit roundoff
 # matrices per screening pass: small enough that the temporaries stay in cache
 _CHUNK = 4096
 
 
-def _reversal_invariants(gammas: np.ndarray):
+def _reversal_invariants(lower: np.ndarray):
     """nu~_-^2 of each partially reversed gamma, its rounding bound and an eigenvalue floor.
 
-    gammas has shape (n, 4, 4) and each output shape (n,). With
+    lower holds the _LOWER entries of n covariances, a b e c f h d g i j
+    below, in shape (10, n); each output has shape (n,). With
     blocks gamma = [[A, C], [C^T, B]], the reversal keeps det A, det B and
     det gamma and flips det C, so its symplectic invariant is
     Delta~ = det A + det B - 2 det C and nu~_-^2 = 2 det / (Delta~ + sqrt(Delta~^2 - 4 det))
@@ -66,7 +65,6 @@ def _reversal_invariants(gammas: np.ndarray):
     floor is 27 det / tr^3 <= lambda_min(gamma) where gamma is certified
     positive definite, and NaN elsewhere.
     """
-    lower = gammas.reshape(-1, 16).T[_LOWER]
     a, b, e, c, f, h, d, g, i, j = lower
     det_a, det_b, det_c = a * e - b * b, h * j - i * i, c * g - d * f
     # the other 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair
@@ -121,23 +119,27 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
     gamma~ + i Delta >= (1 - 1/nu~_-) gamma~ and, by AM-GM on the other three
     eigenvalues, lambda_min(gamma) >= 27 det gamma / (tr gamma)^3, it gets the
     positive bound (1 - 1/nu~_-) 27 det gamma / (tr gamma)^3, with nu~_-^2
-    lowered by delta_i. Every other entry gets the eigenvalue margin.
+    lowered by delta_i. Every other entry gets the eigenvalue margin; a
+    non-finite one, never cleared, raises ValueError. Only the lower triangle
+    is read, entry by entry, so a strided view is not copied whole.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape[-2:] != (4, 4):
         raise ValueError(f"two-mode covariances expected, got shape {gammas.shape}")
-    flat = gammas.reshape(-1, 4, 4)
-    margins = np.empty(len(flat))
-    for start in range(0, len(flat), _CHUNK):
-        block = flat[start:start + _CHUNK]
+    lower = np.stack([gammas[..., k // 4, k % 4] for k in _LOWER]).reshape(10, -1)
+    margins = np.empty(lower.shape[1])
+    for start in range(0, len(margins), _CHUNK):
+        block = lower[:, start:start + _CHUNK]
         # entries that overflow, divide by zero or go NaN here are not cleared
         with np.errstate(all="ignore"):
             nu2, delta, floor = _reversal_invariants(block)
             cleared = (nu2 - 1.0 > delta) & (floor > 0)
-            margins[start:start + len(block)] = (1.0 - 1.0 / np.sqrt(nu2 - delta)) * floor
+            margins[start:start + len(nu2)] = (1.0 - 1.0 / np.sqrt(nu2 - delta)) * floor
         routed = np.flatnonzero(~cleared)
         if routed.size:
-            reversed_batch = block[routed] * _REVERSAL_SIGNS
+            reversed_batch = block[:, routed][_FULL].T.reshape(-1, 4, 4) * _REVERSAL_SIGNS
+            if not np.isfinite(reversed_batch).all():
+                raise ValueError("matrix entries must be finite")
             margins[start + routed] = np.linalg.eigvalsh(reversed_batch + 1j * DELTA_2)[:, 0]
     return margins.reshape(gammas.shape[:-2])
 
@@ -161,7 +163,7 @@ def log_negativity(gamma: np.ndarray) -> float:
     """
     gamma = np.asarray(gamma, dtype=float)
     _require_physical(gamma, TOL_PSD)
-    (nu2,), _, _ = _reversal_invariants(gamma.reshape(1, 4, 4))
+    (nu2,), _, _ = _reversal_invariants(gamma.reshape(16, 1)[_LOWER])
     nu = float(np.sqrt(nu2))
     # a value within tol of 1 is separability-marginal, not entangled
     return -math.log(nu) if nu < 1.0 - TOL_PSD else 0.0

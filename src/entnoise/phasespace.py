@@ -75,13 +75,15 @@ def _require_tolerance(tol_psd: float) -> None:
 
 
 def min_eig_hermitian(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
+    """Smallest eigenvalue of a Hermitian matrix; ValueError on a non-finite entry.
 
     The PSD primitive of every single-matrix positivity decision, so tolerance
     semantics stay uniform. The batched entanglement.ppt_margins does not call
     it: it clears most matrices by a closed-form symplectic invariant and gives
     the rest the same eigenvalue margin from one batched eigvalsh.
     """
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix entries must be finite")
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
@@ -90,8 +92,8 @@ def validate_covariance(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> Certific
 
     Returns a Certificate carrying the minimum eigenvalue of the Hermitian
     matrix gamma + i Delta_2; the state is physical iff that eigenvalue is
-    >= -tol_psd. Raises ValueError on non-symmetric input or on a tol_psd
-    that is negative or not finite.
+    >= -tol_psd. Raises ValueError on non-symmetric input, on a non-finite
+    entry or on a tol_psd that is negative or not finite.
     """
     _require_tolerance(tol_psd)
     gamma = np.asarray(gamma, dtype=float)

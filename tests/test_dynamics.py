@@ -167,6 +167,13 @@ def test_propagate_grid_rejects_non_increasing_times(t_end):
         propagate_grid(vacuum_cov(), dyn, np.linspace(0.0, t_end, 5))
 
 
+@pytest.mark.parametrize("t_end", [np.inf, np.nan])
+def test_propagate_grid_rejects_non_finite_times(t_end):
+    dyn = dyn_from_sigma(0.1, 0.1)
+    with pytest.raises(ValueError, match="propagation time must be finite"):
+        propagate_grid(vacuum_cov(), dyn, [0.0, t_end])
+
+
 def test_reversible_at_zero_and_uncoupled():
     dyn = dyn_from_sigma(0.2, 0.2, g=0.0)
     gamma0 = vacuum_cov()
@@ -222,6 +229,7 @@ def test_propagate_grid_matches_pointwise(rng):
     gamma0 = random_physical_cov(rng)
     times = np.linspace(0.0, 4.0, 41)
     out = propagate_grid(gamma0, dyn, times)
+    assert out.shape == (41, 4, 4)
     for idx in (0, 7, 25, 40):
         np.testing.assert_allclose(out[idx], propagate(gamma0, dyn, times[idx]), atol=1e-10)
 
@@ -232,6 +240,8 @@ def test_propagate_grid_batched(rng):
     times = np.linspace(0.0, 2.0, 21)
     out = propagate_grid(batch, dyn, times)
     assert out.shape == (21, 5, 4, 4)
+    # symmetric by construction, not up to rounding
+    np.testing.assert_array_equal(out, np.swapaxes(out, -1, -2))
     for k in range(5):
         np.testing.assert_allclose(out[-1, k], propagate(batch[k], dyn, 2.0), atol=1e-10)
 
@@ -254,3 +264,13 @@ def test_grid_segments_carry_matches_pointwise(rng):
                 out[idx, k], propagate(batch[k], dyn, times[idx]), atol=1e-10
             )
 
+
+def test_grid_segments_keep_batch_axes(rng):
+    # (size, *batch, 4, 4), so that size // 16 counts the grid points times starts
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    batch = np.stack([random_physical_cov(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    times = np.linspace(0.0, 3.0, 250)
+    for start, stop, seg in iter_grid_segments(batch, dyn, times, chunk=100):
+        assert seg.shape == (stop - start, 2, 3, 4, 4)
+        assert seg.size // 16 == (stop - start) * 6
+    np.testing.assert_allclose(seg[-1, 1, 2], propagate(batch[1, 2], dyn, 3.0), atol=1e-10)

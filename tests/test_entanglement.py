@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entnoise.dynamics import build_dynamics
+from entnoise.dynamics import build_dynamics, propagate_grid
 from entnoise.entanglement import (
     converse_witness,
     entanglement_onset,
@@ -12,7 +12,7 @@ from entnoise.entanglement import (
     ppt_margins,
 )
 from entnoise.errors import UnphysicalCovariance
-from entnoise.phasespace import DELTA_2_TILDE, TOL_PSD, min_eig_hermitian
+from entnoise.phasespace import DELTA_2_TILDE, TOL_PSD, min_eig_hermitian, validate_covariance
 from entnoise.sampling import (
     random_classical_screen,
     random_nonclassical_screen,
@@ -63,6 +63,36 @@ def test_ppt_margins_keeps_batch_shape_and_rejects_other_shapes():
     assert ppt_margins(np.empty((0, 4, 4))).shape == (0,)
     with pytest.raises(ValueError):
         ppt_margins(np.eye(2))
+
+
+def test_ppt_margins_reads_strided_views(rng):
+    dyn = build_dynamics(random_classical_screen(rng, 0.4))
+    starts = np.stack([random_separable_cov(rng) for _ in range(5)])
+    view = propagate_grid(starts, dyn, np.linspace(0.0, 5.0, 50))
+    assert not view.flags.c_contiguous
+    np.testing.assert_array_equal(ppt_margins(view), ppt_margins(np.ascontiguousarray(view)))
+
+
+def test_ppt_margins_reads_only_the_lower_triangle(rng):
+    # entangled and separable states, so both the closed form and eigvalsh read it
+    gammas = np.stack([random_physical_cov(rng) for _ in range(40)] + [two_mode_squeezed_cov(0.3)])
+    lower = np.tril(gammas)
+    symmetrized = lower + np.swapaxes(np.tril(gammas, -1), -1, -2)
+    garbage = lower + np.triu(rng.normal(size=gammas.shape), 1)
+    margins = ppt_margins(symmetrized)
+    assert margins.min() < 0 < margins.max()
+    np.testing.assert_array_equal(ppt_margins(garbage), margins)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (3, 3)])
+@pytest.mark.parametrize("decide", [ppt_margins, ppt_margin, min_eig_hermitian,
+                                    validate_covariance, is_separable, log_negativity])
+def test_non_finite_entries_raise(decide, i, j, value):
+    gamma = np.eye(4)
+    gamma[i, j] = gamma[j, i] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        decide(gamma)
 
 
 def test_log_negativity_vacuum_zero():
@@ -129,6 +159,12 @@ def test_onset_rejects_bad_tolerance(tol):
     dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
     with pytest.raises(ValueError, match="tol_psd"):
         entanglement_onset(dyn, vacuum_cov(), t_max=10.0, grid=200, tol_psd=tol)
+
+
+def test_onset_rejects_non_finite_t_max():
+    dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
+    with pytest.raises(ValueError, match="propagation time must be finite"):
+        entanglement_onset(dyn, vacuum_cov(), t_max=np.inf, grid=200)
 
 
 def test_onset_bisection_is_tight():
