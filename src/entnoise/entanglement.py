@@ -13,11 +13,11 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .phasespace import (
+    _REVERSAL_SIGNS,
     CHI,
     DELTA_1,
     DELTA_2,
     DELTA_2_TILDE,
-    K_REVERSAL,
     TOL_PSD,
     Certificate,
     min_eig_hermitian,
@@ -44,7 +44,6 @@ def ppt_margin(gamma: np.ndarray) -> float:
     return min_eig_hermitian(partial_reverse(gamma) + 1j * DELTA_2)
 
 
-_REVERSAL_SIGNS = np.outer(np.diag(K_REVERSAL), np.diag(K_REVERSAL))
 _U = np.finfo(float).eps / 2  # unit roundoff
 # matrices per screening pass: small enough that the temporaries stay in cache
 _CHUNK = 4096
@@ -191,6 +190,9 @@ def entanglement_onset(
     if ppt_margin(gamma0) < -tol_psd:
         raise ValueError("initial state is already entangled; onset is undefined")
 
+    if not math.isfinite(t_max):
+        # checked before np.linspace, which would warn on it
+        raise ValueError(f"propagation time must be finite, got {t_max}")
     times = np.linspace(0.0, t_max, grid)
     # scan in chunks so early onsets (the typical case) exit fast
     hi_idx = None

@@ -17,9 +17,11 @@ eigenbasis), but costs O((d_a d_b)^2) instead of a dense three-mode product;
 a literal three-mode step in the tests cross-checks it at small dimension.
 The local rotation is the Kronecker product V_a tensor V_b in that basis, so
 trotter_evolve changes basis once, takes all n steps there and changes back
-once. Every basis change multiplies the reshaped density matrix by the two
-single-mode factors; no dense basis matrix of the joint space is formed.
-Quadrature moments are contracted on the reshaped density matrix too.
+once. Every basis change is four products of the reshaped density matrix with
+the single-mode factors, each a plain 2D GEMM that rotates the index order; no
+dense basis matrix of the joint space is formed. Quadrature moments are read
+off the reduced states, and cross moments off one contraction each of the
+reshaped density matrix.
 """
 
 from dataclasses import dataclass, field
@@ -95,35 +97,46 @@ def vacuum_state(dims=(20, 20)) -> FockState:
     return product_state(va, vb)
 
 
-def _quadratures(dims) -> list:
-    """(x_a, p_a, x_b, p_b), each as the factor pair (A, B) of A tensor B."""
-    da, db = dims
-    return [(position(da), np.eye(db)), (momentum(da), np.eye(db)),
-            (np.eye(da), position(db)), (np.eye(da), momentum(db))]
-
-
-def _expect(state: FockState, A: np.ndarray, B: np.ndarray) -> complex:
-    """tr(rho A tensor B), contracted on the reshaped rho; A tensor B is never formed."""
+def _reduced_states(state: FockState) -> tuple:
+    """(rho_a, rho_b) = (tr_b rho, tr_a rho)."""
     da, db = state.dims
-    return np.einsum("ijkl,ki,lj->", state.rho.reshape(da, db, da, db), A, B)
+    r = state.rho.reshape(da, db, da, db)
+    return np.trace(r, axis1=1, axis2=3), np.trace(r, axis1=0, axis2=2)
+
+
+def _trace_product(X: np.ndarray, Y: np.ndarray) -> float:
+    """Re tr(X Y); X Y is never formed."""
+    return float(np.einsum("ij,ji->", X, Y).real)
 
 
 def mean_quadratures(state: FockState) -> np.ndarray:
-    """<(x_a, p_a, x_b, p_b)> of a two-mode state."""
-    return np.array([_expect(state, A, B).real for A, B in _quadratures(state.dims)])
+    """<(x_a, p_a, x_b, p_b)> of a two-mode state, read off its reduced states."""
+    return np.array([_trace_product(rho_m, op) for rho_m in _reduced_states(state)
+                     for op in (position(len(rho_m)), momentum(len(rho_m)))])
 
 
 def covariance_of(state: FockState) -> np.ndarray:
-    """gamma_ij = <{M_i, M_j}> - 2 <M_i><M_j> for M = (x_a, p_a, x_b, p_b)."""
-    ops = _quadratures(state.dims)
+    """gamma_ij = <{M_i, M_j}> - 2 <M_i><M_j> for M = (x_a, p_a, x_b, p_b).
+
+    Same-mode moments are read off the reduced states. A cross moment
+    <A tensor B> is tr(T_A B) with T_A = tr_a[(A tensor 1) rho], one
+    contraction of the reshaped rho per A; no joint-space operator is formed.
+    """
+    da, db = state.dims
+    quads = [(position(d), momentum(d)) for d in state.dims]
+    anti = np.empty((4, 4))
+    for m, rho_m in enumerate(_reduced_states(state)):
+        for i, P in enumerate(quads[m]):
+            for j, Q in enumerate(quads[m]):
+                anti[2 * m + i, 2 * m + j] = _trace_product(rho_m, P @ Q + Q @ P)
+    r = state.rho.reshape(da, db, da, db)
+    for i, A in enumerate(quads[0]):
+        T_A = np.tensordot(A, r, axes=([0, 1], [2, 0]))
+        for j, B in enumerate(quads[1]):
+            # A tensor 1 and 1 tensor B commute, so <{M_i, M_j}> = 2 <A tensor B>
+            anti[i, 2 + j] = anti[2 + j, i] = 2.0 * _trace_product(T_A, B)
     means = mean_quadratures(state)
-    gamma = np.empty((4, 4))
-    for i, (A_i, B_i) in enumerate(ops):
-        for j in range(i, 4):
-            A_j, B_j = ops[j]
-            anti = _expect(state, A_i @ A_j, B_i @ B_j) + _expect(state, A_j @ A_i, B_j @ B_i)
-            gamma[i, j] = gamma[j, i] = anti.real - 2.0 * means[i] * means[j]
-    return gamma
+    return anti - 2.0 * np.outer(means, means)
 
 
 # --- screens realized on the truncated carrier ---
@@ -218,13 +231,14 @@ def _kron_conjugate(A: np.ndarray, B: np.ndarray, rho: np.ndarray) -> np.ndarray
     """(A tensor B) rho (A tensor B)^dag by four factor products; A tensor B is never formed.
 
     rho is read as rho[i, j, k, l] with (i, k) on mode a and (j, l) on mode b.
+    Each pass is one 2D GEMM that contracts the leading index with its factor
+    and appends the new index last, so after the four passes the order is
+    (i, j, k, l) again and no transpose is ever copied.
     """
-    da, db = len(A), len(B)
-    n = da * db
-    out = (A @ rho.reshape(da, -1)).reshape(da, db, n)  # i
-    out = (B @ out).reshape(n, da, db)                   # j, batched over i
-    out = A.conj() @ out                                 # k, batched over (i, j)
-    return (out.reshape(-1, db) @ B.conj().T).reshape(n, n)  # l
+    out = rho
+    for factor in (A, B, A.conj(), B.conj()):
+        out = out.reshape(len(factor), -1).T @ factor.T
+    return out.reshape(rho.shape)
 
 
 class TrotterStepper:
@@ -251,8 +265,8 @@ class TrotterStepper:
         rho_f: np.ndarray = None,
         eta_convention: str = DEFAULT_ETA_CONVENTION,
     ):
-        if tau < 0:
-            raise ValueError("step length must be nonnegative")
+        if not (np.isfinite(tau) and tau >= 0):
+            raise ValueError(f"step length must be finite and nonnegative, got {tau}")
         if eta_convention not in ETA_CONVENTIONS:
             raise ValueError(f"unknown eta convention {eta_convention!r}")
         self.tau = float(tau)

@@ -17,6 +17,9 @@ TOL_PSD = 1e-10
 
 # diag(1, 1, 1, -1): momentum reversal of mode b.
 K_REVERSAL = np.diag([1.0, 1.0, 1.0, -1.0])
+# K gamma K flips entry (i, j) by the sign k_i k_j: an entrywise product needs
+# no 0 * entry term, which would turn an infinite entry into NaN
+_REVERSAL_SIGNS = np.outer(np.diag(K_REVERSAL), np.diag(K_REVERSAL))
 
 
 class Certificate(NamedTuple):
@@ -74,6 +77,11 @@ def _require_tolerance(tol_psd: float) -> None:
         raise ValueError(f"tol_psd must be finite and non-negative, got {tol_psd}")
 
 
+def _require_finite(matrix: np.ndarray) -> None:
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix entries must be finite")
+
+
 def min_eig_hermitian(matrix: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix; ValueError on a non-finite entry.
 
@@ -82,8 +90,7 @@ def min_eig_hermitian(matrix: np.ndarray) -> float:
     it: it clears most matrices by a closed-form symplectic invariant and gives
     the rest the same eigenvalue margin from one batched eigvalsh.
     """
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix entries must be finite")
+    _require_finite(matrix)
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
@@ -97,6 +104,8 @@ def validate_covariance(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> Certific
     """
     _require_tolerance(tol_psd)
     gamma = np.asarray(gamma, dtype=float)
+    # before the symmetry check, whose inf - inf would warn
+    _require_finite(gamma)
     require_symmetric(gamma, name="covariance matrix")
     if gamma.shape[0] % 2:
         raise ValueError(f"covariance must be 2n x 2n, got shape {gamma.shape}")
@@ -110,4 +119,4 @@ def partial_reverse(gamma: np.ndarray) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (4, 4):
         raise ValueError(f"partial reversal is defined for 4x4 matrices, got {gamma.shape}")
-    return K_REVERSAL @ gamma @ K_REVERSAL
+    return gamma * _REVERSAL_SIGNS

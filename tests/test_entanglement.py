@@ -84,6 +84,7 @@ def test_ppt_margins_reads_only_the_lower_triangle(rng):
     np.testing.assert_array_equal(ppt_margins(garbage), margins)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (3, 3)])
 @pytest.mark.parametrize("decide", [ppt_margins, ppt_margin, min_eig_hermitian,
@@ -161,6 +162,7 @@ def test_onset_rejects_bad_tolerance(tol):
         entanglement_onset(dyn, vacuum_cov(), t_max=10.0, grid=200, tol_psd=tol)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_onset_rejects_non_finite_t_max():
     dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
     with pytest.raises(ValueError, match="propagation time must be finite"):

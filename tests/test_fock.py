@@ -192,6 +192,24 @@ def test_two_mode_squeezed_covariance():
     np.testing.assert_allclose(gamma, target, atol=1e-10)
 
 
+def test_moments_match_dense_kron(rng):
+    # a random mixed state with nonzero means on unequal dims, against the
+    # quadratures formed as dense Kronecker products
+    da, db = 7, 5
+    G = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
+    rho = G @ G.conj().T
+    rho /= np.trace(rho).real
+    ops = [np.kron(position(da), np.eye(db)), np.kron(momentum(da), np.eye(db)),
+           np.kron(np.eye(da), position(db)), np.kron(np.eye(da), momentum(db))]
+    means = np.array([np.trace(rho @ M).real for M in ops])
+    assert np.min(np.abs(means)) > 1e-2
+    target = np.array([[np.trace(rho @ (M @ N + N @ M)).real for N in ops] for M in ops])
+    target -= 2.0 * np.outer(means, means)
+    state = FockState(rho, (da, db))
+    np.testing.assert_allclose(mean_quadratures(state), means, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(covariance_of(state), target, rtol=0, atol=1e-13)
+
+
 def test_gauss_hermite_mixture_moments():
     # the three-point rule per principal axis is exact to degree 5: nine shifts
     # with zero mean, Sigma itself, and the Gaussian fourth moment 3 lam^2
@@ -372,6 +390,15 @@ def test_trotter_evolve_is_conjugated_apply_composition(screen, convention, dims
 def test_trotter_rejects_bad_step_count():
     with pytest.raises(ValueError):
         trotter_evolve(vacuum_state((6, 6)), None, 1.0, 0)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0])
+def test_stepper_rejects_bad_step_length(tau):
+    with pytest.raises(ValueError, match="step length must be finite and nonnegative"):
+        TrotterStepper(None, tau, dims=(4, 4))
+    # trotter_evolve takes tau = t / n
+    with pytest.raises(ValueError, match="step length must be finite and nonnegative"):
+        trotter_evolve(vacuum_state((4, 4)), None, 4 * tau, 4)
 
 
 @pytest.mark.parametrize("dims, fc_dim", [((2, 6), None), ((6, 1), None), ((6, 6), 2)])
