@@ -163,10 +163,16 @@ def iter_grid_segments(
     [S_i, y_i] (_lower_flow). Those over one chunk's offsets are built by
     doubling, S_{s+i} = S_i S_s and y_{s+i} = y_i + S_i y_s; a segment is one
     product of them with the start entries, which then advance by the exact
-    map over one chunk, so scans can stop early without paying for the rest.
-    Only the lower triangle of gamma0 (..., 4, 4) is read. Each gammas is a
-    possibly non-contiguous view (stop - start, ..., 4, 4), symmetric exactly.
+    map over one chunk. A grid of one chunk is one segment. A longer one
+    yields its first chunk stretch by stretch as the doubling fills it,
+    [0, 1), [1, 2), [2, 4), ..., then whole chunks, and builds the chunk's map
+    only when the second chunk is asked for: a scan that stops at index
+    i >= 1 has paid for at most 2 i points. Only the lower triangle of gamma0
+    (..., 4, 4) is read. Each gammas is a possibly non-contiguous view
+    (stop - start, ..., 4, 4), symmetric exactly.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     dt = _check_uniform_grid(times)
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape[-2:] != (4, 4):
@@ -176,27 +182,32 @@ def iter_grid_segments(
     # one column per start, and a row of ones that adds y
     starts = np.ones((11, gamma0.size // 16))
     starts[:10] = gamma0.reshape(-1, 16).T[_LOWER]
+    def gammas(offsets):  # (size, 10, 11) maps on the current starts -> (size, ..., 4, 4)
+        full = np.take(offsets @ starts, _FULL, axis=1)  # (size, 16, starts)
+        return np.moveaxis(full, 2, 1).reshape(offsets.shape[:1] + gamma0.shape)
     maps = np.empty((m, 10, 11))
     maps[0] = np.eye(10, 11)
+    if m < n:
+        yield 0, 1, gammas(maps[:1])
     flow = _lower_flow(*accumulated_noise(dyn, dt))  # the map over the filled length s = f dt
     f = 1
     # Stacks of 10-row products, never one large GEMM: OpenBLAS threads a large
     # one, its threads spin on after it, and scipy's own OpenBLAS then runs the
-    # onset bisection's 8x8 expm about ten times slower.
+    # 8x8 expm of each later propagate call about ten times slower.
     while f < m:
         k = min(f, m - f)
         np.matmul(maps[:k], flow, out=maps[f:f + k])
+        if m < n:
+            yield f, f + k, gammas(maps[f:f + k])
         flow = flow @ flow
         f += k
-    if m < n:
-        chunk_flow = _lower_flow(*accumulated_noise(dyn, m * dt))
-    for start in range(0, n, m):
-        size = min(m, n - start)
-        full = np.take(maps[:size] @ starts, _FULL, axis=1)  # (size, 16, starts)
-        yield start, start + size, np.moveaxis(full, 2, 1).reshape(
-            (size,) + gamma0.shape[:-2] + (4, 4))
-        if start + size < n:
-            starts = chunk_flow @ starts
+    if m == n:
+        yield 0, n, gammas(maps)
+        return
+    chunk_flow = _lower_flow(*accumulated_noise(dyn, m * dt))
+    for start in range(m, n, m):
+        starts = chunk_flow @ starts
+        yield start, min(start + m, n), gammas(maps[:min(m, n - start)])
 
 
 def propagate_grid(gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray) -> np.ndarray:

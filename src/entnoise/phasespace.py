@@ -53,10 +53,12 @@ CHI[2, 1] = 1.0
 
 
 def require_symmetric(matrix: np.ndarray, name: str = "matrix") -> None:
-    """Raise ValueError naming the worst entry pair if ``matrix`` is not symmetric."""
+    """Raise ValueError on a non-finite entry, or naming the worst pair if not symmetric."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be square, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():  # before matrix - matrix.T, whose inf - inf warns
+        raise ValueError(f"{name} entries must be finite")
     defect = np.abs(matrix - matrix.T)
     worst = np.unravel_index(np.argmax(defect), defect.shape)
     if defect[worst] > TOL_SYM:
@@ -104,8 +106,6 @@ def validate_covariance(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> Certific
     """
     _require_tolerance(tol_psd)
     gamma = np.asarray(gamma, dtype=float)
-    # before the symmetry check, whose inf - inf would warn
-    _require_finite(gamma)
     require_symmetric(gamma, name="covariance matrix")
     if gamma.shape[0] % 2:
         raise ValueError(f"covariance must be 2n x 2n, got shape {gamma.shape}")

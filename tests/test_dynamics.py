@@ -3,8 +3,10 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from entnoise import dynamics
 from entnoise.dynamics import (
     QuadraticHamiltonian,
+    accumulated_noise,
     build_dynamics,
     iter_grid_segments,
     propagate,
@@ -254,8 +256,8 @@ def test_grid_segments_carry_matches_pointwise(rng):
     times = np.linspace(0.0, 30.0, 1000)
     segments = list(iter_grid_segments(batch, dyn, times, chunk=100))
     assert [(start, stop) for start, stop, _ in segments] == [
-        (k, k + 100) for k in range(0, 1000, 100)
-    ]
+        (0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, 64), (64, 100)
+    ] + [(k, k + 100) for k in range(100, 1000, 100)]
     out = np.concatenate([seg for _, _, seg in segments])
     assert out.shape == (1000, 3, 4, 4)
     for idx in range(0, 1000, 37):
@@ -274,3 +276,45 @@ def test_grid_segments_keep_batch_axes(rng):
         assert seg.shape == (stop - start, 2, 3, 4, 4)
         assert seg.size // 16 == (stop - start) * 6
     np.testing.assert_allclose(seg[-1, 1, 2], propagate(batch[1, 2], dyn, 3.0), atol=1e-10)
+
+
+def test_grid_segments_first_chunk_grows_by_doubling():
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    times = np.linspace(0.0, 50.0, 2000)
+    bounds = [(start, stop) for start, stop, _ in iter_grid_segments(vacuum_cov(), dyn, times)]
+    first = [(0, 1)] + [(2**j, 2 ** (j + 1)) for j in range(9)]
+    assert bounds == first + [(512, 1024), (1024, 1536), (1536, 2000)]
+
+
+@pytest.mark.parametrize("size, chunk", [(161, 512), (512, 512), (2000, 4096)])
+def test_grid_of_one_chunk_is_one_segment(size, chunk):
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    times = np.linspace(0.0, 5.0, size)
+    segments = list(iter_grid_segments(vacuum_cov(), dyn, times, chunk=chunk))
+    assert [(start, stop) for start, stop, _ in segments] == [(0, size)]
+
+
+def test_grid_scan_that_stops_early_pays_for_two_points(monkeypatch):
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    flows = []
+
+    def counted(dyn, t):
+        flows.append(t)
+        return accumulated_noise(dyn, t)
+
+    monkeypatch.setattr(dynamics, "accumulated_noise", counted)
+    received = 0
+    for start, stop, seg in iter_grid_segments(vacuum_cov(), dyn, np.linspace(0.0, 50.0, 10_000)):
+        received += len(seg)
+        if stop > 1:  # the consumer has index 1 and stops
+            break
+    assert received <= 2
+    # only the one-step flow: the chunk's flow waits for the second chunk
+    assert len(flows) == 1
+
+
+@pytest.mark.parametrize("chunk", [0, -3])
+def test_grid_segments_reject_chunk_below_one(chunk):
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    with pytest.raises(ValueError, match="chunk must be at least 1"):
+        next(iter_grid_segments(vacuum_cov(), dyn, np.linspace(0.0, 1.0, 10), chunk=chunk))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from entnoise.dynamics import build_dynamics, propagate_grid
+from entnoise import entanglement
+from entnoise.dynamics import build_dynamics, propagate, propagate_grid
 from entnoise.entanglement import (
     converse_witness,
     entanglement_onset,
@@ -177,6 +178,84 @@ def test_onset_bisection_is_tight():
     just_before = ppt_margin(propagate(vacuum_cov(), dyn, onset * (1 - 5e-6)))
     just_after = ppt_margin(propagate(vacuum_cov(), dyn, onset * (1 + 5e-6)))
     assert just_after < -1e-10 <= just_before + 1e-9
+
+
+ONSET_TOL = 1e-8
+ONSET_GRID = 2000  # four chunks of the scan's 512, so the first is yielded stretch by stretch
+
+
+def bisection_onset(dyn, gamma0, t_max):
+    """Reference: the first hit on the whole grid, refined by plain bisection.
+
+    Returns (onset, hit index), or (None, None) when no grid point is entangled.
+    """
+    times = np.linspace(0.0, t_max, ONSET_GRID)
+    hits = np.flatnonzero(ppt_margins(propagate_grid(gamma0, dyn, times)) < -ONSET_TOL)
+    if not hits.size:
+        return None, None
+    lo, hi = times[hits[0] - 1], times[hits[0]]
+    while hi - lo > 1e-6 * max(hi, 1e-12):
+        mid = 0.5 * (lo + hi)
+        if ppt_margin(propagate(gamma0, dyn, mid)) < -ONSET_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return hi, int(hits[0])
+
+
+@pytest.fixture(scope="module")
+def onset_cases():
+    """(dyn, gamma0, t_max, reference onset, hit index) for 30 vacuum and 31 separable starts.
+
+    A vacuum onset lies in the first grid step (the converse is first order),
+    so its hit is index 1, the only point of the stretch [1, 2). The last case
+    puts a separable hit on index 512, the first point of the second chunk.
+    """
+    rng = np.random.default_rng(20261019)
+    cases = []
+    while len(cases) < 30:
+        g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
+        dyn = build_dynamics(random_nonclassical_screen(rng, g, margin=0.02))
+        cases.append((dyn, vacuum_cov(), 50.0) + bisection_onset(dyn, vacuum_cov(), 50.0))
+    while len(cases) < 60:
+        g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
+        dyn = build_dynamics(random_nonclassical_screen(rng, g, margin=0.5))
+        gamma0 = random_separable_cov(rng)
+        onset, hit = bisection_onset(dyn, gamma0, 20.0)
+        if onset is not None:
+            cases.append((dyn, gamma0, 20.0, onset, hit))
+    dyn, gamma0, _, onset, _ = cases[-1]
+    t_max = onset * (ONSET_GRID - 1) / 511.5
+    cases.append((dyn, gamma0, t_max) + bisection_onset(dyn, gamma0, t_max))
+    return cases
+
+
+def test_onset_secant_agrees_with_bisection(onset_cases):
+    assert {1, 512} <= {hit for *_, hit in onset_cases}
+    for dyn, gamma0, t_max, reference, _ in onset_cases:
+        onset = entanglement_onset(dyn, gamma0, t_max=t_max, grid=ONSET_GRID, tol_psd=ONSET_TOL)
+        # both are upper ends of brackets of relative width 1e-6 around one crossing
+        assert abs(onset - reference) <= 1e-6 * max(onset, reference)
+
+
+def test_onset_secant_needs_few_propagate_calls(onset_cases, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return propagate(*args)
+
+    monkeypatch.setattr(entanglement, "propagate", counted)
+    for dyn, gamma0, t_max, _, _ in onset_cases:
+        calls.clear()
+        entanglement_onset(dyn, gamma0, t_max=t_max, grid=ONSET_GRID, tol_psd=ONSET_TOL)
+        assert 1 <= len(calls) <= 8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fprime_zero_rejects_non_finite_without_warning():
+    with pytest.raises(ValueError, match="Y entries must be finite"):
+        fprime_zero(np.array([[np.inf, 0.0], [0.0, 1.0]]), 0.1)
 
 
 def test_fprime_zero_trivial_case():
