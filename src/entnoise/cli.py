@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: check-classicality, simulate, noise-test, entanglement-scan,
-oracle-verify, plan-experiment. Exit codes: 0 success, 2 usage or parse
-error, 3 physics-constraint rejection.
+oracle-verify, plan-experiment. Exit codes: 0 success, 2 usage, parse or
+file error, 3 physics-constraint rejection.
 """
 
 import argparse
@@ -21,7 +21,8 @@ from .dynamics import build_dynamics, propagate, propagate_grid
 from .entanglement import entanglement_onset
 from .errors import PhysicsRejection
 from .experiment import parse_config_text, plan_experiment
-from .fock import covariance_of, gate_identity_check, moments_numeric, trotter_evolve, vacuum_state
+from .fock import (MIN_LEVELS, covariance_of, gate_identity_check, moments_numeric,
+                   trotter_evolve, vacuum_state)
 from .noise import run_noise_test
 from .phasespace import TOL_PSD
 from .sampling import random_physical_cov
@@ -217,14 +218,9 @@ def _cmd_simulate(args):
     gamma0 = _initial_covariance(args)
     times = np.linspace(0.0, args.t_max, args.grid)
     gammas = propagate_grid(gamma0, dyn, times)
-    labels = [f"g{i + 1}{j + 1}" for i in range(4) for j in range(i, 4)]
-    rows = []
-    for t, gamma in zip(times, gammas):
-        row = {"time": t}
-        row.update({lab: gamma[i, j]
-                    for lab, (i, j) in zip(labels, [(i, j) for i in range(4)
-                                                    for j in range(i, 4)])})
-        rows.append(row)
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+    rows = [{"time": t, **{f"g{i + 1}{j + 1}": gamma[i, j] for i, j in upper}}
+            for t, gamma in zip(times, gammas)]
     return rows, "csv"
 
 
@@ -258,6 +254,8 @@ def _cmd_entanglement_scan(args):
 
 def _cmd_oracle_verify(args):
     d = args.dim
+    if d < MIN_LEVELS:
+        raise ValueError(f"--dim must be at least {MIN_LEVELS} levels, got {d}")
     rows = []
     for label, screen in [
         ("identity", DisplacementScreen(0.0, 0.0, 0.0)),
@@ -281,11 +279,8 @@ def _cmd_oracle_verify(args):
 
 
 def _cmd_plan_experiment(args):
-    try:
-        with open(args.config) as fh:
-            fields = parse_config_text(fh.read())
-    except FileNotFoundError:
-        raise PhysicsRejection(f"config file not found: {args.config}") from None
+    with open(args.config) as fh:
+        fields = parse_config_text(fh.read())
     plan = plan_experiment(fields)
     plan["selected_convention"] = args.omega_convention
     plan["selected_report"] = plan["reports"][args.omega_convention]
@@ -300,15 +295,14 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, natural = args.run(args)
+        fmt = args.format if args.format is not None else natural
+        _write_output(_render(payload, fmt), args.output)
     except PhysicsRejection as exc:
         print(f"physics constraint rejected: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    fmt = args.format if args.format is not None else natural
-    _write_output(_render(payload, fmt), args.output)
     return 0
 
 

@@ -69,7 +69,7 @@ def diffusion_from_Y(Y: np.ndarray) -> np.ndarray:
     return -DELTA_2 @ CHI @ np.asarray(Y, dtype=float) @ CHI.T @ DELTA_2
 
 
-def build_dynamics(moments: ScreenMoments, include_shifts: bool = True) -> GaussianDynamics:
+def build_dynamics(moments: ScreenMoments) -> GaussianDynamics:
     """Assemble drift and diffusion from screen moments.
 
     The coupling is identified with the screen's eta coefficient. Refuses
@@ -84,9 +84,7 @@ def build_dynamics(moments: ScreenMoments, include_shifts: bool = True) -> Gauss
     lam = min_eig_hermitian(moments.Y)
     if lam < -TOL_PSD:
         raise PhysicsRejection(f"diffusion matrix Y is not PSD (min eigenvalue {lam:.3e})")
-    nu_a = moments.nu_a if include_shifts else 0.0
-    nu_b = moments.nu_b if include_shifts else 0.0
-    ham = QuadraticHamiltonian(nu_a=nu_a, nu_b=nu_b, g=moments.eta)
+    ham = QuadraticHamiltonian(nu_a=moments.nu_a, nu_b=moments.nu_b, g=moments.eta)
     return GaussianDynamics(
         drift=drift_from_hamiltonian(ham),
         diffusion=diffusion_from_Y(moments.Y),

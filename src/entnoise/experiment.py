@@ -89,7 +89,7 @@ class BudgetReport:
     tau: float                   # s, single-shot time
     snr_per_shot_group: float    # S/N accumulated in one 2*tau block
     t_int_target: float          # s, from inverting the S/N formula
-    t_int_closed_form: float     # s, the 50/g (kT / hbar g Q)^2 estimate
+    t_int_closed_form: float     # s, t_int_target at 5 sigma and tau = 1/g
     t_int_target_years: float
     t_int_closed_form_years: float
     closed_form_ratio: float
@@ -117,17 +117,18 @@ def budget(config: ExperimentConfig) -> BudgetReport:
     """Full experiment budget for one configuration.
 
     The integration time comes from inverting S/N = (g / (nbar kappa)) *
-    sqrt(T / (2 tau)) at the target significance; the closed-form variant
-    assumes tau = 1/g and is reported alongside with their ratio.
+    sqrt(T / (2 tau)) at the target significance; the closed form, (50 / g)
+    (k T / (hbar g Q))^2, is the same inversion at 5 sigma and tau = 1/g and
+    is reported alongside with their ratio.
     """
     g = coupling_g(config)
     nbar = thermal_occupation(config)
     kappa = config.omega / config.quality_factor
     tau = config.shot_time if config.shot_time is not None else 1.0 / g
     snr_one_group = (g / (nbar * kappa))
-    t_int = 2.0 * tau * (config.sigma_target * nbar * kappa / g) ** 2
-    closed = (50.0 / g) * (K_BOLTZMANN * config.temperature
-                           / (HBAR * g * config.quality_factor)) ** 2
+    def integration_time(sigma, shot):
+        return 2.0 * shot * (sigma * nbar * kappa / g) ** 2
+    t_int, closed = integration_time(config.sigma_target, tau), integration_time(5.0, 1.0 / g)
     noise_bound = None
     if config.moment_of_inertia is not None:
         noise_bound = 2.0 * g * HBAR * config.moment_of_inertia * config.omega

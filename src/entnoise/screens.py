@@ -111,17 +111,15 @@ class DisplacementScreen:
         )
 
 
-def moments_from_displacement(
-    screen: DisplacementScreen, eta_convention: str = DEFAULT_ETA_CONVENTION
-) -> ScreenMoments:
+def moments_from_displacement(screen: DisplacementScreen) -> ScreenMoments:
     """Closed-form generator coefficients for a displacement screen.
 
     Averaging the adjoint action x -> x + u, p -> p + v over the displacement
     distribution gives nu_a = nu_b = xi = 0, eta equal to the identity-screen
-    coupling, and Y = 2 Sigma. The Fock oracle confirms each of these
+    coupling under the default convention, and Y = 2 Sigma. The Fock oracle confirms each of these
     numerically (see the test suite).
     """
-    eta = ETA_CONVENTIONS[eta_convention]
+    eta = ETA_CONVENTIONS[DEFAULT_ETA_CONVENTION]
     return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=eta, xi=0.0, Y=2.0 * screen.matrix)
 
 

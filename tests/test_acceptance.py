@@ -106,7 +106,7 @@ def test_criterion_2_noise_inequality():
             g = _draw_coupling(rng)
             moments = random_classical_screen(rng, g, margin=0.25)
             report = run_noise_test(build_dynamics(moments), vacuum_cov(), 0.4, 161)
-            assert report.all_pass(), (
+            assert report.verdict.all(), (
                 f"classical screen dipped below 2|g| at t = "
                 f"{report.times[~report.verdict][0]:.3f} (g = {g:.3f})"
             )
@@ -174,8 +174,9 @@ def test_criterion_4a_oracle_covariance_tolerance():
 
     trotter_evolve splits the step symmetrically (half local rotation at
     each end), so the gap is the second-order splitting error of the circuit
-    (exchange and local rotation do not commute): about 6e-5 to 3e-4 at
-    n = 64 across the shipped family, identity included.
+    (exchange and local rotation do not commute) plus the d = 20 truncation
+    error: about 6e-5 to 3e-4 at n = 64 across the shipped family, identity
+    included.
     """
     with criterion("4a", "oracle covariance at n=64 within 3e-3"):
         devs = {label: _trotter_deviation(screen, 64)

@@ -254,6 +254,41 @@ def test_oracle_verify_below_minimum_truncation_exits_2(capsys):
     assert "at least 3 levels" in err
 
 
+@pytest.mark.parametrize("dim", ["0", "-1", "2"])
+def test_oracle_verify_rejects_small_dim_before_any_work(capsys, dim):
+    code, out, err = run_cli(capsys, "oracle-verify", "--dim", dim, "--t", "0.3",
+                             "--steps", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --dim must be at least 3 levels, got {dim}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-classicality", "--screen-file", "{missing}"),
+    ("check-classicality", "--screen-file", "{directory}"),
+    ("plan-experiment", "--config", "{missing}"),
+    ("plan-experiment", "--config", "{directory}"),
+])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, argv):
+    paths = {"missing": tmp_path / "absent.txt", "directory": tmp_path}
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    target = tmp_path / "absent" / "out.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "--output", str(target), "check-classicality",
+                             "--g", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 

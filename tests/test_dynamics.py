@@ -89,7 +89,7 @@ def test_hamiltonian_rejects_non_finite(bad):
 def test_include_shifts_flag():
     m = ScreenMoments(nu_a=0.3, nu_b=-0.1, eta=0.5, xi=0.0, Y=np.eye(2))
     assert build_dynamics(m).hamiltonian.nu_a == 0.3
-    assert build_dynamics(m, include_shifts=False).hamiltonian.nu_a == 0.0
+    assert build_dynamics(m).hamiltonian.without_shifts().nu_a == 0.0
 
 
 def test_vacuum_stationary_without_noise_or_coupling():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entnoise.constants import G_NEWTON, HBAR, K_BOLTZMANN
-from entnoise.dynamics import GaussianDynamics, build_dynamics
+from entnoise.dynamics import GaussianDynamics, QuadraticHamiltonian, build_dynamics
 from entnoise.errors import PhysicsRejection
 from entnoise.experiment import (
     ExperimentConfig,
@@ -18,7 +18,7 @@ from entnoise.experiment import (
     plan_experiment,
     thermal_occupation,
 )
-from entnoise.noise import NoiseReport, run_noise_test
+from entnoise.noise import NoiseReport, coupling_bound, noise_rate_at_zero, run_noise_test
 from entnoise.screens import moments_with_coupling
 from entnoise.states import vacuum_cov
 
@@ -116,6 +116,34 @@ def test_budget_internal_consistency():
     # with tau = 1/g and sigma = 5 the inversion equals the closed form
     assert report.closed_form_ratio == pytest.approx(1.0, rel=1e-12)
     assert report.kappa == pytest.approx(2 * math.pi * 1e-3 / 1e9, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5, 6, 7])
+def test_budget_snr_is_the_coupling_bound_over_the_thermal_noise_rate(seed):
+    # In units omega = 1, damping at rate kappa is the Gaussian generator with
+    # drift -kappa/2 I and diffusion kappa (2 nbar + 1) I. Its classical bound
+    # 2|g| over its excess-noise rate is the budget's per-block S/N g / (nbar
+    # kappa) times 2 nbar / (2 nbar + 1). seed None is the platinum pair.
+    if seed is None:
+        cfg = platinum_config()
+    else:
+        rng = np.random.default_rng(seed)
+        cfg = ExperimentConfig(
+            mass_density=rng.uniform(1e3, 3e4),
+            omega=2 * math.pi * 10 ** rng.uniform(-4, -1),
+            quality_factor=10 ** rng.uniform(5, 11),
+            temperature=10 ** rng.uniform(-3, 2),
+            geometry_factor=rng.uniform(0.1, 10.0),
+        )
+    report = budget(cfg)
+    kappa = report.kappa / cfg.omega
+    dyn = GaussianDynamics(
+        drift=-0.5 * kappa * np.eye(4),
+        diffusion=kappa * (2 * report.nbar + 1) * np.eye(4),
+        hamiltonian=QuadraticHamiltonian(g=report.g / cfg.omega),
+    )
+    expected = report.snr_per_shot_group * 2 * report.nbar / (2 * report.nbar + 1)
+    assert coupling_bound(dyn) / noise_rate_at_zero(dyn) == pytest.approx(expected, rel=1e-12)
 
 
 def test_integration_time_under_both_conventions():

@@ -96,7 +96,7 @@ def test_classical_screen_passes_over_window(rng):
         g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
         m = random_classical_screen(rng, g, margin=0.25)
         report = run_noise_test(build_dynamics(m), vacuum_cov(), t_max=0.4, grid=161)
-        assert report.all_pass()
+        assert report.verdict.all()
 
 
 def test_identity_screen_violates_at_zero():
@@ -113,7 +113,7 @@ def test_zero_coupling_any_valid_screen_passes(rng):
         dyn = build_dynamics(moments_with_coupling(np.array([[a, c], [c, b]]), 0.0))
         report = run_noise_test(dyn, random_physical_cov(rng), t_max=2.0, grid=201)
         assert report.bound == 0.0
-        assert report.all_pass()
+        assert report.verdict.all()
 
 
 def test_finite_difference_rate_matches_analytic_zero_rate(rng):
@@ -178,7 +178,7 @@ def test_rate_series_is_start_independent(rng):
     r_ent = run_noise_test(dyn, two_mode_squeezed_cov(0.5), t_max=0.3, grid=121)
     np.testing.assert_allclose(r_ent.excess, r_vac.excess, atol=1e-10)
     np.testing.assert_allclose(r_ent.rate, r_vac.rate, atol=1e-8)
-    assert r_ent.all_pass()
+    assert r_ent.verdict.all()
 
 
 def test_csv_serialization(rng):

@@ -77,11 +77,6 @@ def test_non_finite_inputs_rejected(bad):
         is_classical(np.diag([1.0, bad]), 0.5)
 
 
-def test_negative_convention_flips_eta():
-    m = moments_from_displacement(DisplacementScreen(0, 0, 0), eta_convention="negative")
-    assert m.eta == -1.0
-
-
 def test_check_constraints_pass_for_displacement_family(rng):
     # mean preservation and the Ehrenfest constraint, each within 1e-6
     for _ in range(10):
