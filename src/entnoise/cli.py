@@ -65,15 +65,17 @@ def _write_output(text: str, path) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".entnoise-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".entnoise-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the path asked for, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -234,6 +236,8 @@ def _cmd_noise_test(args):
 def _cmd_entanglement_scan(args):
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    if not math.isfinite(args.g):
+        raise PhysicsRejection(f"coupling g must be finite, got {args.g}")
     s_max = args.s_max if args.s_max is not None else 1.5 * abs(args.g)
     rows = []
     for s in np.linspace(args.s_min, s_max, args.steps):
@@ -256,22 +260,23 @@ def _cmd_oracle_verify(args):
     d = args.dim
     if d < MIN_LEVELS:
         raise ValueError(f"--dim must be at least {MIN_LEVELS} levels, got {d}")
+    moments_dim = max(d, 24)
     rows = []
     for label, screen in [
         ("identity", DisplacementScreen(0.0, 0.0, 0.0)),
         ("isotropic-0.25", DisplacementScreen(0.25, 0.25, 0.0)),
         ("anisotropic", DisplacementScreen(0.4, 0.1, 0.1)),
     ]:
-        target = propagate(vacuum_cov(), build_dynamics(moments_from_displacement(screen)), args.t)
+        closed = moments_from_displacement(screen)
+        target = propagate(vacuum_cov(), build_dynamics(closed), args.t)
         oracle_screen = None if label == "identity" else screen
         for n in args.steps:
             state = trotter_evolve(vacuum_state((d, d)), oracle_screen, args.t, n)
             dev = float(np.max(np.abs(covariance_of(state) - target)))
             rows.append({"check": "trotter-covariance", "screen": label,
                          "parameter": n, "deviation": dev, "notes": "; ".join(state.notes)})
-        closed = moments_from_displacement(screen)
-        numeric = moments_numeric(oracle_screen, dim=max(d, 24))
-        rows.append({"check": "screen-moments", "screen": label, "parameter": max(d, 24),
+        numeric = moments_numeric(oracle_screen, dim=moments_dim)
+        rows.append({"check": "screen-moments", "screen": label, "parameter": moments_dim,
                      "deviation": float(np.max(np.abs(numeric.Y - closed.Y))), "notes": ""})
     rows.append({"check": "gate-identity", "screen": "none", "parameter": d,
                  "deviation": gate_identity_check(0.1, d), "notes": ""})

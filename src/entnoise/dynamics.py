@@ -105,8 +105,17 @@ def accumulated_noise(dyn: GaussianDynamics, t: float):
     return X, 0.5 * (Y + Y.T)
 
 
+def _peak(values: np.ndarray, t: float, factor: float = 1.0) -> float:
+    """max |values|; ValueError unless a sum of 11 products of it and factor stays finite."""
+    peak = max(float(values.max()), -float(values.min()))  # NaN if any entry is NaN
+    if not peak * factor <= np.finfo(float).max / 11.0:
+        raise ValueError(f"covariances are not finite, or near overflow, by t = {t:g}: "
+                         "the flow leaves double precision over this time span")
+    return peak
+
+
 def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray:
-    """gamma(t) = Y_t + X_t^T gamma(0) X_t for t >= 0."""
+    """gamma(t) = Y_t + X_t^T gamma(0) X_t for t >= 0; ValueError if it overflows."""
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     if t < 0:
@@ -114,8 +123,10 @@ def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray
     gamma0 = np.asarray(gamma0, dtype=float)
     if t == 0.0:
         return gamma0.copy()
-    X, Y = accumulated_noise(dyn, t)
-    gamma = Y + X.T @ gamma0 @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, Y = accumulated_noise(dyn, t)
+        gamma = Y + X.T @ gamma0 @ X
+    _peak(gamma, t)
     return 0.5 * (gamma + gamma.T)
 
 
@@ -167,7 +178,10 @@ def iter_grid_segments(
     only when the second chunk is asked for: a scan that stops at index
     i >= 1 has paid for at most 2 i points. Only the lower triangle of gamma0
     (..., 4, 4) is read. Each gammas is a possibly non-contiguous view
-    (stop - start, ..., 4, 4), symmetric exactly.
+    (stop - start, ..., 4, 4), symmetric exactly. The maps, once each as they
+    are built, and each chunk's advanced starts are checked so that no product
+    of the two can overflow: a flow that would raises ValueError before its
+    segment is yielded.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
@@ -180,6 +194,7 @@ def iter_grid_segments(
     # one column per start, and a row of ones that adds y
     starts = np.ones((11, gamma0.size // 16))
     starts[:10] = gamma0.reshape(-1, 16).T[_LOWER]
+    start_peak, map_peak = _peak(starts, 0.0), 1.0
     def gammas(offsets):  # (size, 10, 11) maps on the current starts -> (size, ..., 4, 4)
         full = np.take(offsets @ starts, _FULL, axis=1)  # (size, 16, starts)
         return np.moveaxis(full, 2, 1).reshape(offsets.shape[:1] + gamma0.shape)
@@ -187,24 +202,31 @@ def iter_grid_segments(
     maps[0] = np.eye(10, 11)
     if m < n:
         yield 0, 1, gammas(maps[:1])
-    flow = _lower_flow(*accumulated_noise(dyn, dt))  # the map over the filled length s = f dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = _lower_flow(*accumulated_noise(dyn, dt))  # the map over the filled length s = f dt
     f = 1
     # Stacks of 10-row products, never one large GEMM: OpenBLAS threads a large
     # one, its threads spin on after it, and scipy's own OpenBLAS then runs the
     # 8x8 expm of each later propagate call about ten times slower.
     while f < m:
         k = min(f, m - f)
-        np.matmul(maps[:k], flow, out=maps[f:f + k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(maps[:k], flow, out=maps[f:f + k])
+            flow = flow @ flow
         if m < n:
+            map_peak = max(map_peak, _peak(maps[f:f + k], (f + k - 1) * dt, start_peak))
             yield f, f + k, gammas(maps[f:f + k])
-        flow = flow @ flow
         f += k
     if m == n:
+        _peak(maps, (n - 1) * dt, start_peak)
         yield 0, n, gammas(maps)
         return
-    chunk_flow = _lower_flow(*accumulated_noise(dyn, m * dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        chunk_flow = _lower_flow(*accumulated_noise(dyn, m * dt))
     for start in range(m, n, m):
-        starts = chunk_flow @ starts
+        with np.errstate(over="ignore", invalid="ignore"):
+            starts = chunk_flow @ starts
+        start_peak = _peak(starts, start * dt, map_peak)
         yield start, min(start + m, n), gammas(maps[:min(m, n - start)])
 
 

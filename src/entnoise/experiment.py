@@ -195,16 +195,8 @@ def gravitational_hamiltonian(
 
 # --- configuration files ---
 
-_CONFIG_KEYS = {
-    "mass_density": float,
-    "frequency": float,
-    "quality_factor": float,
-    "temperature": float,
-    "geometry_factor": float,
-    "sigma_target": float,
-    "shot_time": float,
-    "moment_of_inertia": float,
-}
+_CONFIG_KEYS = ("mass_density", "frequency", "quality_factor", "temperature",
+                "geometry_factor", "sigma_target", "shot_time", "moment_of_inertia")
 _REQUIRED_KEYS = ("mass_density", "frequency", "quality_factor", "temperature")
 
 
@@ -229,9 +221,8 @@ def parse_config_text(text: str) -> dict:
     for key, value, lineno in items:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        caster = _CONFIG_KEYS[key]
         try:
-            fields_out[key] = caster(value)
+            fields_out[key] = float(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
     missing = [key for key in _REQUIRED_KEYS if key not in fields_out]

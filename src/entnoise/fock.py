@@ -79,9 +79,6 @@ class FockState:
     dims: tuple
     notes: tuple = field(default_factory=tuple)
 
-    def with_note(self, note: str) -> "FockState":
-        return FockState(self.rho, self.dims, self.notes + (note,))
-
 
 def product_state(vec_a: np.ndarray, vec_b: np.ndarray) -> FockState:
     psi = np.kron(np.asarray(vec_a, dtype=complex), np.asarray(vec_b, dtype=complex))
@@ -89,12 +86,7 @@ def product_state(vec_a: np.ndarray, vec_b: np.ndarray) -> FockState:
 
 
 def vacuum_state(dims=(20, 20)) -> FockState:
-    da, db = dims
-    va = np.zeros(da, dtype=complex)
-    va[0] = 1.0
-    vb = np.zeros(db, dtype=complex)
-    vb[0] = 1.0
-    return product_state(va, vb)
+    return product_state(coherent_vector(0, dims[0]), coherent_vector(0, dims[1]))
 
 
 def _reduced_states(state: FockState) -> tuple:
@@ -183,9 +175,7 @@ def carrier_kraus_ops(screen, d: int) -> np.ndarray:
         return np.eye(d, dtype=complex)[None]
     if isinstance(screen, DisplacementScreen):
         weights, shifts = gauss_hermite_mixture(screen)
-        ops = displacement_operator(shifts[:, 0], shifts[:, 1], d)
-        ops *= np.sqrt(weights)[:, None, None]
-        return ops
+        return displacement_operator(shifts[:, 0], shifts[:, 1], d) * np.sqrt(weights)[:, None, None]
     ops = np.asarray(screen, dtype=complex)
     if ops.ndim != 3 or ops.shape[1:] != (d, d) or len(ops) == 0:
         raise ValueError(f"Kraus stack has shape {ops.shape}, the carrier needs (k, {d}, {d})")
@@ -206,38 +196,28 @@ def _phase_gates(scaled_vals: np.ndarray, herm_op: np.ndarray) -> np.ndarray:
     return np.einsum("mk,ck,nk->cmn", V, phases, V.conj())
 
 
-def _apply_gates(gates: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Each gate on its vector, broadcasting the leading axes."""
-    return np.einsum("...mn,...n->...m", gates, vecs)
-
-
 def _rotation_phases(tau: float, d: int) -> np.ndarray:
     """Diagonal of exp(-i tau (n + 1/2)) on one d-level mode."""
     return np.exp(-1j * tau * (np.arange(d) + 0.5))
 
 
-def _local_unitary(tau: float, dims) -> np.ndarray:
-    """Diagonal of exp(-i tau (n_a + n_b + 1)), the local rotation of both modes."""
-    da, db = dims
-    return np.kron(_rotation_phases(tau, da), _rotation_phases(tau, db))
-
-
-def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """u rho u^dag for a diagonal u given by its diagonal."""
-    return rho * np.outer(u, u.conj())
-
-
-def _kron_conjugate(A: np.ndarray, B: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _kron_conjugate(A: np.ndarray, B: np.ndarray, rho: np.ndarray, buffers=None) -> np.ndarray:
     """(A tensor B) rho (A tensor B)^dag by four factor products; A tensor B is never formed.
 
     rho is read as rho[i, j, k, l] with (i, k) on mode a and (j, l) on mode b.
     Each pass is one 2D GEMM that contracts the leading index with its factor
     and appends the new index last, so after the four passes the order is
-    (i, j, k, l) again and no transpose is ever copied.
+    (i, j, k, l) again and no transpose is ever copied. The passes write in
+    turn into two complex rows of rho.size entries, buffers (2, rho.size), and
+    the result is a view of the second; rho may be that view, so a caller that
+    keeps one pair allocates nothing per call.
     """
+    if buffers is None:
+        buffers = np.empty((2, rho.size), dtype=complex)
     out = rho
-    for factor in (A, B, A.conj(), B.conj()):
-        out = out.reshape(len(factor), -1).T @ factor.T
+    for factor, buf in zip((A, B, A.conj(), B.conj()), (*buffers, *buffers)):
+        out = np.matmul(out.reshape(len(factor), -1).T, factor.T,
+                        out=buf.reshape(-1, len(factor)))
     return out.reshape(rho.shape)
 
 
@@ -306,7 +286,8 @@ class TrotterStepper:
         blocks = []
         leak = 0.0
         for wk, vec in zip(fc_weights, fc_vecs):
-            phi = _apply_gates(second, _apply_gates(first, vec))     # (da, db, df)
+            # each gate on the vector, broadcast over (alpha, beta): (da, db, df)
+            phi = np.einsum("...mn,...n->...m", second, np.einsum("...mn,...n->...m", first, vec))
             # screen branches (da, db, j, df), one row vector each: a gate G acts
             # as @ G^T, so @ first.conj() applies first^dag, batched over (alpha, beta)
             phi = (phi.reshape(-1, df) @ kraus.reshape(-1, df).T).reshape(da, db, -1, df)
@@ -328,13 +309,17 @@ class TrotterStepper:
         """
         if self.tau == 0.0:
             return rho.copy(), 0.0
-        rho = _kron_conjugate(self.W_a.T, self.W_b.T, rho)
+        # All passes write into one pair of buffers. A fresh array per pass is as
+        # large as rho (2.56 MB at d = 20), so whenever glibc's mmap threshold
+        # sits below that size each pass page-faults it in anew.
+        buffers = np.empty((2, rho.size), dtype=complex)
+        rho = _kron_conjugate(self.W_a.T, self.W_b.T, rho, buffers)
         worst = 0.0
         for _ in range(n):
-            rho = _kron_conjugate(self._V_a, self._V_b, rho)
+            rho = _kron_conjugate(self._V_a, self._V_b, rho, buffers)
             worst = max(worst, float(np.real(np.diagonal(rho)) @ self._leak_row))
             rho *= self.multiplier
-        return _kron_conjugate(self.W_a, self.W_b, rho), worst
+        return _kron_conjugate(self.W_a, self.W_b, rho, buffers), worst
 
     def apply(self, rho: np.ndarray):
         """One step on a Fock-basis density matrix; returns (rho_out, leakage_estimate)."""
@@ -367,13 +352,11 @@ def trotter_evolve(
     stepper = TrotterStepper(
         screen, tau, dims=rho_ab.dims, fc_dim=fc_dim, rho_f=rho_f, eta_convention=eta_convention,
     )
-    rho = _conjugate(_local_unitary(-tau / 2, rho_ab.dims), rho_ab.rho)
-    rho, worst_leak = stepper._run(rho, n)
-    rho = _conjugate(_local_unitary(tau / 2, rho_ab.dims), rho)
-    out = FockState(rho, rho_ab.dims, rho_ab.notes)
-    if worst_leak > 1e-4:
-        out = out.with_note(f"carrier truncation leakage up to {worst_leak:.2e}")
-    return out
+    # diagonal of the half-step rotation exp(-i tau/2 (n_a + n_b + 1))
+    half = np.outer(*(_rotation_phases(tau / 2, d) for d in rho_ab.dims)).ravel()
+    rho, worst_leak = stepper._run(rho_ab.rho * np.outer(half.conj(), half), n)
+    notes = (f"carrier truncation leakage up to {worst_leak:.2e}",) if worst_leak > 1e-4 else ()
+    return FockState(rho * np.outer(half, half.conj()), rho_ab.dims, rho_ab.notes + notes)
 
 
 # --- gate identity ---
@@ -409,10 +392,6 @@ def gate_identity_check(tau: float, d: int) -> float:
 # --- generator coefficient extraction ---
 
 
-def _adjoint_apply(kraus_ops, op: np.ndarray) -> np.ndarray:
-    return sum(K.conj().T @ op @ K for K in kraus_ops)
-
-
 def moments_numeric(screen, rho_f: np.ndarray = None, dim: int = 30) -> ScreenMoments:
     """Extract (nu_a, nu_b, eta, xi, Y) by applying the adjoint screen.
 
@@ -423,21 +402,14 @@ def moments_numeric(screen, rho_f: np.ndarray = None, dim: int = 30) -> ScreenMo
     kraus = carrier_kraus_ops(screen, dim)
     x = position(dim).astype(complex)
     p = momentum(dim)
-    if rho_f is None:
-        rho_f = np.zeros((dim, dim), dtype=complex)
-        rho_f[0, 0] = 1.0
-    else:
-        rho_f = np.asarray(rho_f, dtype=complex)
-        rho_f = rho_f / np.trace(rho_f).real
+    rho_f = np.asarray(np.diag(np.eye(dim)[0]) if rho_f is None else rho_f, dtype=complex)
+    rho_f = rho_f / np.trace(rho_f).real
 
     def mean(op):
         return complex(np.trace(rho_f @ op))
 
-    Sx = _adjoint_apply(kraus, x)
-    Sp = _adjoint_apply(kraus, p)
-    Sxx = _adjoint_apply(kraus, x @ x)
-    Spp = _adjoint_apply(kraus, p @ p)
-    Sxp = _adjoint_apply(kraus, x @ p + p @ x)
+    Sx, Sp, Sxx, Spp, Sxp = (sum(K.conj().T @ op @ K for K in kraus)
+                             for op in (x, p, x @ x, p @ p, x @ p + p @ x))
 
     mean_dx = mean(Sx - x)
     mean_dp = mean(Sp - p)
@@ -471,51 +443,34 @@ def _displaced_vacuum(direction: int, delta: float, dims) -> FockState:
     return product_state(coherent_vector(alphas[0], da), coherent_vector(alphas[1], db))
 
 
-def _mean_step_matrix(stepper: TrotterStepper, dims) -> np.ndarray:
-    """The linear map on quadrature means of one circuit step.
-
-    Gaussian channels act linearly on means, so finite displacements (of 0.5
-    along each quadrature) probe the map exactly (up to truncation).
-    """
-    delta = 0.5
-    base, _ = stepper.apply(vacuum_state(dims).rho)
-    base_mean = mean_quadratures(FockState(base, dims))
-    cols = []
-    for k in range(4):
-        rho, _ = stepper.apply(_displaced_vacuum(k, delta, dims).rho)
-        cols.append((mean_quadratures(FockState(rho, dims)) - base_mean) / delta)
-    return np.stack(cols, axis=1)
-
-
 def extract_generator(screen, dims=(14, 14), eta_convention: str = DEFAULT_ETA_CONVENTION):
     """Drift and diffusion of the circuit's continuous-time limit.
 
     Richardson-extrapolates (step - identity)/tau over tau = 0.02, tau/2 and
     tau/4 with a vacuum carrier, cancelling the first- and second-order
     remainders; the result matches the assembled Gaussian generator when the
-    screen satisfies its constraints.
+    screen satisfies its constraints. Gaussian channels act linearly on means,
+    so the step's mean map A is probed exactly (up to truncation) by the vacuum
+    and its displacements by 0.5 along each quadrature; the vacuum's output
+    also gives the noise, gamma_out - A^T gamma_in A.
     Returns (drift, diffusion) in the same convention as GaussianDynamics.
     """
+    delta = 0.5
+    vacuum = vacuum_state(dims)
+    probes = [vacuum.rho] + [_displaced_vacuum(k, delta, dims).rho for k in range(4)]
+    gamma_in = covariance_of(vacuum)
 
     def one(tau_k):
         stepper = TrotterStepper(screen, tau_k, dims=dims, eta_convention=eta_convention)
-        A = _mean_step_matrix(stepper, dims)
-        drift_T = (A - np.eye(4)) / tau_k
-        rho_out, _ = stepper.apply(vacuum_state(dims).rho)
-        gamma_out = covariance_of(FockState(rho_out, dims))
-        gamma_in = covariance_of(vacuum_state(dims))
-        evolved = A.T @ gamma_in @ A
-        y_hat = (gamma_out - evolved) / tau_k
-        return drift_T.T, y_hat
+        base, *shifted = [FockState(stepper.apply(rho)[0], dims) for rho in probes]
+        base_mean = mean_quadratures(base)
+        A = np.stack([(mean_quadratures(s) - base_mean) / delta for s in shifted], axis=1)
+        y_hat = (covariance_of(base) - A.T @ gamma_in @ A) / tau_k
+        return ((A - np.eye(4)) / tau_k).T, y_hat
 
-    tau = 0.02
-    x1, y1 = one(tau)
-    x2, y2 = one(tau / 2)
-    x4, y4 = one(tau / 4)
+    (x1, y1), (x2, y2), (x4, y4) = (one(0.02 / k) for k in (1, 2, 4))
     # eliminate the O(tau) and O(tau^2) remainders
-    x_hat = (x1 - 6.0 * x2 + 8.0 * x4) / 3.0
-    y_hat = (y1 - 6.0 * y2 + 8.0 * y4) / 3.0
-    return x_hat, y_hat
+    return (x1 - 6.0 * x2 + 8.0 * x4) / 3.0, (y1 - 6.0 * y2 + 8.0 * y4) / 3.0
 
 
 def fitted_coupling(screen=None, eta_convention: str = DEFAULT_ETA_CONVENTION) -> float:

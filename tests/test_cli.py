@@ -74,6 +74,29 @@ def test_entanglement_scan_crosses_boundary(capsys):
     assert classical[-1] and not classical[0]
 
 
+@pytest.mark.parametrize("g", ["inf", "-inf", "nan"])
+def test_entanglement_scan_non_finite_coupling_exits_3(capsys, g):
+    # rejected before the strength grid, so numpy never sees the value and cannot warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "entanglement-scan", f"--g={g}")
+    assert code == 3
+    assert out == ""
+    assert "coupling g must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "noise-test"])
+def test_overflowing_flow_exits_2(capsys, command):
+    # |g| > 1 is unstable: by t = 750 the covariances overflow double precision;
+    # a grid of one chunk is checked once, so the message names its end
+    code, out, err = run_cli(capsys, command, "--sxx", "1.5", "--spp", "1.5", "--g", "1.5",
+                             "--t-max", "1000", "--grid", "5")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: covariances are not finite, or near overflow, by t = 1000: "
+                   "the flow leaves double precision over this time span\n")
+
+
 def test_entanglement_scan_zero_steps_exits_2(capsys):
     code, out, err = run_cli(capsys, "entanglement-scan", "--g", "0.4", "--steps", "0")
     assert code == 2
@@ -286,6 +309,8 @@ def test_unwritable_output_exits_2(tmp_path, capsys, where):
     assert code == 2
     assert out == ""
     assert err.startswith("error: [Errno ")
+    # the message names the path asked for, not the temporary file beside it
+    assert repr(str(target)) in err and ".entnoise-" not in err
     assert not any(tmp_path.iterdir())
 
 

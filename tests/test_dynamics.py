@@ -176,6 +176,28 @@ def test_propagate_grid_rejects_non_finite_times(t_end):
         propagate_grid(vacuum_cov(), dyn, [0.0, t_end])
 
 
+def test_propagate_rejects_overflowing_flow():
+    # |g| > 1 gives one normal mode negative stiffness; it grows as exp(t / sqrt(2))
+    with pytest.raises(ValueError, match="near overflow, by t = 1000:"):
+        propagate(vacuum_cov(), dyn_from_sigma(1.5, 1.5, g=1.5), 1000.0)
+    # a stable flow whose exponential cannot be evaluated that far out
+    with pytest.raises(ValueError, match=r"near overflow, by t = 1e\+308:"):
+        propagate(vacuum_cov(), dyn_from_sigma(0.3, 0.2, 0.1), 1e308)
+
+
+@pytest.mark.parametrize("size, chunk", [(5, 512), (2000, 4096), (2000, 512), (20_000, 64)])
+def test_grid_rejects_overflowing_flow(size, chunk):
+    # caught in the first chunk's maps or in a later chunk's starts, before any
+    # segment carries an overflowed entry
+    dyn = dyn_from_sigma(1.5, 1.5, g=1.5)
+    times = np.linspace(0.0, 1000.0, size)
+    with pytest.raises(ValueError, match="not finite, or near overflow, by t = "):
+        for _, _, seg in iter_grid_segments(vacuum_cov(), dyn, times, chunk=chunk):
+            assert np.isfinite(seg).all()
+    with pytest.raises(ValueError, match="near overflow"):
+        propagate_grid(vacuum_cov(), dyn, times)
+
+
 def test_reversible_at_zero_and_uncoupled():
     dyn = dyn_from_sigma(0.2, 0.2, g=0.0)
     gamma0 = vacuum_cov()

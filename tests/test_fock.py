@@ -350,6 +350,19 @@ def test_factor_basis_change_matches_dense_kron(rng):
                                rtol=0, atol=1e-12)
 
 
+def test_factor_basis_change_may_read_its_own_result_buffer(rng):
+    # TrotterStepper._run feeds each result, a view of the second buffer, back in
+    da, db = 4, 3
+    A = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
+    B = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
+    rho = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
+    buffers = np.empty((2, rho.size), dtype=complex)
+    buffers[1] = rho.ravel()
+    out = _kron_conjugate(A, B, buffers[1].reshape(rho.shape), buffers)
+    assert np.shares_memory(out, buffers[1])
+    np.testing.assert_array_equal(out, _kron_conjugate(A, B, rho))
+
+
 def _thermal(d, nbar):
     weights = (nbar / (1 + nbar)) ** np.arange(d)
     return np.diag(weights / weights.sum()).astype(complex)
@@ -508,6 +521,20 @@ def test_generator_extraction_matches_build_dynamics():
     x_hat, y_hat = extract_generator(screen)
     assert np.max(np.abs(x_hat - dyn.drift)) < 1e-4
     assert np.max(np.abs(y_hat - dyn.diffusion)) < 1e-4
+
+
+def test_generator_extraction_steps_each_probe_once(monkeypatch):
+    # three step sizes, each applied once to the vacuum and its four displacements
+    calls = []
+    apply = TrotterStepper.apply
+
+    def counted(self, rho):
+        calls.append(self.tau)
+        return apply(self, rho)
+
+    monkeypatch.setattr(TrotterStepper, "apply", counted)
+    extract_generator(None, dims=(6, 6))
+    assert calls == [0.02] * 5 + [0.01] * 5 + [0.005] * 5
 
 
 def test_fitted_coupling_sign_arbitration():
