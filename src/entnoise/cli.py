@@ -109,23 +109,19 @@ def _render(payload, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for times: a float that is neither NaN nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite float that is not negative."""
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+def _number(cast, low=-math.inf):
+    """argparse type: text read by cast (float or int), finite and at least low."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low:g}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_screen_flags(parser):
@@ -146,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Screened-exchange oscillator simulations and experiment budgeting",
     )
     parser.add_argument("--version", action="version", version=f"entnoise {__version__}")
-    parser.add_argument("--tol", type=_tolerance, default=TOL_PSD,
+    parser.add_argument("--tol", type=_number(float, 0.0), default=TOL_PSD,
                         help="PSD decision tolerance, finite and >= 0 (default 1e-10)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for random inputs")
     parser.add_argument("--omega-convention", choices=["hz-cycles", "rad-s"],
@@ -163,14 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="covariance trajectory under the screened dynamics")
     _add_screen_flags(p)
-    p.add_argument("--t-max", type=_finite_float, default=10.0)
+    p.add_argument("--t-max", type=_number(float, 0.0), default=10.0)
     p.add_argument("--grid", type=int, default=501)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("noise-test", help="excess momentum-noise rate against the bound")
     _add_screen_flags(p)
-    p.add_argument("--t-max", type=_finite_float, default=0.3)
+    p.add_argument("--t-max", type=_number(float, 0.0), default=0.3)
     p.add_argument("--grid", type=int, default=201)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
     p.set_defaults(run=_cmd_noise_test)
@@ -178,19 +174,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entanglement-scan",
                        help="entanglement onset versus isotropic screen strength")
     p.add_argument("--g", type=float, required=True)
-    p.add_argument("--s-min", type=_finite_float, default=0.0)
-    p.add_argument("--s-max", type=_finite_float, default=None,
+    p.add_argument("--s-min", type=_number(float), default=0.0)
+    p.add_argument("--s-max", type=_number(float), default=None,
                    help="default: 1.5 |g| (just past the classical boundary)")
     p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--t-max", type=_finite_float, default=25.0)
+    p.add_argument("--t-max", type=_number(float, 0.0), default=25.0)
     p.add_argument("--grid", type=int, default=2000)
     p.set_defaults(run=_cmd_entanglement_scan)
 
     p = sub.add_parser("oracle-verify",
                        help="cross-validate the Gaussian formulas against the circuit oracle")
     p.add_argument("--dim", type=int, default=12, help="Fock truncation per mode")
-    p.add_argument("--t", type=_finite_float, default=0.5)
-    p.add_argument("--steps", type=int, nargs="+", default=[8, 16, 32])
+    p.add_argument("--t", type=_number(float, 0.0), default=0.5)
+    p.add_argument("--steps", type=_number(int, 1), nargs="+", default=[8, 16, 32])
     p.set_defaults(run=_cmd_oracle_verify)
 
     p = sub.add_parser("plan-experiment", help="budget a torsion-pendulum configuration")

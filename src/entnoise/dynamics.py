@@ -15,10 +15,9 @@ built from that flow by the semigroup identity, without quadrature or stepping.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import EhrenfestViolation, PhysicsRejection
-from .phasespace import CHI, DELTA_2, TOL_PSD, TOL_SYM, min_eig_hermitian
+from .phasespace import CHI, DELTA_2, TOL_PSD, TOL_SYM, expm, min_eig_hermitian
 from .screens import ScreenMoments, _finite
 
 
@@ -99,7 +98,12 @@ def accumulated_noise(dyn: GaussianDynamics, t: float):
     F12 = X_t^-T Y_t, so Y_t = F22^T F12 (Van Loan, "Computing integrals
     involving the matrix exponential", IEEE TAC 23, 1978).
     """
-    F = expm(np.block([[-dyn.drift.T, dyn.diffusion], [np.zeros((4, 4)), dyn.drift]]) * t)
+    block = np.zeros((8, 8))
+    block[:4, :4] = -dyn.drift.T
+    block[:4, 4:] = dyn.diffusion
+    block[4:, 4:] = dyn.drift
+    block *= t
+    F = expm(block)
     X = F[4:, 4:]
     Y = X.T @ F[:4, 4:]
     return X, 0.5 * (Y + Y.T)
@@ -205,9 +209,9 @@ def iter_grid_segments(
     with np.errstate(over="ignore", invalid="ignore"):
         flow = _lower_flow(*accumulated_noise(dyn, dt))  # the map over the filled length s = f dt
     f = 1
-    # Stacks of 10-row products, never one large GEMM: OpenBLAS threads a large
-    # one, its threads spin on after it, and scipy's own OpenBLAS then runs the
-    # 8x8 expm of each later propagate call about ten times slower.
+    # Stacks of 10-row products, not one (10 k)-row GEMM: on a 2-core host with
+    # two OpenBLAS threads the single GEMM made a 2,000-point grid slower and
+    # erratic (1.9 to 7.6 ms, median 2.8, against 2.0 ms), on one thread no faster.
     while f < m:
         k = min(f, m - f)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -27,9 +27,9 @@ reshaped density matrix.
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused here; only bench/tracer.py's fock.expm rebinding needs the name
-from scipy.linalg import expm  # noqa: F401
 
+# unused here; only bench/tracer.py's fock.expm rebinding needs the name
+from .phasespace import expm  # noqa: F401
 from .screens import (
     DEFAULT_ETA_CONVENTION,
     ETA_CONVENTIONS,

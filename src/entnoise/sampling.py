@@ -6,9 +6,8 @@ exponentiating a random quadratic generator and D >= 1 diagonal.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
-from .phasespace import symplectic_form
+from .phasespace import expm, symplectic_form
 from .screens import ScreenMoments, is_classical, moments_with_coupling
 from .states import direct_sum
 

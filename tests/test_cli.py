@@ -261,12 +261,26 @@ def test_bad_tolerance_exits_2(capsys, tol, message, argv):
     ("simulate", "--t-max", "-1"),
     ("noise-test", "--t-max", "-1"),
     ("entanglement-scan", "--g", "0.4", "--t-max", "-5"),
+    ("oracle-verify", "--t", "-1"),
 ])
 def test_descending_time_grid_exits_2(capsys, argv):
+    # a negative time is rejected while parsing, in terms of the flag that set it
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "times must increase" in err
+    assert f"argument {argv[-2]}: must be >= 0" in err
+
+
+@pytest.mark.parametrize("steps", [("4", "0"), ("0",), ("8", "-3", "16")])
+def test_oracle_verify_rejects_bad_steps_before_any_work(capsys, monkeypatch, steps):
+    calls = []
+    monkeypatch.setattr("entnoise.cli.trotter_evolve", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, "oracle-verify", "--dim", "4", "--t", "0.3",
+                             "--steps", *steps)
+    assert code == 2
+    assert out == ""
+    assert "argument --steps: must be >= 1" in err
+    assert calls == []
 
 
 def test_oracle_verify_below_minimum_truncation_exits_2(capsys):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import entnoise
@@ -17,6 +20,16 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_library_runs_without_scipy():
+    # numpy is the only run-time dependency; scipy serves the tests as a reference
+    code = ("import sys, entnoise, entnoise.cli, entnoise.sampling; "
+            "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.split() == []
 
 
 def _referenced_names(node, skip=None):

@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
+from entnoise.dynamics import build_dynamics
 from entnoise.phasespace import (
     DELTA_2,
+    expm,
     partial_reverse,
     symplectic_form,
     validate_covariance,
 )
+from entnoise.sampling import random_classical_screen, random_nonclassical_screen
 from entnoise.states import squeezed_cov, two_mode_squeezed_cov, vacuum_cov, direct_sum
 
 
@@ -110,3 +116,47 @@ def test_validate_covariance_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol_psd must be finite and non-negative") as caught:
         validate_covariance(np.zeros((4, 4)), tol_psd=tol)
     assert caught.type is ValueError
+
+
+def _van_loan_blocks(t):
+    """[[-x^T, y], [0, x]] t of seeded classical and non-classical screens at g = 0.3 and 0.8."""
+    rng = np.random.default_rng(20261019)
+    for g in (0.3, 0.8):
+        for sample in (random_classical_screen, random_nonclassical_screen):
+            dyn = build_dynamics(sample(rng, g))
+            yield np.block([[-dyn.drift.T, dyn.diffusion], [np.zeros((4, 4)), dyn.drift]]) * t
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.025, 1.0, 10.0, 500.0, 1e4])
+def test_expm_matches_50_digit_reference_on_van_loan_blocks(t):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for block in _van_loan_blocks(t):
+            reference = np.array(mpmath.expm(mpmath.matrix(block.tolist())).tolist(), dtype=float)
+            error = np.max(np.abs(expm(block) - reference)) / np.max(np.abs(reference))
+            assert error <= 1e-11, (t, error)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_expm_matches_scipy_on_symplectic_generators(rng, n_modes):
+    for _ in range(200):
+        A = rng.normal(size=(2 * n_modes, 2 * n_modes))
+        generator = symplectic_form(n_modes) @ (A + A.T) / 2
+        reference = scipy_expm(generator)
+        error = np.max(np.abs(expm(generator) - reference)) / np.max(np.abs(reference))
+        assert error <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_of_non_finite_input_is_nan_without_warning(bad):
+    A = np.eye(4)
+    A[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = expm(A)
+    assert result.shape == (4, 4)
+    assert np.isnan(result).all()
+
+
+def test_expm_of_zero_is_identity():
+    np.testing.assert_array_equal(expm(np.zeros((8, 8))), np.eye(8))
