@@ -102,15 +102,14 @@ def _render(payload, fmt: str) -> str:
     else:
         if not payload:
             return ""
-        writer = csv.DictWriter(buf, fieldnames=list(payload[0].keys()))
-        writer.writeheader()
-        for row in payload:
-            writer.writerow(row)
+        writer = csv.writer(buf)
+        writer.writerow(payload[0].keys())
+        writer.writerows(row.values() for row in payload)
     return buf.getvalue()
 
 
-def _number(cast, low=-math.inf):
-    """argparse type: text read by cast (float or int), finite and at least low."""
+def _number(cast, low=-math.inf, relation=">="):
+    """argparse type: text read by cast (float or int), finite and value <relation> low."""
     def parse(text: str):
         try:
             value = cast(text)
@@ -118,8 +117,8 @@ def _number(cast, low=-math.inf):
             raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low:g}, got {text!r}")
+        if value < low or relation == ">" and value == low:
+            raise argparse.ArgumentTypeError(f"must be {relation} {low:g}, got {text!r}")
         return value
     return parse
 
@@ -159,14 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="covariance trajectory under the screened dynamics")
     _add_screen_flags(p)
-    p.add_argument("--t-max", type=_number(float, 0.0), default=10.0)
+    p.add_argument("--t-max", type=_number(float, 0.0, ">"), default=10.0)
     p.add_argument("--grid", type=int, default=501)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("noise-test", help="excess momentum-noise rate against the bound")
     _add_screen_flags(p)
-    p.add_argument("--t-max", type=_number(float, 0.0), default=0.3)
+    p.add_argument("--t-max", type=_number(float, 0.0, ">"), default=0.3)
     p.add_argument("--grid", type=int, default=201)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
     p.set_defaults(run=_cmd_noise_test)
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=_number(float), default=None,
                    help="default: 1.5 |g| (just past the classical boundary)")
     p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--t-max", type=_number(float, 0.0), default=25.0)
+    p.add_argument("--t-max", type=_number(float, 0.0, ">"), default=25.0)
     p.add_argument("--grid", type=int, default=2000)
     p.set_defaults(run=_cmd_entanglement_scan)
 
@@ -216,10 +215,10 @@ def _cmd_simulate(args):
     gamma0 = _initial_covariance(args)
     times = np.linspace(0.0, args.t_max, args.grid)
     gammas = propagate_grid(gamma0, dyn, times)
-    upper = [(i, j) for i in range(4) for j in range(i, 4)]
-    rows = [{"time": t, **{f"g{i + 1}{j + 1}": gamma[i, j] for i, j in upper}}
-            for t, gamma in zip(times, gammas)]
-    return rows, "csv"
+    columns = {"time": times.tolist()}
+    columns.update((f"g{i + 1}{j + 1}", gammas[:, i, j].tolist())
+                   for i in range(4) for j in range(i, 4))
+    return [dict(zip(columns, row)) for row in zip(*columns.values())], "csv"
 
 
 def _cmd_noise_test(args):

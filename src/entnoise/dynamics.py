@@ -181,11 +181,11 @@ def iter_grid_segments(
     [0, 1), [1, 2), [2, 4), ..., then whole chunks, and builds the chunk's map
     only when the second chunk is asked for: a scan that stops at index
     i >= 1 has paid for at most 2 i points. Only the lower triangle of gamma0
-    (..., 4, 4) is read. Each gammas is a possibly non-contiguous view
-    (stop - start, ..., 4, 4), symmetric exactly. The maps, once each as they
-    are built, and each chunk's advanced starts are checked so that no product
-    of the two can overflow: a flow that would raises ValueError before its
-    segment is yielded.
+    (..., 4, 4) is read. Each gammas is an exactly symmetric view (stop -
+    start, ..., 4, 4) of entry planes, each gammas[..., i, j] C-contiguous.
+    The maps, once each as they are built, and each chunk's advanced starts
+    are checked so that no product of the two can overflow: a flow that would
+    raises ValueError before its segment is yielded.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
@@ -200,8 +200,9 @@ def iter_grid_segments(
     starts[:10] = gamma0.reshape(-1, 16).T[_LOWER]
     start_peak, map_peak = _peak(starts, 0.0), 1.0
     def gammas(offsets):  # (size, 10, 11) maps on the current starts -> (size, ..., 4, 4)
-        full = np.take(offsets @ starts, _FULL, axis=1)  # (size, 16, starts)
-        return np.moveaxis(full, 2, 1).reshape(offsets.shape[:1] + gamma0.shape)
+        planes = (offsets @ starts).transpose(1, 0, 2)[_FULL]  # (16, size, starts)
+        planes = planes.reshape((4, 4, len(offsets)) + gamma0.shape[:-2])
+        return np.moveaxis(planes, (0, 1), (-2, -1))
     maps = np.empty((m, 10, 11))
     maps[0] = np.eye(10, 11)
     if m < n:
@@ -237,10 +238,10 @@ def iter_grid_segments(
 def propagate_grid(gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray) -> np.ndarray:
     """Evaluate gamma(t) on a uniform time grid starting at 0.
 
-    Joins the segments of iter_grid_segments. gamma0 may carry leading batch
+    Joins the segments of iter_grid_segments by np.concatenate, which keeps
+    their entry planes C-contiguous. gamma0 may carry leading batch
     dimensions (..., 4, 4), of which only the lower triangle is read; the
-    result has shape (len(times), ..., 4, 4), is symmetric by construction
-    and may be a non-contiguous view.
+    result has shape (len(times), ..., 4, 4), symmetric by construction.
     """
     segments = [seg for _, _, seg in iter_grid_segments(gamma0, dyn, times, chunk=4096)]
     return segments[0] if len(segments) == 1 else np.concatenate(segments)

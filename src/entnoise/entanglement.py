@@ -7,6 +7,7 @@ and the converse witness) lives here too so the covariance-level decisions
 can be audited against closed forms.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -46,14 +47,14 @@ def ppt_margin(gamma: np.ndarray) -> float:
 
 _U = np.finfo(float).eps / 2  # unit roundoff
 # matrices per screening pass: small enough that the temporaries stay in cache
-_CHUNK = 4096
+_CHUNK = 8192
 
 
 def _reversal_invariants(lower: np.ndarray):
     """nu~_-^2 of each partially reversed gamma, its rounding bound and an eigenvalue floor.
 
     lower holds the _LOWER entries of n covariances, a b e c f h d g i j
-    below, in shape (10, n); each output has shape (n,). With
+    below, as ten rows of length n; each output has shape (n,). With
     blocks gamma = [[A, C], [C^T, B]], the reversal keeps det A, det B and
     det gamma and flips det C, so its symplectic invariant is
     Delta~ = det A + det B - 2 det C and nu~_-^2 = 2 det / (Delta~ + sqrt(Delta~^2 - 4 det))
@@ -95,7 +96,7 @@ def _reversal_invariants(lower: np.ndarray):
     # discriminant's error into the root, and the quotient adds the relative
     # errors of det and of Delta~ + root. So delta scales as u M^4 / det, and
     # as sqrt(u) M^2 / sqrt(det) when nu~_+ ~ nu~_-.
-    m2 = np.abs(lower).max(axis=0) ** 2
+    m2 = functools.reduce(np.maximum, [np.abs(entry) for entry in lower]) ** 2
     err_det = 240 * _U * m2 * m2
     err_disc = 1696 * _U * m2 * m2
     err_den = 32 * _U * m2 + err_disc / np.maximum(root, np.sqrt(err_disc)) + _U * (root + den)
@@ -119,16 +120,16 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
     eigenvalues, lambda_min(gamma) >= 27 det gamma / (tr gamma)^3, it gets the
     positive bound (1 - 1/nu~_-) 27 det gamma / (tr gamma)^3, with nu~_-^2
     lowered by delta_i. Every other entry gets the eigenvalue margin; a
-    non-finite one, never cleared, raises ValueError. Only the lower triangle
-    is read, entry by entry, so a strided view is not copied whole.
+    non-finite one, never cleared, raises ValueError. Each lower entry is read
+    as a flat row: in place from propagate_grid's entry planes, else copied.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape[-2:] != (4, 4):
         raise ValueError(f"two-mode covariances expected, got shape {gammas.shape}")
-    lower = np.stack([gammas[..., k // 4, k % 4] for k in _LOWER]).reshape(10, -1)
-    margins = np.empty(lower.shape[1])
+    lower = [gammas[..., k // 4, k % 4].ravel() for k in _LOWER]
+    margins = np.empty(lower[0].size)
     for start in range(0, len(margins), _CHUNK):
-        block = lower[:, start:start + _CHUNK]
+        block = [row[start:start + _CHUNK] for row in lower]
         # entries that overflow, divide by zero or go NaN here are not cleared
         with np.errstate(all="ignore"):
             nu2, delta, floor = _reversal_invariants(block)
@@ -136,7 +137,8 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
             margins[start:start + len(nu2)] = (1.0 - 1.0 / np.sqrt(nu2 - delta)) * floor
         routed = np.flatnonzero(~cleared)
         if routed.size:
-            reversed_batch = block[:, routed][_FULL].T.reshape(-1, 4, 4) * _REVERSAL_SIGNS
+            entries = np.stack([row[routed] for row in block])  # (10, routed)
+            reversed_batch = entries[_FULL].T.reshape(-1, 4, 4) * _REVERSAL_SIGNS
             if not np.isfinite(reversed_batch).all():
                 raise ValueError("matrix entries must be finite")
             margins[start + routed] = np.linalg.eigvalsh(reversed_batch + 1j * DELTA_2)[:, 0]
@@ -188,6 +190,12 @@ def entanglement_onset(
     once. Returns its upper end, or None when the state stays separable up
     to t_max. tol_psd must be finite and >= 0: the batched scan's margins
     are sign-exact only for thresholds at or below zero.
+
+    From the vacuum with tol_psd > 0 the converse may answer instead: with
+    lam < 0 the least eigenvalue of _first_order_form, the margin falls as
+    lam t / 2, and hi = (2 tol_psd / |lam|)(1 + 5e-7) is returned without a
+    scan when it lies within the first grid step and f(hi (1 - 1e-6)) >= 0 >
+    f(hi): a sign-checked bracket of the width the refinement stops at.
     """
     if grid < 100:
         raise ValueError(f"grid must be at least 100 points, got {grid}")
@@ -200,6 +208,14 @@ def entanglement_onset(
         # checked before np.linspace, which would warn on it
         raise ValueError(f"propagation time must be finite, got {t_max}")
     times = np.linspace(0.0, t_max, grid)
+    def f(t):
+        return ppt_margin(propagate(gamma0, dyn, t)) + tol_psd
+
+    if tol_psd > 0 and np.array_equal(gamma0, np.eye(4)):  # the vacuum
+        lam = min_eig_hermitian(_first_order_form(dyn))
+        hi = 2.0 * tol_psd / -lam * (1.0 + 5e-7) if lam < 0 else np.inf
+        if hi <= times[1] and f(hi * (1.0 - 1e-6)) >= 0.0 > f(hi):
+            return float(hi)
     # scan in segments so early onsets (the typical case) exit fast
     before = None  # the margin just before the current segment
     for start, stop, seg in iter_grid_segments(gamma0, dyn, times):
@@ -226,12 +242,17 @@ def entanglement_onset(
         step = 0.5e-6 * max(hi, 1e-12)
         t = min(max(t, lo + step), hi - step)
         widths = [widths[1], hi - lo]
-        f_t = ppt_margin(propagate(gamma0, dyn, t)) + tol_psd
+        f_t = f(t)
         if f_t < 0.0:  # Illinois: halve the value at an end kept twice
             hi, f_hi, f_lo, kept = t, f_t, f_lo * (0.5 if kept < 0 else 1.0), -1
         else:
             lo, f_lo, f_hi, kept = t, f_t, f_hi * (0.5 if kept > 0 else 1.0), 1
     return float(hi)
+
+
+def _first_order_form(dyn: GaussianDynamics) -> np.ndarray:
+    """y - i x^T Delta~_2 - i Delta~_2 x: the margin's first-order generator at the vacuum."""
+    return dyn.diffusion - 1j * dyn.drift.T @ DELTA_2_TILDE - 1j * DELTA_2_TILDE @ dyn.drift
 
 
 def fprime_zero(Y: np.ndarray, g: float) -> np.ndarray:
@@ -246,9 +267,7 @@ def fprime_zero(Y: np.ndarray, g: float) -> np.ndarray:
     require_symmetric(Y, name="Y")
     closed = (1j * DELTA_2) @ CHI @ (Y - 2j * g * DELTA_1) @ CHI.T @ (1j * DELTA_2)
 
-    dyn = build_dynamics(moments_with_coupling(Y, g))
-    x, y = dyn.drift, dyn.diffusion
-    assembled = y - 1j * x.T @ DELTA_2_TILDE - 1j * DELTA_2_TILDE @ x
+    assembled = _first_order_form(build_dynamics(moments_with_coupling(Y, g)))
     if not np.max(np.abs(closed - assembled)) <= 1e-10:
         raise RuntimeError(
             "the two first-order certificate expressions disagree; "

@@ -52,8 +52,9 @@ class NoiseReport:
     verdict: np.ndarray
 
     def rows(self):
-        for t, e, r, v in zip(self.times, self.excess, self.rate, self.verdict):
-            yield {"time": t, "excess": e, "rate": r, "bound": self.bound, "verdict": bool(v)}
+        columns = (self.times, self.excess, self.rate, self.verdict)
+        for t, e, r, v in zip(*(column.tolist() for column in columns)):
+            yield {"time": t, "excess": e, "rate": r, "bound": self.bound, "verdict": v}
 
 
 def reversible_benchmark(dyn: GaussianDynamics) -> GaussianDynamics:

@@ -262,13 +262,24 @@ def test_bad_tolerance_exits_2(capsys, tol, message, argv):
     ("noise-test", "--t-max", "-1"),
     ("entanglement-scan", "--g", "0.4", "--t-max", "-5"),
     ("oracle-verify", "--t", "-1"),
+    ("simulate", "--t-max", "0"),
+    ("noise-test", "--t-max", "0"),
+    ("entanglement-scan", "--g", "0.4", "--t-max", "0"),
 ])
 def test_descending_time_grid_exits_2(capsys, argv):
-    # a negative time is rejected while parsing, in terms of the flag that set it
+    # a grid that does not increase is rejected while parsing, in terms of the
+    # flag that set it; oracle-verify's single time may be 0
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert f"argument {argv[-2]}: must be >= 0" in err
+    relation = ">=" if argv[-2] == "--t" else ">"
+    assert f"argument {argv[-2]}: must be {relation} 0, got {argv[-1]!r}" in err
+
+
+def test_oracle_verify_accepts_time_zero(capsys):
+    code, out, _ = run_cli(capsys, "oracle-verify", "--dim", "4", "--t", "0", "--steps", "2")
+    assert code == 0
+    assert "trotter-covariance" in out
 
 
 @pytest.mark.parametrize("steps", [("4", "0"), ("0",), ("8", "-3", "16")])

@@ -340,3 +340,29 @@ def test_grid_segments_reject_chunk_below_one(chunk):
     dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
     with pytest.raises(ValueError, match="chunk must be at least 1"):
         next(iter_grid_segments(vacuum_cov(), dyn, np.linspace(0.0, 1.0, 10), chunk=chunk))
+
+
+def _entry_planes_are_contiguous(gammas):
+    return all(gammas[..., i, j].flags.c_contiguous for i in range(4) for j in range(4))
+
+
+@pytest.mark.parametrize("size", [2000, 4500])
+@pytest.mark.parametrize("batch", [(), (20,), (3, 4)])
+def test_propagate_grid_returns_contiguous_entry_planes(rng, size, batch):
+    # 4,500 points span two of propagate_grid's 4,096-point chunks
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    starts = np.stack([random_physical_cov(rng) for _ in range(int(np.prod(batch)))])
+    starts = starts.reshape(batch + (4, 4))
+    times = np.linspace(0.0, 20.0, size)
+    gammas = propagate_grid(starts, dyn, times)
+    assert gammas.shape == (size,) + batch + (4, 4)
+    assert _entry_planes_are_contiguous(gammas)
+    segments = list(iter_grid_segments(starts, dyn, times, chunk=4096))
+    assert (len(segments) > 1) == (size > 4096)
+    assert all(_entry_planes_are_contiguous(seg) for _, _, seg in segments)
+    np.testing.assert_array_equal(gammas, np.concatenate([seg for _, _, seg in segments]))
+    flat = gammas.reshape(size, -1, 4, 4)
+    for idx in (1, size // 3, min(4096, size - 1), size - 1):
+        for k, start in enumerate(starts.reshape(-1, 4, 4)):
+            np.testing.assert_allclose(flat[idx, k], propagate(start, dyn, times[idx]),
+                                       rtol=1e-9, atol=1e-9)

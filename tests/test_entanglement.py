@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entnoise import entanglement
-from entnoise.dynamics import build_dynamics, propagate, propagate_grid
+from entnoise.dynamics import build_dynamics, iter_grid_segments, propagate, propagate_grid
 from entnoise.entanglement import (
     converse_witness,
     entanglement_onset,
@@ -21,8 +21,8 @@ from entnoise.sampling import (
     random_separable_cov,
     random_symplectic,
 )
-from entnoise.screens import DisplacementScreen, is_classical, moments_from_displacement, \
-    moments_with_coupling
+from entnoise.screens import DisplacementScreen, ScreenMoments, is_classical, \
+    moments_from_displacement, moments_with_coupling
 from entnoise.states import direct_sum, two_mode_squeezed_cov, vacuum_cov
 
 
@@ -83,6 +83,49 @@ def test_ppt_margins_reads_only_the_lower_triangle(rng):
     margins = ppt_margins(symmetrized)
     assert margins.min() < 0 < margins.max()
     np.testing.assert_array_equal(ppt_margins(garbage), margins)
+
+
+LAYOUTS = {
+    "contiguous": np.ascontiguousarray,
+    # one C-contiguous plane per entry, the layout of propagate_grid
+    "planes": lambda g: np.moveaxis(np.ascontiguousarray(np.moveaxis(g, (-2, -1), (0, 1))),
+                                    (0, 1), (-2, -1)),
+    "transposed copy": lambda g: np.ascontiguousarray(np.swapaxes(g, -1, -2)).swapaxes(-1, -2),
+    "strided slice": lambda g: np.repeat(g, 3, axis=0)[1::3],
+}
+
+
+@pytest.fixture(scope="module")
+def layout_matrices():
+    """9,000 covariances over two screening chunks, routed ones among them."""
+    rng = np.random.default_rng(7)
+    pool = [random_physical_cov(rng) for _ in range(30)] + [random_separable_cov(rng)
+                                                           for _ in range(30)]
+    pool += [vacuum_cov(), two_mode_squeezed_cov(0.3), two_mode_squeezed_cov(1e-3)]
+    pool = np.stack(pool)
+    return pool[np.r_[np.arange(len(pool)), rng.integers(0, len(pool), 9000 - len(pool))]]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_ppt_margins_do_not_depend_on_layout(layout_matrices, layout):
+    reference = ppt_margins(np.ascontiguousarray(layout_matrices))
+    routed = [60, 61, 62]  # the vacuum and the two-mode squeezed states
+    np.testing.assert_array_equal(reference[routed],
+                                  [ppt_margin(layout_matrices[k]) for k in routed])
+    assert reference.min() < 0 < reference.max()
+    gammas = LAYOUTS[layout](layout_matrices)
+    np.testing.assert_array_equal(gammas, layout_matrices)
+    np.testing.assert_array_equal(ppt_margins(gammas), reference)
+    np.testing.assert_array_equal(ppt_margins(gammas.reshape(90, 100, 4, 4)),
+                                  reference.reshape(90, 100))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_ppt_margins_reject_a_non_finite_entry_in_any_layout(layout_matrices, layout):
+    gammas = layout_matrices.copy()
+    gammas[8500, 2, 1] = gammas[8500, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        ppt_margins(LAYOUTS[layout](gammas))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -250,6 +293,93 @@ def test_onset_secant_needs_few_propagate_calls(onset_cases, monkeypatch):
         calls.clear()
         entanglement_onset(dyn, gamma0, t_max=t_max, grid=ONSET_GRID, tol_psd=ONSET_TOL)
         assert 1 <= len(calls) <= 8
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Records the propagate times and the grid scans of entanglement_onset."""
+    calls = {"propagate": [], "scan": 0}
+
+    def counted_propagate(*args):
+        calls["propagate"].append(args[2])
+        return propagate(*args)
+
+    def counted_scan(*args, **kwargs):
+        calls["scan"] += 1
+        return iter_grid_segments(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "propagate", counted_propagate)
+    monkeypatch.setattr(entanglement, "iter_grid_segments", counted_scan)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def vacuum_onset_cases():
+    """(dyn, reference onset) for 50 non-classical screens, 25 with level shifts nu ~ N(0, 1)."""
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for k in range(50):
+        g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
+        Y = random_nonclassical_screen(rng, g, margin=0.02).Y
+        nu_a, nu_b = rng.normal(size=2) if k % 2 else (0.0, 0.0)
+        dyn = build_dynamics(ScreenMoments(nu_a=nu_a, nu_b=nu_b, eta=g, xi=0.0, Y=Y))
+        onset, hit = bisection_onset(dyn, vacuum_cov(), 50.0)
+        assert hit == 1
+        cases.append((dyn, onset))
+    return cases
+
+
+def test_vacuum_onset_from_first_order(vacuum_onset_cases, counted_calls):
+    for dyn, reference in vacuum_onset_cases:
+        counted_calls["propagate"].clear()
+        onset = entanglement_onset(dyn, vacuum_cov(), t_max=50.0, grid=ONSET_GRID,
+                                   tol_psd=ONSET_TOL)
+        assert abs(onset - reference) <= 1e-6 * max(onset, reference)
+        assert len(counted_calls["propagate"]) <= 2
+    assert counted_calls["scan"] == 0
+
+
+def test_vacuum_onset_at_the_cli_tolerance_is_a_checked_bracket(vacuum_onset_cases,
+                                                                counted_calls):
+    # at 1e-10 the margin's rounding noise (about 2e-6 relative) can break the
+    # bracket, and then the scan answers; a first-order onset must bracket exactly
+    tol = 1e-10
+    for dyn, _ in vacuum_onset_cases:
+        scans = counted_calls["scan"]
+        onset = entanglement_onset(dyn, vacuum_cov(), t_max=50.0, grid=ONSET_GRID, tol_psd=tol)
+        if counted_calls["scan"] == scans:
+            f_lo, f_hi = (ppt_margin(propagate(vacuum_cov(), dyn, t)) + tol
+                          for t in (onset * (1.0 - 1e-6), onset))
+            assert f_lo >= 0.0 > f_hi
+    assert counted_calls["scan"] < len(vacuum_onset_cases)
+
+
+def test_onset_scans_a_separable_start(onset_cases, counted_calls):
+    dyn, gamma0, t_max, reference, _ = onset_cases[30]
+    assert not np.array_equal(gamma0, vacuum_cov())
+    onset = entanglement_onset(dyn, gamma0, t_max=t_max, grid=ONSET_GRID, tol_psd=ONSET_TOL)
+    assert abs(onset - reference) <= 1e-6 * max(onset, reference)
+    assert counted_calls["scan"] == 1
+
+
+def test_onset_scans_at_zero_tolerance(vacuum_onset_cases, counted_calls):
+    dyn, _ = vacuum_onset_cases[0]
+    onset = entanglement_onset(dyn, vacuum_cov(), t_max=50.0, grid=ONSET_GRID, tol_psd=0.0)
+    assert onset is not None and onset < 50.0 / (ONSET_GRID - 1)
+    assert counted_calls["scan"] == 1
+
+
+def test_onset_scans_when_first_order_lies_past_the_first_step(vacuum_onset_cases,
+                                                               counted_calls):
+    # the first grid step is a tenth of the first-order onset: the scan hits index 10 or so
+    dyn, first_order = vacuum_onset_cases[1]
+    t_max = 0.1 * first_order * (ONSET_GRID - 1)
+    reference, hit = bisection_onset(dyn, vacuum_cov(), t_max)
+    assert hit > 1
+    onset = entanglement_onset(dyn, vacuum_cov(), t_max=t_max, grid=ONSET_GRID,
+                               tol_psd=ONSET_TOL)
+    assert abs(onset - reference) <= 1e-6 * max(onset, reference)
+    assert counted_calls["scan"] == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
