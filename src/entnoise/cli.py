@@ -159,14 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="covariance trajectory under the screened dynamics")
     _add_screen_flags(p)
     p.add_argument("--t-max", type=_number(float, 0.0, ">"), default=10.0)
-    p.add_argument("--grid", type=int, default=501)
+    p.add_argument("--grid", type=_number(int, 2), default=501)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("noise-test", help="excess momentum-noise rate against the bound")
     _add_screen_flags(p)
     p.add_argument("--t-max", type=_number(float, 0.0, ">"), default=0.3)
-    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--grid", type=_number(int, 3), default=201)
     p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
     p.set_defaults(run=_cmd_noise_test)
 
@@ -176,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-min", type=_number(float), default=0.0)
     p.add_argument("--s-max", type=_number(float), default=None,
                    help="default: 1.5 |g| (just past the classical boundary)")
-    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--steps", type=_number(int, 1), default=16)
     p.add_argument("--t-max", type=_number(float, 0.0, ">"), default=25.0)
-    p.add_argument("--grid", type=int, default=2000)
+    p.add_argument("--grid", type=_number(int, 100), default=2000)
     p.set_defaults(run=_cmd_entanglement_scan)
 
     p = sub.add_parser("oracle-verify",
@@ -229,8 +229,6 @@ def _cmd_noise_test(args):
 
 
 def _cmd_entanglement_scan(args):
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     if not math.isfinite(args.g):
         raise PhysicsRejection(f"coupling g must be finite, got {args.g}")
     s_max = args.s_max if args.s_max is not None else 1.5 * abs(args.g)
@@ -300,7 +298,7 @@ def cli_main(argv=None) -> int:
     except PhysicsRejection as exc:
         print(f"physics constraint rejected: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -61,9 +61,9 @@ def _reversal_invariants(lower: np.ndarray):
     (Simon, PRL 84, 2726, 2000; Serafini, Illuminati and De Siena, J. Phys. B
     37, L21, 2004); this root does not cancel when nu~_+ >> nu~_-.
 
-    Returns (nu2, delta, floor). The true nu~_-^2 lies within delta of nu2;
-    floor is 27 det / tr^3 <= lambda_min(gamma) where gamma is certified
-    positive definite, and NaN elsewhere.
+    Returns (nu2, delta, floor, positive). The true nu~_-^2 lies within
+    delta of nu2; floor is 27 det / tr^3, a lower bound on lambda_min(gamma)
+    where positive certifies gamma positive definite.
     """
     a, b, e, c, f, h, d, g, i, j = lower
     det_a, det_b, det_c = a * e - b * b, h * j - i * i, c * g - d * f
@@ -96,16 +96,17 @@ def _reversal_invariants(lower: np.ndarray):
     # discriminant's error into the root, and the quotient adds the relative
     # errors of det and of Delta~ + root. So delta scales as u M^4 / det, and
     # as sqrt(u) M^2 / sqrt(det) when nu~_+ ~ nu~_-.
-    m2 = functools.reduce(np.maximum, [np.abs(entry) for entry in lower]) ** 2
-    err_det = 240 * _U * m2 * m2
-    err_disc = 1696 * _U * m2 * m2
-    err_den = 32 * _U * m2 + err_disc / np.maximum(root, np.sqrt(err_disc)) + _U * (root + den)
+    m = functools.reduce(np.maximum, [np.abs(entry) for entry in lower])
+    m2 = m * m
+    m4 = m2 * m2
+    err_det, err_disc = 240 * _U * m4, 1696 * _U * m4
+    err_den = (32 * _U * m2 + err_disc / np.maximum(root, math.sqrt(1696 * _U) * m2)
+               + _U * (root + den))
     delta = np.abs(nu2) * (err_det / np.abs(det) + err_den / np.abs(den) + _U)
     # Sylvester's criterion, each leading minor clear of its own bound
-    positive = ((a > 0) & (det_a > 4 * _U * m2)
-                & (minor3 > 30 * _U * m2 * np.sqrt(m2)) & (det > err_det))
-    floor = np.where(positive, 27.0 * det / (a + e + h + j) ** 3, np.nan)
-    return nu2, delta, floor
+    positive = (a > 0) & (det_a > 4 * _U * m2) & (minor3 > 30 * _U * m2 * m) & (det > err_det)
+    tr = a + e + h + j
+    return nu2, delta, 27.0 * det / (tr * tr * tr), positive
 
 
 def ppt_margins(gammas: np.ndarray) -> np.ndarray:
@@ -132,8 +133,8 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
         block = [row[start:start + _CHUNK] for row in lower]
         # entries that overflow, divide by zero or go NaN here are not cleared
         with np.errstate(all="ignore"):
-            nu2, delta, floor = _reversal_invariants(block)
-            cleared = (nu2 - 1.0 > delta) & (floor > 0)
+            nu2, delta, floor, positive = _reversal_invariants(block)
+            cleared = positive & (nu2 - 1.0 > delta)
             margins[start:start + len(nu2)] = (1.0 - 1.0 / np.sqrt(nu2 - delta)) * floor
         routed = np.flatnonzero(~cleared)
         if routed.size:
@@ -164,7 +165,7 @@ def log_negativity(gamma: np.ndarray) -> float:
     """
     gamma = np.asarray(gamma, dtype=float)
     _require_physical(gamma, TOL_PSD)
-    (nu2,), _, _ = _reversal_invariants(gamma.reshape(16, 1)[_LOWER])
+    (nu2,), *_ = _reversal_invariants(gamma.reshape(16, 1)[_LOWER])
     nu = float(np.sqrt(nu2))
     # a value within tol of 1 is separability-marginal, not entangled
     return -math.log(nu) if nu < 1.0 - TOL_PSD else 0.0

@@ -101,7 +101,38 @@ def test_entanglement_scan_zero_steps_exits_2(capsys):
     code, out, err = run_cli(capsys, "entanglement-scan", "--g", "0.4", "--steps", "0")
     assert code == 2
     assert out == ""
-    assert "--steps must be >= 1" in err
+    assert "argument --steps: must be >= 1, got '0'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--grid", "1"), "must be >= 2, got '1'"),
+    (("simulate", "--grid", "-5"), "must be >= 2, got '-5'"),
+    (("simulate", "--grid", "2.5"), "invalid int value: '2.5'"),
+    (("noise-test", "--grid", "2"), "must be >= 3, got '2'"),
+    (("entanglement-scan", "--g", "0.4", "--grid", "99"), "must be >= 100, got '99'"),
+])
+def test_bad_grid_size_exits_2_naming_the_flag(capsys, monkeypatch, argv, message):
+    # refused while parsing, before the screen, the dynamics or numpy see it
+    monkeypatch.setattr("entnoise.cli.build_dynamics", lambda *args: pytest.fail("built"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-2]}: {message}" in err
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # numpy's allocation failure is a MemoryError; a grid too large for memory
+    # gets an error line, not a traceback (the failure is staged on a small grid)
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("entnoise.cli.propagate_grid", refuse)
+    code, out, err = run_cli(capsys, "simulate", "--grid", "11")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_oracle_verify_table(capsys):

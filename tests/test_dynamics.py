@@ -14,7 +14,11 @@ from entnoise.dynamics import (
 )
 from entnoise.errors import EhrenfestViolation, PhysicsRejection
 from entnoise.phasespace import validate_covariance
-from entnoise.sampling import random_physical_cov
+from entnoise.sampling import (
+    random_classical_screen,
+    random_nonclassical_screen,
+    random_physical_cov,
+)
 from entnoise.screens import (
     DisplacementScreen,
     ScreenMoments,
@@ -144,6 +148,28 @@ def test_propagate_long_time_agrees_with_adaptive_ode(rng):
     sol = solve_ivp(rhs, (0, t), gamma0.ravel(), method="DOP853", rtol=1e-11, atol=1e-13)
     ref = sol.y[:, -1].reshape(4, 4)
     np.testing.assert_allclose(propagate(gamma0, dyn, t), ref, atol=1e-9 * np.abs(ref).max())
+
+
+def test_accumulated_noise_at_unit_coupling_matches_50_digit_reference():
+    # |g| = 1 without level shifts: one normal mode has zero frequency, the Van
+    # Loan block holds a Jordan block and Y_t grows as t^3. t = 50 is the longest
+    # time any caller uses; these four screens were off by at most 3.8e-14 (X_t)
+    # and 5.2e-14 (Y_t) of max |reference| there
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261019)
+    t = 50.0
+    for g in (1.0, -1.0):
+        for sample in (random_classical_screen, random_nonclassical_screen):
+            dyn = build_dynamics(sample(rng, g))
+            block = np.block([[-dyn.drift.T, dyn.diffusion], [np.zeros((4, 4)), dyn.drift]]) * t
+            with mpmath.workdps(50):
+                F = np.array(mpmath.expm(mpmath.matrix(block.tolist())).tolist(), dtype=object)
+                X_ref, Y_ref = F[4:, 4:], F[4:, 4:].T.dot(F[:4, 4:])
+            X, Y = accumulated_noise(dyn, t)
+            for value, reference in ((X, X_ref), (Y, Y_ref)):
+                reference = reference.astype(float)
+                error = np.abs(value - reference).max() / np.abs(reference).max()
+                assert error <= 2e-13, (g, sample.__name__, error)
 
 
 def test_semigroup_composition(rng):
@@ -287,6 +313,33 @@ def test_grid_segments_carry_matches_pointwise(rng):
             np.testing.assert_allclose(
                 out[idx, k], propagate(batch[k], dyn, times[idx]), atol=1e-10
             )
+
+
+def test_grid_segments_are_symmetric_and_kept_after_later_chunks(rng):
+    # every chunk is filled in a fresh buffer, so a segment the consumer keeps
+    # is never overwritten by the chunks after it
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    batch = np.stack([random_physical_cov(rng) for _ in range(3)])
+    kept = []
+    for _, _, seg in iter_grid_segments(batch, dyn, np.linspace(0.0, 30.0, 1000), chunk=100):
+        assert np.array_equal(seg, seg.swapaxes(-1, -2))
+        kept.append((seg, seg.copy()))
+    assert len(kept) == 17
+    for seg, first in kept:
+        np.testing.assert_array_equal(seg, first)
+
+
+def test_grid_segments_of_one_point_chunks_match_pointwise(rng):
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    batch = np.stack([random_physical_cov(rng) for _ in range(3)])
+    times = np.linspace(0.0, 6.0, 61)
+    segments = list(iter_grid_segments(batch, dyn, times, chunk=1))
+    assert [(start, stop) for start, stop, _ in segments] == [(k, k + 1) for k in range(61)]
+    for start, _, seg in segments:
+        assert np.array_equal(seg, seg.swapaxes(-1, -2))
+        for k in range(3):
+            np.testing.assert_allclose(seg[0, k], propagate(batch[k], dyn, times[start]),
+                                       atol=1e-10)
 
 
 def test_grid_segments_keep_batch_axes(rng):

@@ -58,6 +58,31 @@ def test_ppt_margins_route_indefinite_matrices_to_eigvalsh():
     assert max(direct) < 0
 
 
+def test_ppt_margins_never_clear_a_dominant_off_diagonal_entry(rng, monkeypatch):
+    # a positive diagonal and one off-diagonal pair, or two disjoint ones, 10 to
+    # 100 times the largest diagonal entry: never positive definite. With two
+    # pairs det gamma > 0 and nu~_-^2 often clears 1, so only Sylvester's
+    # criterion keeps the screen from clearing them: every one goes to eigvalsh
+    n = 600
+    diagonal = rng.uniform(0.2, 3.0, size=(n, 4))
+    gammas = rng.uniform(-0.05, 0.05, size=(n, 4, 4)) * diagonal.min(axis=1)[:, None, None]
+    gammas = gammas + np.swapaxes(gammas, -1, -2)
+    gammas[:, range(4), range(4)] = diagonal
+    disjoint = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    for k in range(n):
+        for i, j in disjoint[k % 3][:1 + (k // 3) % 2]:
+            big = rng.uniform(10.0, 100.0) * diagonal[k].max() * rng.choice([-1.0, 1.0])
+            gammas[k, i, j] = gammas[k, j, i] = big
+    assert (np.linalg.eigvalsh(gammas)[:, 0] < 0).all()
+    routed = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: routed.append(len(a)) or eigvalsh(a))
+    margins = ppt_margins(gammas)
+    monkeypatch.undo()
+    assert routed == [n]
+    np.testing.assert_array_equal(margins, [ppt_margin(gamma) for gamma in gammas])
+
+
 def test_ppt_margins_keeps_batch_shape_and_rejects_other_shapes():
     gammas = np.broadcast_to(vacuum_cov(), (3, 2, 4, 4))
     assert ppt_margins(gammas).shape == (3, 2)
