@@ -113,8 +113,8 @@ def accumulated_noise(dyn: GaussianDynamics, t: float):
 
 
 def _peak(values: np.ndarray, t: float, factor: float = 1.0) -> float:
-    """max |values|; ValueError unless it times factor stays under the largest double / 11."""
-    peak = max(float(values.max()), -float(values.min()))  # NaN if any entry is NaN
+    """max |values| (0 if empty); ValueError unless it times factor stays under max double / 11."""
+    peak = max(float(values.max(initial=0.0)), -float(values.min(initial=0.0)))  # NaN if any is NaN
     if not peak * factor <= np.finfo(float).max / 11.0:
         raise ValueError(f"covariances are not finite, or near overflow, by t = {t:g}: "
                          "the flow leaves double precision over this time span")

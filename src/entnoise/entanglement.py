@@ -75,6 +75,7 @@ def _reversal_invariants(lower: np.ndarray):
     det = det_a * det_b - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + det_c * det_c
     minor3 = c * p12 - f * p02 + h * det_a
     tilde = det_a + det_b - 2.0 * det_c
+    del p02, p03, p12, p13, q02, q03, q12, q13, det_b, det_c  # a lower peak on a full chunk
     # a positive definite gamma has real symplectic eigenvalues, so the true
     # discriminant (nu~_+^2 - nu~_-^2)^2 is >= 0 and clipping only cuts error
     root = np.sqrt(np.maximum(tilde * tilde - 4.0 * det, 0.0))
@@ -109,20 +110,37 @@ def _reversal_invariants(lower: np.ndarray):
     return nu2, delta, 27.0 * det / (tr * tr * tr), positive
 
 
+def _gershgorin_margins(lower: np.ndarray) -> np.ndarray:
+    """r - 1 - err with r = min_k (gamma_kk - sum_{l != k} |gamma_kl|) for each column of lower."""
+    a, b, e, c, f, h, d, g, i, j = lower
+    ab, ac, ad, af, ag, ai = map(np.abs, (b, c, d, f, g, i))
+    r = np.minimum(np.minimum(a - ab - ac - ad, e - ab - af - ag),
+                   np.minimum(h - ac - af - ai, j - ad - ag - ai))
+    # Allowance, D = max_k gamma_kk: a row ((gamma_kk - |x|) - |y|) - |z| is off by <= 3 u
+    # (gamma_kk + |x| + |y| + |z|) <= 6 u D where >= 0 (Higham, ch. 3); r - 1 and the
+    # subtraction of err add <= u D each, as 1 <= r <= D where it clears: 8 u D. The other
+    # 56 u D keeps a cleared bound below eigvalsh's answer, off by p u ||M|| with ||M|| <=
+    # max row sum + 1 <= 3 D: p up to 18 (measured < 5 where the row bound is tight).
+    return r - 1.0 - 64 * _U * np.maximum(np.maximum(a, e), np.maximum(h, j))
+
+
 def ppt_margins(gammas: np.ndarray) -> np.ndarray:
     """Batched lower bound on ppt_margin over an array of shape (..., 4, 4).
 
     Returns m_i <= lambda_min(gamma~_i + i Delta_2), with equality on every
-    entry the closed-form screen does not clear; so m_i < -tol exactly when
-    the eigenvalue margin is below -tol, for every tol >= 0. The screen clears
-    a positive definite gamma whose reversal has nu~_-^2 - 1 > delta_i (see
-    _reversal_invariants): that state is separable, and since
-    gamma~ + i Delta >= (1 - 1/nu~_-) gamma~ and, by AM-GM on the other three
-    eigenvalues, lambda_min(gamma) >= 27 det gamma / (tr gamma)^3, it gets the
-    positive bound (1 - 1/nu~_-) 27 det gamma / (tr gamma)^3, with nu~_-^2
-    lowered by delta_i. Every other entry gets the eigenvalue margin; a
-    non-finite one, never cleared, raises ValueError. Each lower entry is read
-    as a flat row: in place from propagate_grid's entry planes, else copied.
+    entry neither screen clears; so m_i < -tol exactly when the eigenvalue
+    margin is below -tol, for every tol >= 0. The first screen is Gershgorin's:
+    gamma~ = K gamma K has gamma's spectrum, so by Weyl's inequality the margin
+    is >= r_i - 1, r_i gamma's least row bound, and an entry with
+    r_i - 1 - err_i > 0 keeps that bound (_gershgorin_margins). The closed form
+    screens the rest, gathered unless none cleared: it clears a positive
+    definite gamma whose reversal has nu~_-^2 - 1 > delta_i (see
+    _reversal_invariants), as gamma~ + i Delta >= (1 - 1/nu~_-) gamma~ and, by
+    AM-GM, lambda_min(gamma) >= 27 det gamma / (tr gamma)^3; its margin is that
+    product with nu~_-^2 lowered by delta_i. Every other entry gets the
+    eigenvalue margin; a non-finite one, never cleared, raises ValueError. Each
+    lower entry is read as a flat row: in place from propagate_grid's entry
+    planes, else copied.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape[-2:] != (4, 4):
@@ -131,18 +149,24 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
     margins = np.empty(lower[0].size)
     for start in range(0, len(margins), _CHUNK):
         block = [row[start:start + _CHUNK] for row in lower]
+        out = margins[start:start + _CHUNK]
         # entries that overflow, divide by zero or go NaN here are not cleared
         with np.errstate(all="ignore"):
-            nu2, delta, floor, positive = _reversal_invariants(block)
+            out[:] = _gershgorin_margins(block)
+            rest = np.flatnonzero(~(out > 0.0))
+            if not rest.size:
+                continue
+            rows = block if rest.size == len(out) else [row[rest] for row in block]
+            nu2, delta, floor, positive = _reversal_invariants(rows)
             cleared = positive & (nu2 - 1.0 > delta)
-            margins[start:start + len(nu2)] = (1.0 - 1.0 / np.sqrt(nu2 - delta)) * floor
-        routed = np.flatnonzero(~cleared)
+            out[rest] = (1.0 - 1.0 / np.sqrt(nu2 - delta)) * floor
+        routed = rest[~cleared]
         if routed.size:
-            entries = np.stack([row[routed] for row in block])  # (10, routed)
+            entries = np.array([row[routed] for row in block])  # (10, routed)
             reversed_batch = entries[_FULL].T.reshape(-1, 4, 4) * _REVERSAL_SIGNS
             if not np.isfinite(reversed_batch).all():
                 raise ValueError("matrix entries must be finite")
-            margins[start + routed] = np.linalg.eigvalsh(reversed_batch + 1j * DELTA_2)[:, 0]
+            out[routed] = np.linalg.eigvalsh(reversed_batch + 1j * DELTA_2)[:, 0]
     return margins.reshape(gammas.shape[:-2])
 
 

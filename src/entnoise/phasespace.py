@@ -85,15 +85,18 @@ def _require_finite(matrix: np.ndarray) -> None:
 
 
 def min_eig_hermitian(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; ValueError on a non-finite entry.
+    """Smallest eigenvalue of a Hermitian matrix; ValueError on a non-finite entry or result.
 
     The PSD primitive of every single-matrix positivity decision, so tolerance
     semantics stay uniform. The batched entanglement.ppt_margins does not call
-    it: it clears most matrices by a closed-form symplectic invariant and gives
-    the rest the same eigenvalue margin from one batched eigvalsh.
+    it: it clears most matrices by a Gershgorin bound or a closed-form invariant
+    and gives the rest the same eigenvalue margin from one batched eigvalsh.
     """
     _require_finite(matrix)
-    return float(np.linalg.eigvalsh(matrix)[0])
+    lam = float(np.linalg.eigvalsh(matrix)[0])
+    if not math.isfinite(lam):  # finite entries whose modulus overflows
+        raise ValueError("matrix entries too large: the least eigenvalue is not finite")
+    return lam
 
 
 def validate_covariance(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> Certificate:

@@ -95,10 +95,10 @@ class DisplacementScreen:
     sigma_uv: float = 0.0
 
     def __post_init__(self):
-        sigma = self.matrix
-        if not _finite(*sigma.flat):
-            raise PhysicsRejection(f"displacement moments must be finite, got {sigma.tolist()}")
-        lam = min_eig_hermitian(sigma)
+        for name, value in vars(self).items():  # so that Y = 2 Sigma and Y + Y^T stay finite
+            if not abs(value) <= np.finfo(float).max / 4:
+                raise PhysicsRejection(f"{name} = {value} is not finite, or too large for 2 Sigma")
+        lam = min_eig_hermitian(self.matrix)
         if lam < -TOL_PSD:
             raise PhysicsRejection(
                 f"displacement moment matrix is not PSD (min eigenvalue {lam:.3e})"
@@ -130,13 +130,15 @@ def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certifica
     -tol_psd; when it does, the exchange can generate entanglement. The |g|
     form covers both coupling signs (the g < 0 case is the transpose, which
     has the same spectrum). Raises ValueError on a tol_psd that is negative
-    or not finite.
+    or not finite, and on a |g| whose 2|g| overflows.
     """
     _require_tolerance(tol_psd)
     Y = np.asarray(Y, dtype=float)
     if not _finite(g, *Y.flat):
         raise PhysicsRejection(f"Y and the coupling g must be finite, got {Y.tolist()} and {g}")
     require_symmetric(Y, name="Y")
+    if abs(g) > np.finfo(float).max / 2:  # refused before 2|g| Delta_1 overflows
+        raise ValueError(f"coupling g = {g:g} is out of range: 2|g| overflows")
     lam = min_eig_hermitian(Y - 2j * abs(g) * DELTA_1)
     return Certificate(lam >= -tol_psd, lam)
 

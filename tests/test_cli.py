@@ -97,6 +97,36 @@ def test_overflowing_flow_exits_2(capsys, command):
                    "the flow leaves double precision over this time span\n")
 
 
+@pytest.mark.parametrize("argv, expected, message", [
+    (("check-classicality", "--g", "1e308"), 2, "error: coupling g = 1e+308 is out of range"),
+    (("entanglement-scan", "--g", "1e308"), 2, "error: coupling g = 1e+308 is out of range"),
+    (("check-classicality", "--sxx", "1e308", "--spp", "1"), 3,
+     "physics constraint rejected: sigma_uu = 1e+308 is not finite, or too large for 2 Sigma"),
+    (("noise-test", "--sxx", "1e308", "--spp", "1e308"), 3,
+     "physics constraint rejected: sigma_uu = 1e+308 is not finite, or too large for 2 Sigma"),
+])
+def test_overflowing_coupling_or_screen_is_refused_naming_it(capsys, argv, expected, message):
+    # refused before 2|g| Delta_1 or 2 Sigma is formed, so numpy cannot warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith(message)
+
+
+def test_overflowing_certificate_exits_2(capsys):
+    # each value passes its own bound, but an entry of Y - 2i|g| Delta_1 has a
+    # modulus above the largest double, so the certificate is not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "check-classicality", "--sxx", "4e307", "--spp", "4e307",
+                                 "--sxp", "4e307", "--g", "8.98e307")
+    assert code == 2
+    assert out == ""
+    assert err == "error: matrix entries too large: the least eigenvalue is not finite\n"
+
+
 def test_entanglement_scan_zero_steps_exits_2(capsys):
     code, out, err = run_cli(capsys, "entanglement-scan", "--g", "0.4", "--steps", "0")
     assert code == 2

@@ -12,6 +12,7 @@ from entnoise.dynamics import (
     propagate,
     propagate_grid,
 )
+from entnoise.entanglement import ppt_margins
 from entnoise.errors import EhrenfestViolation, PhysicsRejection
 from entnoise.phasespace import validate_covariance
 from entnoise.sampling import (
@@ -419,3 +420,17 @@ def test_propagate_grid_returns_contiguous_entry_planes(rng, size, batch):
         for k, start in enumerate(starts.reshape(-1, 4, 4)):
             np.testing.assert_allclose(flat[idx, k], propagate(start, dyn, times[idx]),
                                        rtol=1e-9, atol=1e-9)
+
+
+def test_an_empty_batch_of_starts_gives_an_empty_grid():
+    # more than one chunk of iter_grid_segments' 512 points, so every path runs
+    dyn = build_dynamics(moments_with_coupling(np.eye(2), 0.4))
+    times = np.linspace(0.0, 1.0, 1100)
+    grid = propagate_grid(np.empty((0, 4, 4)), dyn, times)
+    assert grid.shape == (1100, 0, 4, 4)
+    assert ppt_margins(grid).shape == (1100, 0)
+    segments = list(iter_grid_segments(np.empty((2, 0, 4, 4)), dyn, times))
+    assert [seg.shape for _, _, seg in segments] == [(stop - start, 2, 0, 4, 4)
+                                                     for start, stop, _ in segments]
+    assert segments[0][0] == 0 and segments[-1][1] == 1100
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(segments, segments[1:]))

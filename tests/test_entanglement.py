@@ -122,11 +122,16 @@ LAYOUTS = {
 
 @pytest.fixture(scope="module")
 def layout_matrices():
-    """9,000 covariances over two screening chunks, routed ones among them."""
+    """9,000 covariances over two screening chunks, routed ones among them.
+
+    The last 30 of the pool add classical noise 2 I to separable states, so
+    most of them clear by the Gershgorin bound, the first screen.
+    """
     rng = np.random.default_rng(7)
     pool = [random_physical_cov(rng) for _ in range(30)] + [random_separable_cov(rng)
                                                            for _ in range(30)]
     pool += [vacuum_cov(), two_mode_squeezed_cov(0.3), two_mode_squeezed_cov(1e-3)]
+    pool += [random_separable_cov(rng) + 2.0 * np.eye(4) for _ in range(30)]
     pool = np.stack(pool)
     return pool[np.r_[np.arange(len(pool)), rng.integers(0, len(pool), 9000 - len(pool))]]
 
@@ -137,6 +142,8 @@ def test_ppt_margins_do_not_depend_on_layout(layout_matrices, layout):
     routed = [60, 61, 62]  # the vacuum and the two-mode squeezed states
     np.testing.assert_array_equal(reference[routed],
                                   [ppt_margin(layout_matrices[k]) for k in routed])
+    lower = [layout_matrices[:, k // 4, k % 4] for k in entanglement._LOWER]
+    assert (entanglement._gershgorin_margins(lower)[63:93] > 0).sum() > 15
     assert reference.min() < 0 < reference.max()
     gammas = LAYOUTS[layout](layout_matrices)
     np.testing.assert_array_equal(gammas, layout_matrices)
@@ -163,6 +170,96 @@ def test_non_finite_entries_raise(decide, i, j, value):
     gamma[i, j] = gamma[j, i] = value
     with pytest.raises(ValueError, match="must be finite"):
         decide(gamma)
+
+
+@pytest.fixture(scope="module")
+def screened_grids():
+    """Seeded grids of both kinds ppt_margins screens, as (n, 4, 4) stacks.
+
+    "criterion 1": separable starts under classical screens, 10,000 matrices
+    over two chunks, most of which settle into gamma >= I. "vacuum": the vacuum
+    under non-classical screens up to t = 2, the onset scan's traffic, which
+    entangles at once.
+    """
+    rng = np.random.default_rng(2026)
+    times = np.linspace(0.0, 50.0, 500)
+    classical, vacuum = [], []
+    for _ in range(4):
+        g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
+        starts = np.stack([random_separable_cov(rng) for _ in range(5)])
+        dyn = build_dynamics(random_classical_screen(rng, g))
+        classical.append(propagate_grid(starts, dyn, times).reshape(-1, 4, 4))
+        dyn = build_dynamics(random_nonclassical_screen(rng, g, margin=0.01))
+        vacuum.append(propagate_grid(vacuum_cov(), dyn, np.linspace(0.0, 2.0, 200)))
+    return {"criterion 1": np.concatenate(classical), "vacuum": np.concatenate(vacuum)}
+
+
+@pytest.fixture(scope="module")
+def eigen_margins(screened_grids):
+    return {kind: np.array([ppt_margin(gamma) for gamma in gammas])
+            for kind, gammas in screened_grids.items()}
+
+
+def screened_columns(monkeypatch):
+    """Record how many matrices reach the closed form, i.e. the first tier left over."""
+    seen = []
+    invariants = entanglement._reversal_invariants
+    def recorded(lower):
+        seen.append(len(lower[0]))
+        return invariants(lower)
+    monkeypatch.setattr(entanglement, "_reversal_invariants", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["criterion 1", "vacuum"])
+def test_ppt_margins_bound_the_eigenvalue_margin(screened_grids, eigen_margins, kind):
+    gammas, exact = screened_grids[kind], eigen_margins[kind]
+    margins = ppt_margins(gammas)
+    scale = np.abs(gammas).max(axis=(1, 2))
+    assert (margins <= exact + 1e-14 * scale).all()
+    # an entry the screens leave to eigvalsh gets exactly its eigenvalue margin
+    np.testing.assert_array_equal(margins[margins <= 0], exact[margins <= 0])
+    for tol in (0.0, 1e-10, 1e-8):
+        np.testing.assert_array_equal(margins < -tol, exact < -tol)
+
+
+def test_ppt_margins_first_tier_clears_most_of_a_criterion_1_grid(screened_grids, monkeypatch):
+    gammas = screened_grids["criterion 1"]
+    seen = screened_columns(monkeypatch)
+    margins = ppt_margins(gammas)
+    assert len(seen) == 2 and sum(seen) < len(gammas) // 2
+    assert margins.min() > 0
+
+
+def test_ppt_margins_first_tier_keeps_clear_of_the_rounding_edge(monkeypatch):
+    # gamma = (1 + (3 + s) eps) I plus off-diagonal entries of +-eps, all exact:
+    # every Gershgorin row bound is 1 + s eps, so r - 1 = s eps. Slack up to
+    # the allowance, 64 u = 32 eps, must not clear; twice as much must
+    eps = np.finfo(float).eps
+    signs = np.where(np.random.default_rng(5).random((4, 4)) < 0.5, -1.0, 1.0)
+    def edge(s):
+        gamma = np.tril(signs, -1) * eps
+        return gamma + gamma.T + (1.0 + (3 + s) * eps) * np.eye(4)
+    near = np.stack([edge(s) for s in range(-3, 33)])
+    seen = screened_columns(monkeypatch)
+    np.testing.assert_array_equal(ppt_margins(near), [ppt_margin(gamma) for gamma in near])
+    assert seen == [len(near)]
+    far = edge(64)
+    assert 0 < ppt_margins(far) <= 32 * eps
+    assert seen == [len(near)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", range(10))
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_ppt_margins_reject_a_non_finite_lower_entry(scale, k, value):
+    # 3 I is cleared by the first tier when finite, the vacuum by neither screen
+    gammas = np.stack([scale * np.eye(4)] * 3)
+    i, j = divmod(int(entanglement._LOWER[k]), 4)
+    gammas[1, i, j] = gammas[1, j, i] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        ppt_margins(gammas)
 
 
 def test_log_negativity_vacuum_zero():

@@ -8,6 +8,7 @@ from entnoise.dynamics import build_dynamics
 from entnoise.phasespace import (
     DELTA_2,
     expm,
+    min_eig_hermitian,
     partial_reverse,
     symplectic_form,
     validate_covariance,
@@ -32,6 +33,14 @@ def test_symplectic_form_squares_to_minus_identity():
         D = symplectic_form(n)
         np.testing.assert_array_equal(D @ D, -np.eye(2 * n))
         np.testing.assert_array_equal(D.T, -D)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_min_eig_hermitian_rejects_an_overflowing_result():
+    # finite entries whose modulus exceeds the largest double: eigvalsh answers NaN
+    matrix = np.array([[8e307, 8e307 + 1.7e308j], [8e307 - 1.7e308j, 8e307]])
+    with pytest.raises(ValueError, match="least eigenvalue is not finite"):
+        min_eig_hermitian(matrix)
 
 
 def test_symplectic_form_rejects_zero_modes():

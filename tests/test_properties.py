@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from entnoise import entanglement
 from entnoise.dynamics import accumulated_noise, build_dynamics, propagate
 from entnoise.entanglement import ppt_margin, ppt_margins
 from entnoise.phasespace import K_REVERSAL, validate_covariance
@@ -139,13 +140,13 @@ def _assert_screen_contract(gammas):
     return routed
 
 
-def _boundary_states(rng, r_min, r_max, strength):
-    """Two-mode squeezed thermal states with nu~_- = nu e^{-2r} = 1 +- 1e-9,
+def _boundary_states(rng, r_min, r_max, strength, sides=(-1e-9, 1e-9)):
+    """Two-mode squeezed thermal states with nu~_- = nu e^{-2r} = 1 + one of sides,
     moved by random local symplectics (which keep nu~_-)."""
     out = []
     for _ in range(BATCH):
         r = rng.uniform(r_min, r_max)
-        nu = np.exp(2 * r) * (1 + rng.choice([-1e-9, 1e-9]))
+        nu = np.exp(2 * r) * (1 + rng.choice(sides))
         S = np.zeros((4, 4))
         S[:2, :2] = random_symplectic(rng, 1, strength)
         S[2:, 2:] = random_symplectic(rng, 1, strength)
@@ -178,7 +179,33 @@ def test_screen_contract_at_the_boundary(seed, strength):
 @PROPERTY_SETTINGS
 @given(seeds, st.floats(0.0, 1.0))
 def test_strongly_squeezed_boundary_states_take_the_eigenvalue_route(seed, strength):
-    # at r >= 2 the rounding bound of nu~_-^2 exceeds its 2e-9 distance from 1
+    # nu~_- = 1 - 1e-9: entangled, so neither screen may clear them, and each
+    # gets its exact eigenvalue margin
     routed = _assert_screen_contract(
-        _boundary_states(np.random.default_rng(seed), 2.0, 4.0, strength))
+        _boundary_states(np.random.default_rng(seed), 2.0, 4.0, strength, sides=(-1e-9,)))
     assert routed.all()
+
+
+@PROPERTY_SETTINGS
+@given(seeds, st.floats(0.0, 1.0))
+def test_closed_form_clears_no_strongly_squeezed_boundary_state(seed, strength):
+    # at r >= 2 the rounding bound of nu~_-^2 exceeds its 2e-9 distance from 1,
+    # so every state the closed form screens goes on to eigvalsh. The
+    # Gershgorin tier before it may clear a separable one: without local
+    # symplectics its row bound is tight, 1 + 1e-9, and its allowance,
+    # 64 u max gamma_kk, stays below 1e-9 up to r near 3.1. A cleared margin
+    # is then 64 u max gamma_kk below the exact one, and eigvalsh's own error
+    # must stay short of that, as the contract compares the two without
+    # tolerance: on 122,000 such states cleared at strengths 0 to 1e-10 it
+    # reached 9.6 u max gamma_kk (the worst checked against 50-digit eigenvalues)
+    screened = []
+    invariants = entanglement._reversal_invariants
+
+    def spy(lower):
+        screened.append(len(lower[0]))
+        return invariants(lower)
+
+    with mock.patch.object(entanglement, "_reversal_invariants", spy):
+        routed = _assert_screen_contract(
+            _boundary_states(np.random.default_rng(seed), 2.0, 4.0, strength))
+    assert sum(screened) == routed.sum()

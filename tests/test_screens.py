@@ -162,3 +162,22 @@ def test_is_classical_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol_psd must be finite and non-negative") as caught:
         is_classical(np.eye(2), 0.1, tol_psd=tol)
     assert caught.type is ValueError
+
+
+@pytest.mark.parametrize("sigmas", [(1e308, 1.0), (1.0, 1e308), (1.0, 1.0, -1e308), (5e307, 5e307)])
+def test_displacement_screen_whose_noise_overflows_is_refused(sigmas):
+    # Y = 2 Sigma and its symmetrization Y + Y^T must stay finite, so every
+    # moment is bounded by a quarter of the largest double (warnings are errors)
+    name = ("sigma_uu", "sigma_vv", "sigma_uv")[next(k for k, v in enumerate(sigmas) if v != 1.0)]
+    with pytest.raises(PhysicsRejection, match=f"^{name} = .* too large for 2 Sigma$"):
+        DisplacementScreen(*sigmas)
+    largest = np.finfo(float).max / 4
+    assert moments_from_displacement(DisplacementScreen(largest, largest)).Y[0, 0] == 2 * largest
+
+
+@pytest.mark.parametrize("g", [1e308, -1e308, np.nextafter(np.finfo(float).max / 2, np.inf)])
+def test_is_classical_refuses_a_coupling_whose_double_overflows(g):
+    with pytest.raises(ValueError, match=r"coupling g = .* is out of range: 2\|g\| overflows") as caught:
+        is_classical(np.eye(2), g)
+    assert caught.type is ValueError
+    assert not is_classical(np.eye(2), np.finfo(float).max / 2).ok
