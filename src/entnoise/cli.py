@@ -231,6 +231,9 @@ def _cmd_noise_test(args):
 def _cmd_entanglement_scan(args):
     if not math.isfinite(args.g):
         raise PhysicsRejection(f"coupling g must be finite, got {args.g}")
+    for flag, s in (("--s-min", args.s_min), ("--s-max", args.s_max)):
+        if s is not None and abs(s) > np.finfo(float).max / 2:  # before 2 s is formed
+            raise PhysicsRejection(f"{flag} = {s:g} is out of range: 2 s overflows")
     s_max = args.s_max if args.s_max is not None else 1.5 * abs(args.g)
     rows = []
     for s in np.linspace(args.s_min, s_max, args.steps):

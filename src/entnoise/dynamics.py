@@ -12,12 +12,14 @@ exponential of Van Loan's 8x8 block gives the pair (X_t, Y_t), and grids are
 built from that flow by the semigroup identity, without quadrature or stepping.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EhrenfestViolation, PhysicsRejection
-from .phasespace import CHI, DELTA_2, TOL_PSD, TOL_SYM, expm, min_eig_hermitian
+from .phasespace import (
+    CHI, DELTA_2, TOL_PSD, TOL_SYM, _require_finite_time, expm, min_eig_hermitian)
 from .screens import ScreenMoments, _finite
 
 
@@ -122,12 +124,13 @@ def _peak(values: np.ndarray, t: float, factor: float = 1.0) -> float:
 
 
 def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray:
-    """gamma(t) = Y_t + X_t^T gamma(0) X_t for t >= 0; ValueError if it overflows."""
-    if not np.isfinite(t):
-        raise ValueError(f"propagation time must be finite, got {t}")
+    """gamma(t) = Y_t + X_t^T gamma(0) X_t for a 4x4 gamma(0), t >= 0; ValueError on overflow."""
+    _require_finite_time(t)
     if t < 0:
         raise ValueError(f"propagate requires t >= 0, got {t}")
     gamma0 = np.asarray(gamma0, dtype=float)
+    if gamma0.shape != (4, 4):
+        raise ValueError(f"two-mode covariance expected, got shape {gamma0.shape}")
     if t == 0.0:
         return gamma0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,21 +179,18 @@ def _state_flow(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def iter_grid_segments(
     gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray, chunk: int = 512
 ):
-    """Yield (start, stop, gammas) segments of the grid trajectory in order.
+    """Yield (start, stop, gammas) segments of the grid trajectory, one per chunk, in order.
 
     Each chunk is a fresh (17, points, starts) buffer Z of states
     (_state_flow), filled from its first point by doubling, Z[:, f:f+k] =
     F_f @ Z[:, :k] with F_1 the flow over dt and F_2f = F_f @ F_f; the next
     chunk starts from this one's first point advanced by the exact flow over
-    one chunk. A grid of one chunk is one segment. A longer one yields its
-    first chunk stretch by stretch as the doubling fills it, [0, 1), [1, 2),
-    [2, 4), ..., then whole chunks, and builds the chunk's flow only when the
-    second chunk is asked for: a scan that stops at index i >= 1 has paid for
-    at most 2 i points. Only the lower triangle of gamma0 (..., 4, 4) is
-    read. Each gammas is an exactly symmetric view (stop - start, ..., 4, 4)
-    of entry planes, each gammas[..., i, j] C-contiguous. A flow that could
-    overflow, by the row-sum norms of the F_f times the chunk's first point,
-    raises ValueError before its segment is yielded.
+    one chunk, so the segments are [0, chunk), [chunk, 2 chunk), ... Only the
+    lower triangle of gamma0 (..., 4, 4) is read. Each gammas is an exactly
+    symmetric view (stop - start, ..., 4, 4) of entry planes, each
+    gammas[..., i, j] C-contiguous. A chunk whose flow could overflow, by its
+    first point times the product of the row-sum norms of the F_f, raises
+    ValueError naming its last time before its segment is yielded.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
@@ -202,44 +202,27 @@ def iter_grid_segments(
     m = min(chunk, n)
     state = np.ones((17, gamma0.size // 16))  # a chunk's first point, one column per start
     state[:16] = gamma0.reshape(-1, 16).T[_LOWER[_FULL]]
-    _peak(state, 0.0)
-    def gammas(Z):  # (17, size, starts) -> (size, ..., 4, 4) view of the entry planes
-        planes = Z[:16].reshape((4, 4, Z.shape[1]) + gamma0.shape[:-2])
-        return np.moveaxis(planes, (0, 1), (-2, -1))
-    def filled(size):  # a fresh chunk from state: (Z, f, k) once Z[:, f:f+k] is filled
-        Z = np.empty((17, size, state.shape[1]))
-        Z[:, 0], Z[16, 1:] = state, 1.0
-        yield Z, 0, 1
-        for j, flow in enumerate(flows[:(size - 1).bit_length()]):
-            f = 2 ** j
-            k = min(f, size - f)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(flow[:16], Z[:, :k].reshape(17, -1), out=Z[:16, f:f + k].reshape(16, -1))
-            yield Z, f, k
-    if m < n:
-        yield 0, 1, gammas(state[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
         flows = [_state_flow(*accumulated_noise(dyn, dt))]
         while len(flows) < (m - 1).bit_length():
             flows.append(flows[-1] @ flows[-1])
-        # growth[j] bounds max |Z| / max |state| once F_1, ..., F_2^j have filled Z
-        growth = np.cumprod(np.abs(flows).sum(axis=2).max(axis=1)).tolist()
-    for Z, f, k in filled(m):
-        if m < n and f:
-            _peak(state, (f + k - 1) * dt, growth[f.bit_length() - 1])
-            yield f, f + k, gammas(Z[:, f:f + k])
-    if m == n:
-        _peak(state, (n - 1) * dt, growth[-1])
-        yield 0, n, gammas(Z)
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        chunk_flow = _state_flow(*accumulated_noise(dyn, m * dt))
-    for start in range(m, n, m):
+        growth = math.prod(np.abs(flows).sum(axis=2).max(axis=1).tolist())  # max |Z| / max |state|
+        if m < n:
+            chunk_flow = _state_flow(*accumulated_noise(dyn, m * dt))
+    for start in range(0, n, m):
+        size = min(m, n - start)
         with np.errstate(over="ignore", invalid="ignore"):
-            state = chunk_flow @ state
-        _peak(state, start * dt, growth[-1])
-        *_, (Z, _, _) = filled(min(m, n - start))
-        yield start, start + Z.shape[1], gammas(Z)
+            if start:
+                state = chunk_flow @ state
+            _peak(state, (start + size - 1) * dt, growth)
+            Z = np.empty((17, size, state.shape[1]))
+            Z[:, 0], Z[16, 1:] = state, 1.0
+            for j, flow in enumerate(flows[:(size - 1).bit_length()]):
+                f = 2 ** j
+                k = min(f, size - f)
+                np.matmul(flow[:16], Z[:, :k].reshape(17, -1), out=Z[:16, f:f + k].reshape(16, -1))
+        planes = Z[:16].reshape((4, 4, size) + gamma0.shape[:-2])
+        yield start, start + size, np.moveaxis(planes, (0, 1), (-2, -1))
 
 
 def propagate_grid(gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .phasespace import (
     DELTA_2_TILDE,
     TOL_PSD,
     Certificate,
+    _require_finite_time,
     min_eig_hermitian,
     partial_reverse,
     require_symmetric,
@@ -229,9 +230,7 @@ def entanglement_onset(
     if ppt_margin(gamma0) < -tol_psd:
         raise ValueError("initial state is already entangled; onset is undefined")
 
-    if not math.isfinite(t_max):
-        # checked before np.linspace, which would warn on it
-        raise ValueError(f"propagation time must be finite, got {t_max}")
+    _require_finite_time(t_max)
     times = np.linspace(0.0, t_max, grid)
     def f(t):
         return ppt_margin(propagate(gamma0, dyn, t)) + tol_psd
@@ -241,7 +240,7 @@ def entanglement_onset(
         hi = 2.0 * tol_psd / -lam * (1.0 + 5e-7) if lam < 0 else np.inf
         if hi <= times[1] and f(hi * (1.0 - 1e-6)) >= 0.0 > f(hi):
             return float(hi)
-    # scan in segments so early onsets (the typical case) exit fast
+    # scan chunk by chunk, so a hit stops the scan at the end of its chunk
     before = None  # the margin just before the current segment
     for start, stop, seg in iter_grid_segments(gamma0, dyn, times):
         margins = ppt_margins(seg)

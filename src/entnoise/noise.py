@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import GaussianDynamics, drift_from_hamiltonian, propagate_grid
+from .phasespace import _require_finite_time
 
 
 def excess_variance(gamma: np.ndarray, gamma_r: np.ndarray) -> np.ndarray:
@@ -85,6 +86,7 @@ def run_noise_test(
     if grid < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid}")
     gamma0 = np.asarray(gamma0, dtype=float)
+    _require_finite_time(t_max)
     times = np.linspace(0.0, t_max, grid)
     benchmark = reversible_benchmark(dyn)
 

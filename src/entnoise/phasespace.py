@@ -79,6 +79,12 @@ def _require_tolerance(tol_psd: float) -> None:
         raise ValueError(f"tol_psd must be finite and non-negative, got {tol_psd}")
 
 
+def _require_finite_time(t: float) -> None:
+    """Raise ValueError unless the propagation time t is finite (np.linspace would warn on it)."""
+    if not math.isfinite(t):
+        raise ValueError(f"propagation time must be finite, got {t}")
+
+
 def _require_finite(matrix: np.ndarray) -> None:
     if not np.isfinite(matrix).all():
         raise ValueError("matrix entries must be finite")

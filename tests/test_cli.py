@@ -104,9 +104,13 @@ def test_overflowing_flow_exits_2(capsys, command):
      "physics constraint rejected: sigma_uu = 1e+308 is not finite, or too large for 2 Sigma"),
     (("noise-test", "--sxx", "1e308", "--spp", "1e308"), 3,
      "physics constraint rejected: sigma_uu = 1e+308 is not finite, or too large for 2 Sigma"),
+    (("entanglement-scan", "--g", "0.4", "--s-min", "1e308"), 3,
+     "physics constraint rejected: --s-min = 1e+308 is out of range: 2 s overflows"),
+    (("entanglement-scan", "--g", "0.4", "--s-max", "1e308"), 3,
+     "physics constraint rejected: --s-max = 1e+308 is out of range: 2 s overflows"),
 ])
 def test_overflowing_coupling_or_screen_is_refused_naming_it(capsys, argv, expected, message):
-    # refused before 2|g| Delta_1 or 2 Sigma is formed, so numpy cannot warn
+    # refused before 2|g| Delta_1, 2 Sigma or 2 s is formed, so numpy cannot warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)

@@ -346,7 +346,7 @@ def test_onset_bisection_is_tight():
 
 
 ONSET_TOL = 1e-8
-ONSET_GRID = 2000  # four chunks of the scan's 512, so the first is yielded stretch by stretch
+ONSET_GRID = 2000  # four chunks of the scan's 512, so a hit can follow a chunk boundary
 
 
 def bisection_onset(dyn, gamma0, t_max):
@@ -373,8 +373,9 @@ def onset_cases():
     """(dyn, gamma0, t_max, reference onset, hit index) for 30 vacuum and 31 separable starts.
 
     A vacuum onset lies in the first grid step (the converse is first order),
-    so its hit is index 1, the only point of the stretch [1, 2). The last case
-    puts a separable hit on index 512, the first point of the second chunk.
+    so its hit is index 1, in the first chunk. The last case puts a separable
+    hit on index 512, the first point of the second chunk, whose bracket's
+    lower end is the first chunk's last margin.
     """
     rng = np.random.default_rng(20261019)
     cases = []

@@ -91,6 +91,15 @@ def test_run_noise_test_rejects_tiny_grid():
         run_noise_test(dyn, vacuum_cov(), 1.0, grid=2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_max", [np.inf, -np.inf, np.nan])
+def test_run_noise_test_rejects_non_finite_t_max(t_max):
+    # refused before np.linspace, which would warn on it
+    dyn = build_dynamics(moments_with_coupling(np.eye(2), 0.2))
+    with pytest.raises(ValueError, match="propagation time must be finite"):
+        run_noise_test(dyn, vacuum_cov(), t_max, grid=161)
+
+
 def test_classical_screen_passes_over_window(rng):
     for _ in range(5):
         g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
