@@ -167,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_screen_flags(p)
     p.add_argument("--t-max", type=_number(float, 0.0, ">"), default=0.3)
     p.add_argument("--grid", type=_number(int, 3), default=201)
-    p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum")
+    p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum",
+                   help="initial state (no effect: the excess is Y_t's p diagonal for any start)")
     p.set_defaults(run=_cmd_noise_test)
 
     p = sub.add_parser("entanglement-scan",

@@ -32,13 +32,16 @@ from .dynamics import (
 from .screens import is_classical, moments_with_coupling
 
 
-def _require_physical(gamma: np.ndarray, tol_psd: float) -> None:
+def _require_physical(gamma: np.ndarray, tol_psd: float) -> np.ndarray:
+    """gamma as a float array, once it is a physical two-mode covariance."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (4, 4):
+        raise ValueError(f"two-mode covariance expected, got shape {gamma.shape}")
     cert = validate_covariance(gamma, tol_psd=tol_psd)
     if not cert.ok:
-        raise UnphysicalCovariance(
-            f"covariance violates the uncertainty principle "
-            f"(min eigenvalue {cert.min_eigenvalue:.3e})"
-        )
+        raise UnphysicalCovariance(f"covariance violates the uncertainty principle "
+                                   f"(min eigenvalue {cert.min_eigenvalue:.3e})")
+    return gamma
 
 
 def ppt_margin(gamma: np.ndarray) -> float:
@@ -51,64 +54,48 @@ _U = np.finfo(float).eps / 2  # unit roundoff
 _CHUNK = 8192
 
 
-def _reversal_invariants(lower: np.ndarray):
-    """nu~_-^2 of each partially reversed gamma, its rounding bound and an eigenvalue floor.
+def _lower_minors(lower: np.ndarray):
+    """det A, det B, det C, the leading 3x3 minor and det of each gamma = [[A, C], [C^T, B]].
 
-    lower holds the _LOWER entries of n covariances, a b e c f h d g i j
-    below, as ten rows of length n; each output has shape (n,). With
-    blocks gamma = [[A, C], [C^T, B]], the reversal keeps det A, det B and
-    det gamma and flips det C, so its symplectic invariant is
-    Delta~ = det A + det B - 2 det C and nu~_-^2 = 2 det / (Delta~ + sqrt(Delta~^2 - 4 det))
-    (Simon, PRL 84, 2726, 2000; Serafini, Illuminati and De Siena, J. Phys. B
-    37, L21, 2004); this root does not cancel when nu~_+ >> nu~_-.
-
-    Returns (nu2, delta, floor, positive). The true nu~_-^2 lies within
-    delta of nu2; floor is 27 det / tr^3, a lower bound on lambda_min(gamma)
-    where positive certifies gamma positive definite.
+    lower holds the _LOWER entries a b e c f h d g i j of n covariances as ten rows.
     """
     a, b, e, c, f, h, d, g, i, j = lower
     det_a, det_b, det_c = a * e - b * b, h * j - i * i, c * g - d * f
     # the other 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair
     p02, p03, p12, p13 = a * f - b * c, a * g - b * d, b * f - c * e, b * g - d * e
     q02, q03, q12, q13 = c * i - d * h, c * j - d * i, f * i - g * h, f * j - g * i
-    # Laplace expansion along rows (0, 1) by complementary minors; minor3 is
-    # the leading 3x3 minor, by expansion along row 2
+    # Laplace expansion along rows (0, 1) by complementary minors; the 3x3
+    # minor by expansion along row 2
     det = det_a * det_b - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + det_c * det_c
-    minor3 = c * p12 - f * p02 + h * det_a
-    tilde = det_a + det_b - 2.0 * det_c
-    del p02, p03, p12, p13, q02, q03, q12, q13, det_b, det_c  # a lower peak on a full chunk
-    # a positive definite gamma has real symplectic eigenvalues, so the true
-    # discriminant (nu~_+^2 - nu~_-^2)^2 is >= 0 and clipping only cuts error
-    root = np.sqrt(np.maximum(tilde * tilde - 4.0 * det, 0.0))
-    den = tilde + root
-    nu2 = 2.0 * det / den
+    return det_a, det_b, det_c, c * p12 - f * p02 + h * det_a, det
 
-    # Rounding bound, to first order in the unit roundoff u. With
-    # M = max |gamma_ij|, a sum of monomials whose terms each pass through
-    # k roundings is off by at most k u times the sum of |monomials|
-    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
-    #   a 2x2 minor:  2 monomials of <= M^2, k = 2              -> 4 u M^2
-    #   minor3:       6 monomials of <= M^3, k = 2 + 1 + 2      -> 30 u M^3
-    #   det:          24 monomials of <= M^4, k = 2 + 2 + 1 + 5 -> 240 u M^4
-    #   Delta~:       |monomials| sum to <= 8 M^2, k = 2 + 2    -> 32 u M^2
-    #   discriminant: 2 |Delta~| 32 u M^2 + 4 (240 u M^4)
-    #                 + u (2 Delta~^2 + 4 |det|), with |Delta~| <= 8 M^2
-    #                 and |det| <= 24 M^4                       -> 1696 u M^4
-    # |sqrt x - sqrt y| <= min(|x - y| / sqrt x, sqrt |x - y|) carries the
-    # discriminant's error into the root, and the quotient adds the relative
-    # errors of det and of Delta~ + root. So delta scales as u M^4 / det, and
-    # as sqrt(u) M^2 / sqrt(det) when nu~_+ ~ nu~_-.
-    m = functools.reduce(np.maximum, [np.abs(entry) for entry in lower])
+
+def _sylvester_margins(lower: np.ndarray) -> np.ndarray:
+    """27 det M / tr^3, less its rounding bound, where M = gamma~ + i Delta_2 is certified > 0.
+
+    M's leading minors are a, det A - 1, minor3 - h and det M = det gamma -
+    Delta~ + 1 = (nu~_-^2 - 1)(nu~_+^2 - 1), with the reversal's invariant
+    Delta~ = det A + det B - 2 det C (Simon, PRL 84, 2726, 2000). If each
+    clears its rounding bound, M > 0 (Sylvester), and as tr M = tr gamma,
+    AM-GM gives lambda_min(M) >= 27 det M / tr^3. No other entry gets a positive value.
+    """
+    a, e, h, j = lower[0], lower[2], lower[5], lower[9]
+    det_a, det_b, det_c, minor3, det = _lower_minors(lower)
+    # Rounding bounds to first order in the unit roundoff u, m = max(1, max |gamma_ij|):
+    # a sum of monomials that each pass through <= k roundings is off by <= k u times
+    # the sum of |monomials| (Higham, Accuracy and Stability of Numerical Algorithms,
+    # ch. 3). det A - 1: 2 of <= m^2 at k = 3, and 1: 7 u m^2. minor3 - h: 6 of <= m^3
+    # at k = 2 + 1 + 2 + 1, and h: 37 u m^3. det M: 24 of <= m^4 at k = 2 + 2 + 1 + 5
+    # + 2, Delta~'s summing to 8 m^2 at k = 4 + 2, and 1: 337 u m^4. Lowered by that,
+    # the bound drops 27 * 337 u m^4 / tr^3 >= 35 u tr (tr <= 4 m): room for its own
+    # rounding (< 4 u tr) and for eigvalsh's error, p u ||M|| with ||M|| <= tr + 1 <=
+    # 1.25 tr, up to p = 25, so a cleared bound stays below eigvalsh's answer.
+    m = functools.reduce(np.maximum, [np.abs(entry) for entry in lower], 1.0)
     m2 = m * m
-    m4 = m2 * m2
-    err_det, err_disc = 240 * _U * m4, 1696 * _U * m4
-    err_den = (32 * _U * m2 + err_disc / np.maximum(root, math.sqrt(1696 * _U) * m2)
-               + _U * (root + den))
-    delta = np.abs(nu2) * (err_det / np.abs(det) + err_den / np.abs(den) + _U)
-    # Sylvester's criterion, each leading minor clear of its own bound
-    positive = (a > 0) & (det_a > 4 * _U * m2) & (minor3 > 30 * _U * m2 * m) & (det > err_det)
+    positive = (a > 0) & (det_a - 1.0 > 7 * _U * m2) & (minor3 - h > 37 * _U * m2 * m)
+    det_m = det - (det_a + det_b - 2.0 * det_c) + 1.0 - 337 * _U * m2 * m2
     tr = a + e + h + j
-    return nu2, delta, 27.0 * det / (tr * tr * tr), positive
+    return np.where(positive, 27.0 * det_m / (tr * tr * tr), 0.0)
 
 
 def _gershgorin_margins(lower: np.ndarray) -> np.ndarray:
@@ -130,18 +117,14 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
 
     Returns m_i <= lambda_min(gamma~_i + i Delta_2), with equality on every
     entry neither screen clears; so m_i < -tol exactly when the eigenvalue
-    margin is below -tol, for every tol >= 0. The first screen is Gershgorin's:
-    gamma~ = K gamma K has gamma's spectrum, so by Weyl's inequality the margin
-    is >= r_i - 1, r_i gamma's least row bound, and an entry with
-    r_i - 1 - err_i > 0 keeps that bound (_gershgorin_margins). The closed form
-    screens the rest, gathered unless none cleared: it clears a positive
-    definite gamma whose reversal has nu~_-^2 - 1 > delta_i (see
-    _reversal_invariants), as gamma~ + i Delta >= (1 - 1/nu~_-) gamma~ and, by
-    AM-GM, lambda_min(gamma) >= 27 det gamma / (tr gamma)^3; its margin is that
-    product with nu~_-^2 lowered by delta_i. Every other entry gets the
-    eigenvalue margin; a non-finite one, never cleared, raises ValueError. Each
-    lower entry is read as a flat row: in place from propagate_grid's entry
-    planes, else copied.
+    margin is below -tol, for every tol >= 0. The first screen is Gershgorin's
+    (_gershgorin_margins): gamma~ = K gamma K has gamma's spectrum, so by
+    Weyl's inequality the margin is >= r_i - 1, r_i gamma's least row bound.
+    The second, Sylvester's criterion on gamma~ + i Delta_2 itself
+    (_sylvester_margins), screens the rest, gathered unless none cleared.
+    Every other entry gets the eigenvalue margin; a non-finite one, never
+    cleared, raises ValueError. Each lower entry is read as a flat row: in
+    place from propagate_grid's entry planes, else copied.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape[-2:] != (4, 4):
@@ -158,10 +141,8 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
             if not rest.size:
                 continue
             rows = block if rest.size == len(out) else [row[rest] for row in block]
-            nu2, delta, floor, positive = _reversal_invariants(rows)
-            cleared = positive & (nu2 - 1.0 > delta)
-            out[rest] = (1.0 - 1.0 / np.sqrt(nu2 - delta)) * floor
-        routed = rest[~cleared]
+            out[rest] = _sylvester_margins(rows)
+        routed = rest[~(out[rest] > 0.0)]
         if routed.size:
             entries = np.array([row[routed] for row in block])  # (10, routed)
             reversed_batch = entries[_FULL].T.reshape(-1, 4, 4) * _REVERSAL_SIGNS
@@ -173,10 +154,7 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
 
 def is_separable(gamma: np.ndarray) -> Certificate:
     """Momentum-reversal separability test with its eigenvalue certificate."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (4, 4):
-        raise ValueError(f"two-mode covariance expected, got shape {gamma.shape}")
-    _require_physical(gamma, TOL_PSD)
+    gamma = _require_physical(gamma, TOL_PSD)
     lam = ppt_margin(gamma)
     return Certificate(lam >= -TOL_PSD, lam)
 
@@ -188,9 +166,12 @@ def log_negativity(gamma: np.ndarray) -> float:
     the state is separable. Only the smaller symplectic eigenvalue of a
     physical state's reversal can fall below 1, so it is the whole sum.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    _require_physical(gamma, TOL_PSD)
-    (nu2,), *_ = _reversal_invariants(gamma.reshape(16, 1)[_LOWER])
+    gamma = _require_physical(gamma, TOL_PSD)
+    det_a, det_b, det_c, _, det = _lower_minors(gamma.reshape(16)[_LOWER])
+    tilde = det_a + det_b - 2.0 * det_c
+    # a root of nu^4 - Delta~ nu^2 + det that does not cancel when nu~_+ >> nu~_-
+    # (Serafini, Illuminati and De Siena, J. Phys. B 37, L21, 2004)
+    nu2 = 2.0 * det / (tilde + np.sqrt(np.maximum(tilde * tilde - 4.0 * det, 0.0)))
     nu = float(np.sqrt(nu2))
     # a value within tol of 1 is separability-marginal, not entangled
     return -math.log(nu) if nu < 1.0 - TOL_PSD else 0.0
@@ -225,8 +206,7 @@ def entanglement_onset(
     """
     if grid < 100:
         raise ValueError(f"grid must be at least 100 points, got {grid}")
-    gamma0 = np.asarray(gamma0, dtype=float)
-    _require_physical(gamma0, tol_psd)
+    gamma0 = _require_physical(gamma0, tol_psd)
     if ppt_margin(gamma0) < -tol_psd:
         raise ValueError("initial state is already entangled; onset is undefined")
 

@@ -93,7 +93,6 @@ def run_noise_test(
     gammas = propagate_grid(gamma0, dyn, times)
     gammas_r = propagate_grid(gamma0, benchmark, times)
     excess = excess_variance(gammas, gammas_r)
-    excess[0] = 0.0  # both trajectories share gamma(0) exactly
     rate = (_drift_rate(dyn.drift, gammas) - _drift_rate(benchmark.drift, gammas_r)
             + noise_rate_at_zero(dyn))
     bound = coupling_bound(dyn)

@@ -13,7 +13,8 @@ from entnoise.entanglement import (
     ppt_margins,
 )
 from entnoise.errors import UnphysicalCovariance
-from entnoise.phasespace import DELTA_2_TILDE, TOL_PSD, min_eig_hermitian, validate_covariance
+from entnoise.phasespace import (
+    DELTA_2, DELTA_2_TILDE, TOL_PSD, min_eig_hermitian, partial_reverse, validate_covariance)
 from entnoise.sampling import (
     random_classical_screen,
     random_nonclassical_screen,
@@ -201,13 +202,13 @@ def eigen_margins(screened_grids):
 
 
 def screened_columns(monkeypatch):
-    """Record how many matrices reach the closed form, i.e. the first tier left over."""
+    """Record how many matrices reach the Sylvester screen, i.e. the first tier left over."""
     seen = []
-    invariants = entanglement._reversal_invariants
+    sylvester = entanglement._sylvester_margins
     def recorded(lower):
         seen.append(len(lower[0]))
-        return invariants(lower)
-    monkeypatch.setattr(entanglement, "_reversal_invariants", recorded)
+        return sylvester(lower)
+    monkeypatch.setattr(entanglement, "_sylvester_margins", recorded)
     return seen
 
 
@@ -247,6 +248,58 @@ def test_ppt_margins_first_tier_keeps_clear_of_the_rounding_edge(monkeypatch):
     far = edge(64)
     assert 0 < ppt_margins(far) <= 32 * eps
     assert seen == [len(near)]
+
+
+def test_sylvester_minors_are_the_leading_minors_of_the_reversal(rng):
+    # the second tier's four minors against numpy's determinants of the leading
+    # blocks of M = gamma~ + i Delta_2, and det M against the reversal's
+    # symplectic eigenvalues nu~_-, nu~_+ (each an eigenvalue pair +-nu of i Delta_2 gamma~)
+    gammas = np.stack([random_physical_cov(rng, strength=s) for s in np.linspace(0.0, 2.0, 200)])
+    det_a, det_b, det_c, minor3, det = entanglement._lower_minors(
+        [gammas[:, k // 4, k % 4] for k in entanglement._LOWER])
+    minors = [gammas[:, 0, 0], det_a - 1.0, minor3 - gammas[:, 2, 2],
+              det - (det_a + det_b - 2.0 * det_c) + 1.0]
+    reversed_ = np.stack([partial_reverse(gamma) for gamma in gammas])
+    scale = np.maximum(1.0, np.abs(gammas).max(axis=(1, 2)))
+    for k, minor in enumerate(minors, start=1):
+        leading = np.linalg.det(reversed_[:, :k, :k] + 1j * DELTA_2[:k, :k])
+        assert (np.abs(leading - minor) <= 1e-13 * scale**k).all()
+    nu = np.sort(np.abs(np.linalg.eigvals(1j * DELTA_2 @ reversed_)))[:, ::2]
+    assert (np.abs((nu[:, 0] ** 2 - 1) * (nu[:, 1] ** 2 - 1) - minors[3]) <= 1e-12 * scale**4).all()
+    assert (minors[3] < 0).any() and (minors[3] > 0).any()
+
+
+def test_sylvester_bounds_sit_below_50_digit_margins_at_the_boundary():
+    # two-mode squeezed thermal states at r in [0, 2] with nu~_- = 1 + s, moved
+    # by local symplectics. The second tier clears none at s = -1e-9, and each
+    # bound it gives sits below the 50-digit least eigenvalue of gamma~ + i
+    # Delta_2 by more than eigvalsh's own error, so no allowance beyond the
+    # rounding bound is needed (on these states the gap exceeds 8,000 u tr and
+    # the error stays under 3 u tr)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    gammas, sides = [], []
+    for strength in (0.0, 0.5, 1.0):
+        for side in (-1e-9, 1e-9, 1e-6, 1e-3, 0.1):
+            for r in rng.uniform(0.0, 2.0, 40):
+                S = np.zeros((4, 4))
+                S[:2, :2] = random_symplectic(rng, 1, strength)
+                S[2:, 2:] = random_symplectic(rng, 1, strength)
+                gamma = S.T @ (np.exp(2 * r) * (1 + side) * two_mode_squeezed_cov(r)) @ S
+                gammas.append(0.5 * (gamma + gamma.T))
+                sides.append(side)
+    gammas, sides = np.stack(gammas), np.array(sides)
+    bounds = entanglement._sylvester_margins(
+        [gammas[:, k // 4, k % 4] for k in entanglement._LOWER])
+    assert (bounds[sides < 0] <= 0).all()
+    cleared = np.flatnonzero(bounds > 0)
+    assert len(cleared) > 300
+    matrices = np.stack([partial_reverse(gamma) for gamma in gammas]) + 1j * DELTA_2
+    fast = np.linalg.eigvalsh(matrices)[:, 0]
+    with mpmath.workdps(50):
+        for k in cleared[::3]:
+            exact = min(mpmath.eighe(mpmath.matrix(matrices[k].tolist()), eigvals_only=True))
+            assert exact - bounds[k] > abs(exact - fast[k])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -566,6 +619,13 @@ def test_nonclassical_screens_entangle_sampled(rng):
         dyn = build_dynamics(m)
         onset = entanglement_onset(dyn, vacuum_cov(), t_max=50.0, grid=2000, tol_psd=1e-8)
         assert onset is not None
+
+
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("decide", [is_separable, log_negativity])
+def test_decisions_refuse_anything_but_one_two_mode_covariance(decide, n):
+    with pytest.raises(ValueError, match=rf"two-mode covariance expected, got shape \({n}, {n}\)"):
+        decide(np.eye(n))
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entnoise.cli import _render
-from entnoise.dynamics import build_dynamics, propagate_grid
+from entnoise.dynamics import accumulated_noise, build_dynamics, propagate_grid
 from entnoise.noise import (
     coupling_bound,
     excess_variance,
@@ -148,6 +148,20 @@ def test_excess_starts_at_zero_exactly(rng):
     m = random_classical_screen(rng, 0.5, margin=0.2)
     report = run_noise_test(build_dynamics(m), random_physical_cov(rng), t_max=0.3, grid=121)
     assert report.excess[0] == 0.0
+
+
+def test_excess_is_the_accumulated_noise_from_any_start(rng):
+    # a screen without level shifts gives both trajectories the flow X_t, so
+    # gamma - gamma_r = Y_t for every start: the excess is Y_t's p diagonal and
+    # the rate that of dY_t/dt = X_t^T y X_t
+    for _ in range(6):
+        dyn = build_dynamics(random_classical_screen(rng, rng.uniform(-0.9, 0.9)))
+        report = run_noise_test(dyn, random_physical_cov(rng), t_max=3.0, grid=31)
+        flows = [accumulated_noise(dyn, t) for t in report.times]
+        excess = [0.5 * (Y[1, 1] + Y[3, 3]) for _, Y in flows]
+        rate = [0.5 * (X.T @ dyn.diffusion @ X)[[1, 3], [1, 3]].sum() for X, _ in flows]
+        np.testing.assert_allclose(report.excess, excess, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(report.rate, rate, rtol=1e-12, atol=1e-12)
 
 
 def test_near_boundary_screen_violates(rng):

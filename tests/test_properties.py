@@ -189,9 +189,11 @@ def test_strongly_squeezed_boundary_states_take_the_eigenvalue_route(seed, stren
 @PROPERTY_SETTINGS
 @given(seeds, st.floats(0.0, 1.0))
 def test_closed_form_clears_no_strongly_squeezed_boundary_state(seed, strength):
-    # at r >= 2 the rounding bound of nu~_-^2 exceeds its 2e-9 distance from 1,
-    # so every state the closed form screens goes on to eigvalsh. The
-    # Gershgorin tier before it may clear a separable one: without local
+    # at r >= 2 det M = (nu~_-^2 - 1)(nu~_+^2 - 1) is about 2e-9 e^{8r}, while
+    # its rounding bound, 337 u m^4 with m >= max gamma_kk ~ e^{4r} / 2, is
+    # 2.3e-15 e^{16r}: ten times more at r = 2 and growing, so every state the
+    # Sylvester screen sees goes on to eigvalsh. The Gershgorin tier before
+    # it may clear a separable one: without local
     # symplectics its row bound is tight, 1 + 1e-9, and its allowance,
     # 64 u max gamma_kk, stays below 1e-9 up to r near 3.1. A cleared margin
     # is then 64 u max gamma_kk below the exact one, and eigvalsh's own error
@@ -199,13 +201,13 @@ def test_closed_form_clears_no_strongly_squeezed_boundary_state(seed, strength):
     # tolerance: on 122,000 such states cleared at strengths 0 to 1e-10 it
     # reached 9.6 u max gamma_kk (the worst checked against 50-digit eigenvalues)
     screened = []
-    invariants = entanglement._reversal_invariants
+    sylvester = entanglement._sylvester_margins
 
     def spy(lower):
         screened.append(len(lower[0]))
-        return invariants(lower)
+        return sylvester(lower)
 
-    with mock.patch.object(entanglement, "_reversal_invariants", spy):
+    with mock.patch.object(entanglement, "_sylvester_margins", spy):
         routed = _assert_screen_contract(
             _boundary_states(np.random.default_rng(seed), 2.0, 4.0, strength))
     assert sum(screened) == routed.sum()
