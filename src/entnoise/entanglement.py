@@ -71,7 +71,7 @@ def _lower_minors(lower: np.ndarray):
 
 
 def _sylvester_margins(lower: np.ndarray) -> np.ndarray:
-    """27 det M / tr^3, less its rounding bound, where M = gamma~ + i Delta_2 is certified > 0.
+    """27 det M / tr^3, det M less twice its rounding bound, where M = gamma~ + i Delta_2 is > 0.
 
     M's leading minors are a, det A - 1, minor3 - h and det M = det gamma -
     Delta~ + 1 = (nu~_-^2 - 1)(nu~_+^2 - 1), with the reversal's invariant
@@ -86,16 +86,16 @@ def _sylvester_margins(lower: np.ndarray) -> np.ndarray:
     # the sum of |monomials| (Higham, Accuracy and Stability of Numerical Algorithms,
     # ch. 3). det A - 1: 2 of <= m^2 at k = 3, and 1: 7 u m^2. minor3 - h: 6 of <= m^3
     # at k = 2 + 1 + 2 + 1, and h: 37 u m^3. det M: 24 of <= m^4 at k = 2 + 2 + 1 + 5
-    # + 2, Delta~'s summing to 8 m^2 at k = 4 + 2, and 1: 337 u m^4. Lowered by that,
-    # the bound drops 27 * 337 u m^4 / tr^3 >= 35 u tr (tr <= 4 m): room for its own
-    # rounding (< 4 u tr) and for eigvalsh's error, p u ||M|| with ||M|| <= tr + 1 <=
-    # 1.25 tr, up to p = 25, so a cleared bound stays below eigvalsh's answer.
+    # + 2, Delta~'s summing to 8 m^2 at k = 4 + 2, and 1: 337 u m^4. Subtracted twice,
+    # it leaves det_m <= det M - 337 u m^4, so the bound sits >= 35 u tr (tr <= 4 m)
+    # below AM-GM's: room for its own rounding (< 4 u tr) and for eigvalsh's error,
+    # p u ||M|| with ||M|| <= tr + 1 <= 1.25 tr (det A, det B > 1 give tr > 4), p <= 24.
     m = functools.reduce(np.maximum, [np.abs(entry) for entry in lower], 1.0)
     m2 = m * m
     positive = (a > 0) & (det_a - 1.0 > 7 * _U * m2) & (minor3 - h > 37 * _U * m2 * m)
-    det_m = det - (det_a + det_b - 2.0 * det_c) + 1.0 - 337 * _U * m2 * m2
+    det_m = det - (det_a + det_b - 2.0 * det_c) + 1.0 - 674 * _U * m2 * m2
     tr = a + e + h + j
-    return np.where(positive, 27.0 * det_m / (tr * tr * tr), 0.0)
+    return np.where(positive & (det_m > 0.0), 27.0 * det_m / (tr * tr * tr), 0.0)
 
 
 def _gershgorin_margins(lower: np.ndarray) -> np.ndarray:

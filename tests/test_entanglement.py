@@ -48,12 +48,21 @@ def test_unphysical_input_rejected():
         is_separable(0.1 * np.eye(4))
 
 
-def test_ppt_margins_route_indefinite_matrices_to_eigvalsh():
+def test_ppt_margins_route_indefinite_matrices_to_eigvalsh(rng):
     # each has a formal nu~_-^2 >= 1 from the closed form, yet is not positive
-    # definite, so only the eigenvalue margin may decide it
+    # definite, so only the eigenvalue margin may decide it. The last two pass
+    # the first three Sylvester minors but have det M < 0 and tr < 0, whose
+    # quotient 27 det M / tr^3 is positive
     c = 3.0 * np.eye(2)
+    dense = np.full((4, 4), 0.1) + np.diag([1.9, 1.9, 1.9, -10.1])
     indefinite = np.stack([-2.0 * np.eye(4), np.diag([2.0, 2.0, -2.0, -2.0]),
-                           np.block([[np.eye(2), c], [c, np.eye(2)]])])
+                           np.block([[np.eye(2), c], [c, np.eye(2)]]),
+                           np.diag([2.0, 2.0, 2.0, -10.0]), dense])
+    # and seeded ones of that kind: a leading 3x3 block 2I + small couplings
+    family = rng.uniform(-0.1, 0.1, size=(200, 4, 4))
+    family = family + np.swapaxes(family, -1, -2)
+    family[:, range(4), range(4)] = np.c_[np.full((200, 3), 2.0), -rng.uniform(7.0, 50.0, 200)]
+    indefinite = np.concatenate([indefinite, family])
     direct = [ppt_margin(gamma) for gamma in indefinite]
     np.testing.assert_array_equal(ppt_margins(indefinite), direct)
     assert max(direct) < 0
@@ -273,9 +282,9 @@ def test_sylvester_bounds_sit_below_50_digit_margins_at_the_boundary():
     # two-mode squeezed thermal states at r in [0, 2] with nu~_- = 1 + s, moved
     # by local symplectics. The second tier clears none at s = -1e-9, and each
     # bound it gives sits below the 50-digit least eigenvalue of gamma~ + i
-    # Delta_2 by more than eigvalsh's own error, so no allowance beyond the
-    # rounding bound is needed (on these states the gap exceeds 8,000 u tr and
-    # the error stays under 3 u tr)
+    # Delta_2 by more than eigvalsh's own error. Its second rounding bound
+    # guarantees 35 u tr of that room; on these states the gap exceeds
+    # 8,000 u tr and the error stays under 3 u tr
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(21)
     gammas, sides = [], []

@@ -190,9 +190,10 @@ def test_strongly_squeezed_boundary_states_take_the_eigenvalue_route(seed, stren
 @given(seeds, st.floats(0.0, 1.0))
 def test_closed_form_clears_no_strongly_squeezed_boundary_state(seed, strength):
     # at r >= 2 det M = (nu~_-^2 - 1)(nu~_+^2 - 1) is about 2e-9 e^{8r}, while
-    # its rounding bound, 337 u m^4 with m >= max gamma_kk ~ e^{4r} / 2, is
-    # 2.3e-15 e^{16r}: ten times more at r = 2 and growing, so every state the
-    # Sylvester screen sees goes on to eigvalsh. The Gershgorin tier before
+    # the screen takes off twice its rounding bound, 674 u m^4 with m >= max
+    # gamma_kk ~ e^{4r} / 2, or 4.7e-15 e^{16r}: twenty times more at r = 2
+    # and growing, so every state the Sylvester screen sees goes on to
+    # eigvalsh. The Gershgorin tier before
     # it may clear a separable one: without local
     # symplectics its row bound is tight, 1 + 1e-9, and its allowance,
     # 64 u max gamma_kk, stays below 1e-9 up to r near 3.1. A cleared margin
