@@ -53,12 +53,6 @@ def _dynamics_from_args(args):
     return build_dynamics(moments)
 
 
-def _initial_covariance(args):
-    if args.gamma0 == "vacuum":
-        return vacuum_cov()
-    return random_physical_cov(np.random.default_rng(args.seed))
-
-
 def _write_output(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -167,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_screen_flags(p)
     p.add_argument("--t-max", type=_number(float, 0.0, ">"), default=0.3)
     p.add_argument("--grid", type=_number(int, 3), default=201)
-    p.add_argument("--gamma0", choices=["vacuum", "random"], default="vacuum",
-                   help="initial state (no effect: the excess is Y_t's p diagonal for any start)")
     p.set_defaults(run=_cmd_noise_test)
 
     p = sub.add_parser("entanglement-scan",
@@ -213,7 +205,8 @@ def _cmd_check_classicality(args):
 
 def _cmd_simulate(args):
     dyn = _dynamics_from_args(args)
-    gamma0 = _initial_covariance(args)
+    gamma0 = (vacuum_cov() if args.gamma0 == "vacuum"
+              else random_physical_cov(np.random.default_rng(args.seed)))
     times = np.linspace(0.0, args.t_max, args.grid)
     gammas = propagate_grid(gamma0, dyn, times)
     columns = {"time": times.tolist()}
@@ -224,8 +217,7 @@ def _cmd_simulate(args):
 
 def _cmd_noise_test(args):
     dyn = _dynamics_from_args(args)
-    gamma0 = _initial_covariance(args)
-    report = run_noise_test(dyn, gamma0, args.t_max, args.grid)
+    report = run_noise_test(dyn, vacuum_cov(), args.t_max, args.grid)
     return list(report.rows()), "csv"
 
 

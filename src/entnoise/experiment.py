@@ -13,6 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import G_NEWTON, HBAR, K_BOLTZMANN, YEAR_SECONDS
 from .dynamics import QuadraticHamiltonian
 from .errors import PhysicsRejection
@@ -69,7 +71,8 @@ def coupling_g(config: ExperimentConfig) -> float:
 
 def thermal_occupation(config: ExperimentConfig) -> float:
     """Steady-state phonon occupation k_B T / (hbar omega)."""
-    nbar = K_BOLTZMANN * config.temperature / (HBAR * config.omega)
+    # a numpy divisor: an hbar omega that underflows gives inf, not ZeroDivisionError
+    nbar = K_BOLTZMANN * config.temperature / (HBAR * np.float64(config.omega))
     if nbar < 10.0:
         warnings.warn(
             f"thermal occupation {nbar:.3g} is not >> 1; the high-temperature "
@@ -79,72 +82,43 @@ def thermal_occupation(config: ExperimentConfig) -> float:
     return nbar
 
 
-@dataclass(frozen=True)
-class BudgetReport:
-    """Derived quantities for one configuration (SI units)."""
-
-    g: float                     # 1/s
-    nbar: float
-    kappa: float                 # 1/s
-    tau: float                   # s, single-shot time
-    snr_per_shot_group: float    # S/N accumulated in one 2*tau block
-    t_int_target: float          # s, from inverting the S/N formula
-    t_int_closed_form: float     # s, t_int_target at 5 sigma and tau = 1/g
-    t_int_target_years: float
-    t_int_closed_form_years: float
-    closed_form_ratio: float
-    noise_bound: float = None    # 2 g hbar I omega, when I is supplied
-
-    def as_dict(self) -> dict:
-        out = {
-            "g_per_s": self.g,
-            "nbar": self.nbar,
-            "kappa_per_s": self.kappa,
-            "tau_s": self.tau,
-            "snr_per_shot_group": self.snr_per_shot_group,
-            "t_int_target_s": self.t_int_target,
-            "t_int_target_years": self.t_int_target_years,
-            "t_int_closed_form_s": self.t_int_closed_form,
-            "t_int_closed_form_years": self.t_int_closed_form_years,
-            "closed_form_ratio": self.closed_form_ratio,
-        }
-        if self.noise_bound is not None:
-            out["noise_bound_J_per_s"] = self.noise_bound
-        return out
-
-
-def budget(config: ExperimentConfig) -> BudgetReport:
-    """Full experiment budget for one configuration.
+def budget(config: ExperimentConfig) -> dict:
+    """Full experiment budget for one configuration, keyed by figure and SI unit.
 
     The integration time comes from inverting S/N = (g / (nbar kappa)) *
     sqrt(T / (2 tau)) at the target significance; the closed form, (50 / g)
     (k T / (hbar g Q))^2, is the same inversion at 5 sigma and tau = 1/g and
-    is reported alongside with their ratio.
+    is reported alongside with their ratio. The noise bound 2 g hbar I omega
+    is added when I is supplied. Every figure must come out positive and
+    finite; PhysicsRejection names the first that does not.
     """
-    g = coupling_g(config)
-    nbar = thermal_occupation(config)
-    kappa = config.omega / config.quality_factor
-    tau = config.shot_time if config.shot_time is not None else 1.0 / g
-    snr_one_group = (g / (nbar * kappa))
-    def integration_time(sigma, shot):
-        return 2.0 * shot * (sigma * nbar * kappa / g) ** 2
-    t_int, closed = integration_time(config.sigma_target, tau), integration_time(5.0, 1.0 / g)
-    noise_bound = None
-    if config.moment_of_inertia is not None:
-        noise_bound = 2.0 * g * HBAR * config.moment_of_inertia * config.omega
-    return BudgetReport(
-        g=g,
-        nbar=nbar,
-        kappa=kappa,
-        tau=tau,
-        snr_per_shot_group=snr_one_group,
-        t_int_target=t_int,
-        t_int_closed_form=closed,
-        t_int_target_years=t_int / YEAR_SECONDS,
-        t_int_closed_form_years=closed / YEAR_SECONDS,
-        closed_form_ratio=t_int / closed if closed > 0 else math.inf,
-        noise_bound=noise_bound,
-    )
+    with np.errstate(all="ignore"):  # a figure out of double range is refused below
+        g = np.float64(coupling_g(config))
+        nbar = thermal_occupation(config)
+        kappa = config.omega / config.quality_factor
+        tau = config.shot_time if config.shot_time is not None else 1.0 / g
+
+        def integration_time(sigma, shot):
+            return 2.0 * shot * (sigma * nbar * kappa / g) ** 2
+
+        t_int, closed = integration_time(config.sigma_target, tau), integration_time(5.0, 1.0 / g)
+        report = {
+            "g_per_s": g,
+            "nbar": nbar,
+            "kappa_per_s": kappa,
+            "tau_s": tau,
+            "snr_per_shot_group": g / (nbar * kappa),
+            "t_int_target_s": t_int,
+            "t_int_target_years": t_int / YEAR_SECONDS,
+            "t_int_closed_form_s": closed,
+            "t_int_closed_form_years": closed / YEAR_SECONDS,
+            "closed_form_ratio": t_int / closed,
+        }
+        if config.moment_of_inertia is not None:
+            report["noise_bound_J_per_s"] = 2.0 * g * HBAR * config.moment_of_inertia * config.omega
+    for key, value in report.items():
+        _require_positive(key, value)
+    return report
 
 
 @dataclass(frozen=True)
@@ -222,6 +196,8 @@ def parse_config_text(text: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
+            if isinstance(value, bool):  # float() would read a JSON true as 1
+                raise TypeError(value)
             fields_out[key] = float(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
@@ -232,9 +208,11 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_fields(fields: dict, convention: str) -> ExperimentConfig:
+    omega = angular_frequency(fields["frequency"], convention)
+    _require_positive("frequency in rad/s", omega)  # the config has no omega key
     kwargs = {
         "mass_density": fields["mass_density"],
-        "omega": angular_frequency(fields["frequency"], convention),
+        "omega": omega,
         "quality_factor": fields["quality_factor"],
         "temperature": fields["temperature"],
     }
@@ -254,7 +232,7 @@ def plan_experiment(fields: dict) -> dict:
     reports = {}
     for convention in OMEGA_CONVENTIONS:
         cfg = config_from_fields(fields, convention)
-        reports[convention] = budget(cfg).as_dict()
+        reports[convention] = budget(cfg)
     ratio = reports["rad-s"]["g_per_s"] / reports["hz-cycles"]["g_per_s"]
     return {
         "input": dict(fields),

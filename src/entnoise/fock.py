@@ -164,12 +164,13 @@ def gauss_hermite_mixture(screen: DisplacementScreen):
 
 
 def carrier_kraus_ops(screen, d: int) -> np.ndarray:
-    """Kraus stack (k, d, d) of a screen on the d-level carrier.
+    """Kraus stack (k, d', d') of a screen on the carrier.
 
-    screen is None (the identity), a DisplacementScreen, or a (k, d, d) stack
-    of Kraus operators, k >= 1; a stack of any other shape raises ValueError.
-    Completeness sum K^dag K = I can only hold approximately at the truncation
-    edge, so it is not checked.
+    screen is None (the identity) or a DisplacementScreen, both realized on d
+    levels, or a stack of Kraus operators, which brings its own carrier size:
+    any shape but (k, d', d') with k >= 1 raises ValueError. Completeness
+    sum K^dag K = I can only hold approximately at the truncation edge, so it
+    is not checked.
     """
     if screen is None:
         return np.eye(d, dtype=complex)[None]
@@ -177,8 +178,8 @@ def carrier_kraus_ops(screen, d: int) -> np.ndarray:
         weights, shifts = gauss_hermite_mixture(screen)
         return displacement_operator(shifts[:, 0], shifts[:, 1], d) * np.sqrt(weights)[:, None, None]
     ops = np.asarray(screen, dtype=complex)
-    if ops.ndim != 3 or ops.shape[1:] != (d, d) or len(ops) == 0:
-        raise ValueError(f"Kraus stack has shape {ops.shape}, the carrier needs (k, {d}, {d})")
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or len(ops) == 0:
+        raise ValueError(f"Kraus stack has shape {ops.shape}, not (k, d, d) with k >= 1")
     return ops
 
 
@@ -226,10 +227,11 @@ class TrotterStepper:
 
     One step of length tau applies the local rotation, the sqrt(tau) carrier
     gates with the screen in the middle, and traces the carrier (Markovian
-    reset to rho_f). The step runs in the joint position eigenbasis of the two
-    system modes, T = W_a tensor W_b (real): there the rotation is the product
-    V_a tensor V_b with V_a = W_a^T diag(e^{-i tau (n + 1/2)}) W_a, and the
-    gates, screen and reset are an entrywise multiplier, so a step is
+    reset to the vacuum). The carrier keeps max(dims) levels, or as many as a
+    Kraus-stack screen has. The step runs in the joint position eigenbasis of
+    the two system modes, T = W_a tensor W_b (real): there the rotation is the
+    product V_a tensor V_b with V_a = W_a^T diag(e^{-i tau (n + 1/2)}) W_a, and
+    the gates, screen and reset are an entrywise multiplier, so a step is
     rho_e -> multiplier * (V rho_e V^dag). Every basis change, into or out of
     the eigenbasis or by V, is a product with the two factors on the reshaped
     density matrix. With no screen the multiplier is that of the bare four-gate
@@ -241,8 +243,6 @@ class TrotterStepper:
         screen,
         tau: float,
         dims=(20, 20),
-        fc_dim: int = None,
-        rho_f: np.ndarray = None,
         eta_convention: str = DEFAULT_ETA_CONVENTION,
     ):
         if not (np.isfinite(tau) and tau >= 0):
@@ -252,11 +252,11 @@ class TrotterStepper:
         self.tau = float(tau)
         self.dims = tuple(dims)
         da, db = self.dims
-        df = fc_dim if fc_dim is not None else max(self.dims)
+        kraus = carrier_kraus_ops(screen, max(self.dims))
+        df = kraus.shape[-1]
         if min(da, db, df) < MIN_LEVELS:
             raise ValueError(f"dims {self.dims} with carrier {df}: every mode needs "
                              f"at least {MIN_LEVELS} levels")
-        self.fc_dim = df
 
         # joint position eigenbasis of the two system modes
         self.a_vals, self.W_a = np.linalg.eigh(position(da))
@@ -275,30 +275,16 @@ class TrotterStepper:
         # the same order
         first, second = (F, E) if eta_convention == "positive" else (E, F)
 
-        if rho_f is None:
-            rho_f = np.diag(np.eye(df)[0])  # carrier vacuum
-        vals, vecs = np.linalg.eigh(np.asarray(rho_f, dtype=complex))
-        keep = vals > 1e-14
-        fc_weights = vals[keep] / vals[keep].sum()
-        fc_vecs = vecs[:, keep].T
-
-        kraus = carrier_kraus_ops(screen, df)
-        blocks = []
-        leak = 0.0
-        for wk, vec in zip(fc_weights, fc_vecs):
-            # each gate on the vector, broadcast over (alpha, beta): (da, db, df)
-            phi = np.einsum("...mn,...n->...m", second, np.einsum("...mn,...n->...m", first, vec))
-            # screen branches (da, db, j, df), one row vector each: a gate G acts
-            # as @ G^T, so @ first.conj() applies first^dag, batched over (alpha, beta)
-            phi = (phi.reshape(-1, df) @ kraus.reshape(-1, df).T).reshape(da, db, -1, df)
-            phi = phi @ first.conj()
-            phi = phi @ second.conj()
-            leak = leak + wk * np.sum(np.abs(phi[..., -2:]) ** 2, axis=(-2, -1)).reshape(da * db)
-            blocks.append(np.sqrt(wk) * phi.reshape(da * db, -1))
-
-        Xi = np.concatenate(blocks, axis=1)
+        # both gates on the carrier vacuum, broadcast over (alpha, beta): (da, db, df)
+        phi = np.einsum("...mn,...n->...m", second, first[..., 0])
+        # screen branches (da, db, j, df), one row vector each: a gate G acts
+        # as @ G^T, so @ first.conj() applies first^dag, batched over (alpha, beta)
+        phi = (phi.reshape(-1, df) @ kraus.reshape(-1, df).T).reshape(da, db, -1, df)
+        phi = phi @ first.conj()
+        phi = phi @ second.conj()
+        self._leak_row = np.sum(np.abs(phi[..., -2:]) ** 2, axis=(-2, -1)).reshape(da * db)
+        Xi = phi.reshape(da * db, -1)
         self.multiplier = Xi @ Xi.conj().T
-        self._leak_row = leak
 
     def _run(self, rho: np.ndarray, n: int):
         """n steps between one change into the eigenbasis and one change back.
@@ -326,32 +312,23 @@ class TrotterStepper:
         return self._run(rho, 1)
 
 
-def trotter_evolve(
-    rho_ab: FockState,
-    screen,
-    t: float,
-    n: int,
-    rho_f: np.ndarray = None,
-    eta_convention: str = DEFAULT_ETA_CONVENTION,
-    fc_dim: int = None,
-) -> FockState:
+def trotter_evolve(rho_ab: FockState, screen, t: float, n: int) -> FockState:
     """Circuit evolution to time t in n steps of tau = t / n, symmetrically split.
 
     Each circuit step is local rotation R(tau) then exchange block E, so n
     plain steps read the rotation half a step ahead of the exchange. Placing
     the rotation symmetrically, R(tau/2) E R(tau) E ... E R(tau/2), gives the
     second-order (Strang) splitting; it equals R(tau/2) (E R(tau))^n R(-tau/2),
-    so the n steps are conjugated by a half-step rotation. The gates, screen,
-    reset and total rotation t are those of n TrotterStepper steps, all taken
-    in the joint position eigenbasis between one basis change in and one out.
+    so the n steps are conjugated by a half-step rotation. The gates (in the
+    default order), screen, vacuum reset and total rotation t are those of n
+    TrotterStepper steps, all taken in the joint position eigenbasis between
+    one basis change in and one out.
     A note on the returned state flags carrier leakage above 1e-4 in any step.
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n = {n}")
     tau = t / n
-    stepper = TrotterStepper(
-        screen, tau, dims=rho_ab.dims, fc_dim=fc_dim, rho_f=rho_f, eta_convention=eta_convention,
-    )
+    stepper = TrotterStepper(screen, tau, dims=rho_ab.dims)
     # diagonal of the half-step rotation exp(-i tau/2 (n_a + n_b + 1))
     half = np.outer(*(_rotation_phases(tau / 2, d) for d in rho_ab.dims)).ravel()
     rho, worst_leak = stepper._run(rho_ab.rho * np.outer(half.conj(), half), n)
@@ -392,37 +369,33 @@ def gate_identity_check(tau: float, d: int) -> float:
 # --- generator coefficient extraction ---
 
 
-def moments_numeric(screen, rho_f: np.ndarray = None, dim: int = 30) -> ScreenMoments:
+def moments_numeric(screen, dim: int = 30) -> ScreenMoments:
     """Extract (nu_a, nu_b, eta, xi, Y) by applying the adjoint screen.
 
     Evaluates the adjoint channel on x, p, x^2, p^2, {x, p} and takes
-    expectations in the carrier reference state (vacuum by default). This is
-    the oracle side of the closed-form displacement moments.
+    expectations in the carrier vacuum, the (0, 0) entries, on dim levels or
+    as many as a Kraus-stack screen has. This is the oracle side of the
+    closed-form displacement moments.
     """
     kraus = carrier_kraus_ops(screen, dim)
-    x = position(dim).astype(complex)
-    p = momentum(dim)
-    rho_f = np.asarray(np.diag(np.eye(dim)[0]) if rho_f is None else rho_f, dtype=complex)
-    rho_f = rho_f / np.trace(rho_f).real
-
-    def mean(op):
-        return complex(np.trace(rho_f @ op))
+    x = position(kraus.shape[-1]).astype(complex)
+    p = momentum(kraus.shape[-1])
 
     Sx, Sp, Sxx, Spp, Sxp = (sum(K.conj().T @ op @ K for K in kraus)
                              for op in (x, p, x @ x, p @ p, x @ p + p @ x))
 
-    mean_dx = mean(Sx - x)
-    mean_dp = mean(Sp - p)
-    nu_a = (-1j * mean(x @ Sx - Sx @ x)).real
-    nu_b = (-1j * mean(p @ Sp - Sp @ p)).real
-    c1 = (-1j * mean(Sx @ p - p @ Sx)).real
-    c2 = (-1j * mean(x @ Sp - Sp @ x)).real
+    mean_dx = (Sx - x)[0, 0]
+    mean_dp = (Sp - p)[0, 0]
+    nu_a = (-1j * (x @ Sx - Sx @ x)[0, 0]).real
+    nu_b = (-1j * (p @ Sp - Sp @ p)[0, 0]).real
+    c1 = (-1j * (Sx @ p - p @ Sx)[0, 0]).real
+    c2 = (-1j * (x @ Sp - Sp @ x)[0, 0]).real
     eta = 1.0 - (c1 - c2) / 2.0
     xi = 1.0 - (c1 + c2) / 2.0
 
-    Y_xx = 2.0 * mean(Sxx + x @ x - x @ Sx - Sx @ x).real
-    Y_pp = 2.0 * mean(Spp + p @ p - p @ Sp - Sp @ p).real
-    Y_xp = mean(Sxp + (x @ p + p @ x) - (x @ Sp + Sp @ x) - (Sx @ p + p @ Sx)).real
+    Y_xx = 2.0 * (Sxx + x @ x - x @ Sx - Sx @ x)[0, 0].real
+    Y_pp = 2.0 * (Spp + p @ p - p @ Sp - Sp @ p)[0, 0].real
+    Y_xp = (Sxp + (x @ p + p @ x) - (x @ Sp + Sp @ x) - (Sx @ p + p @ Sx))[0, 0].real
 
     return ScreenMoments(
         nu_a=nu_a,
@@ -443,11 +416,11 @@ def _displaced_vacuum(direction: int, delta: float, dims) -> FockState:
     return product_state(coherent_vector(alphas[0], da), coherent_vector(alphas[1], db))
 
 
-def extract_generator(screen, dims=(14, 14), eta_convention: str = DEFAULT_ETA_CONVENTION):
+def extract_generator(screen, eta_convention: str = DEFAULT_ETA_CONVENTION):
     """Drift and diffusion of the circuit's continuous-time limit.
 
     Richardson-extrapolates (step - identity)/tau over tau = 0.02, tau/2 and
-    tau/4 with a vacuum carrier, cancelling the first- and second-order
+    tau/4 on 14 levels per mode, cancelling the first- and second-order
     remainders; the result matches the assembled Gaussian generator when the
     screen satisfies its constraints. Gaussian channels act linearly on means,
     so the step's mean map A is probed exactly (up to truncation) by the vacuum
@@ -455,7 +428,7 @@ def extract_generator(screen, dims=(14, 14), eta_convention: str = DEFAULT_ETA_C
     also gives the noise, gamma_out - A^T gamma_in A.
     Returns (drift, diffusion) in the same convention as GaussianDynamics.
     """
-    delta = 0.5
+    delta, dims = 0.5, (14, 14)
     vacuum = vacuum_state(dims)
     probes = [vacuum.rho] + [_displaced_vacuum(k, delta, dims).rho for k in range(4)]
     gamma_in = covariance_of(vacuum)

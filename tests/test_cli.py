@@ -259,6 +259,41 @@ def test_infinite_shot_time_exits_3(tmp_path, capsys):
     assert "shot_time must be positive and finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("figures, key", [
+    # a figure of Infinity or NaN would not be JSON
+    (dict(frequency=1e300, quality_factor=1e-300, temperature=1e300), "kappa_per_s"),
+    (dict(mass_density=1e308), "t_int_target_s"),
+    # a zero divisor and a square past the double range
+    (dict(frequency=1e-300), "nbar"),
+    (dict(mass_density=1e-300), "t_int_target_s"),
+])
+def test_budget_figure_out_of_double_range_exits_3(tmp_path, capsys, figures, key):
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(json.dumps({"mass_density": 22000, "frequency": 1e-3, "quality_factor": 1e9,
+                               "temperature": 0.01, **figures}))
+    code, out, err = run_cli(capsys, "plan-experiment", "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert f"{key} must be positive and finite" in err
+
+
+@pytest.mark.parametrize("figures, code, message", [
+    # float(True) would read a JSON true as 1 K
+    (dict(temperature=True), 2, "cannot parse temperature = True"),
+    # the config has no omega key, so the message names frequency
+    (dict(frequency=0), 3, "frequency in rad/s must be positive and finite, got 0.0"),
+    (dict(frequency=1e308), 3, "frequency in rad/s must be positive and finite, got inf"),
+])
+def test_config_figure_is_refused_by_its_own_key(tmp_path, capsys, figures, code, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"mass_density": 22000, "frequency": 1e-3, "quality_factor": 1e9,
+                               "temperature": 0.01, **figures}))
+    status, out, err = run_cli(capsys, "plan-experiment", "--config", str(cfg))
+    assert (status, out) == (code, "")
+    assert message in err
+
+
 def test_unphysical_config_exits_3(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(
@@ -445,9 +480,18 @@ def test_screen_file_skips_comments_and_blank_lines(tmp_path, capsys):
 def test_seeded_random_start_is_reproducible(tmp_path, capsys):
     outputs = []
     for _ in range(2):
-        code, out, _ = run_cli(capsys, "--seed", "7", "noise-test", "--sxx", "2.0",
+        code, out, _ = run_cli(capsys, "--seed", "7", "simulate", "--sxx", "2.0",
                                "--spp", "2.0", "--g", "0.3", "--gamma0", "random",
                                "--t-max", "0.05", "--grid", "21")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1] != "0.0,1.0,0.0,0.0,0.0,1.0,0.0,0.0,1.0,0.0,1.0"
+
+
+def test_noise_test_has_no_initial_state_flag(capsys):
+    # the excess is Y_t's p diagonal for any start, so noise-test starts from the vacuum
+    code, out, err = run_cli(capsys, "noise-test", "--gamma0", "random")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --gamma0 random" in err

@@ -27,6 +27,14 @@ from entnoise.screens import DisplacementScreen, ScreenMoments, is_classical, \
 from entnoise.states import direct_sum, two_mode_squeezed_cov, vacuum_cov
 
 
+def physical_cov_at(rng, strength):
+    """random_physical_cov's two-mode state with its symplectic drawn at the given strength."""
+    D = np.diag(np.repeat(rng.uniform(1.0, 3.0, size=2), 2))
+    S = random_symplectic(rng, 2, strength)
+    gamma = S.T @ D @ S
+    return 0.5 * (gamma + gamma.T)
+
+
 def test_vacuum_is_separable():
     ok, lam = is_separable(vacuum_cov())
     assert ok
@@ -263,7 +271,7 @@ def test_sylvester_minors_are_the_leading_minors_of_the_reversal(rng):
     # the second tier's four minors against numpy's determinants of the leading
     # blocks of M = gamma~ + i Delta_2, and det M against the reversal's
     # symplectic eigenvalues nu~_-, nu~_+ (each an eigenvalue pair +-nu of i Delta_2 gamma~)
-    gammas = np.stack([random_physical_cov(rng, strength=s) for s in np.linspace(0.0, 2.0, 200)])
+    gammas = np.stack([physical_cov_at(rng, s) for s in np.linspace(0.0, 2.0, 200)])
     det_a, det_b, det_c, minor3, det = entanglement._lower_minors(
         [gammas[:, k // 4, k % 4] for k in entanglement._LOWER])
     minors = [gammas[:, 0, 0], det_a - 1.0, minor3 - gammas[:, 2, 2],

@@ -71,13 +71,7 @@ def completeness_defect(kraus: np.ndarray) -> float:
     return float(np.max(np.abs(acc - np.eye(kraus.shape[-1]))))
 
 
-def sqrt_step_coefficient(
-    screen,
-    tau: float = 0.0025,
-    dims=(14, 14),
-    rho_f: np.ndarray = None,
-    eta_convention: str = DEFAULT_ETA_CONVENTION,
-) -> float:
+def sqrt_step_coefficient(screen, tau: float = 0.0025, dims=(14, 14)) -> float:
     """Magnitude of the sqrt(tau) term in one circuit step's mean response.
 
     Nonzero only when the screen fails quadrature-mean preservation, in which
@@ -86,8 +80,7 @@ def sqrt_step_coefficient(
     """
 
     def mean_shift(tau_k):
-        stepper = TrotterStepper(screen, tau_k, dims=dims, rho_f=rho_f,
-                                 eta_convention=eta_convention)
+        stepper = TrotterStepper(screen, tau_k, dims=dims)
         state = _displaced_vacuum(0, 0.5, dims)
         rho_out, _ = stepper.apply(state.rho)
         return mean_quadratures(FockState(rho_out, dims)) - mean_quadratures(state)
@@ -106,20 +99,19 @@ def reduced_step_dense(
     rho_ab: FockState,
     screen,
     tau: float,
-    rho_f: np.ndarray = None,
     eta_convention: str = DEFAULT_ETA_CONVENTION,
 ) -> FockState:
     """Direct product-space implementation of one circuit step.
 
-    Builds the gates with expm on the full a x b x f space and traces the
-    carrier; exponentially slower than TrotterStepper but shares no code path
-    with it, so it validates the multiplier construction.
+    Builds the gates with expm on the full a x b x f space, starts the carrier
+    in its vacuum and traces it; exponentially slower than TrotterStepper but
+    shares no code path with it, so it validates the multiplier construction.
     """
     da, db = rho_ab.dims
-    df = max(da, db)
-    if rho_f is None:
-        rho_f = np.zeros((df, df), dtype=complex)
-        rho_f[0, 0] = 1.0
+    kraus = carrier_kraus_ops(screen, max(da, db))
+    df = kraus.shape[-1]
+    rho_f = np.zeros((df, df), dtype=complex)
+    rho_f[0, 0] = 1.0
     root = np.sqrt(tau)
     Ia, Ib, If = np.eye(da), np.eye(db), np.eye(df)
     XA = np.kron(np.kron(position(da), Ib), position(df))
@@ -138,7 +130,6 @@ def reduced_step_dense(
         before, after = (UA, UB), (UA.conj().T, UB.conj().T)
     for U in before:
         rho = U @ rho @ U.conj().T
-    kraus = carrier_kraus_ops(screen, df)
     rho = sum(
         np.kron(np.eye(da * db), K) @ rho @ np.kron(np.eye(da * db), K).conj().T for K in kraus
     )
@@ -363,11 +354,6 @@ def test_factor_basis_change_may_read_its_own_result_buffer(rng):
     np.testing.assert_array_equal(out, _kron_conjugate(A, B, rho))
 
 
-def _thermal(d, nbar):
-    weights = (nbar / (1 + nbar)) ** np.arange(d)
-    return np.diag(weights / weights.sum()).astype(complex)
-
-
 def _rotated(rho, dims, angle):
     """exp(-i angle (n_a + n_b + 1)) rho exp(+i angle (n_a + n_b + 1)) in the Fock basis."""
     u = np.kron(np.exp(-1j * angle * (np.arange(dims[0]) + 0.5)),
@@ -375,22 +361,18 @@ def _rotated(rho, dims, angle):
     return rho * np.outer(u, u.conj())
 
 
-@pytest.mark.parametrize("screen, convention, dims, fc_dim, rho_f", [
-    (None, "positive", (8, 8), None, None),
-    (None, "negative", (8, 8), None, None),
-    (DisplacementScreen(0.3, 0.2, 0.1), "positive", (8, 8), None, None),
-    (DisplacementScreen(0.3, 0.2, 0.1), "negative", (8, 8), None, None),
-    (amplitude_damping_kraus(0.9, 9), "positive", (8, 6), 9, None),
-    (DisplacementScreen(0.2, 0.4), "negative", (7, 9), 10, _thermal(10, 0.5)),
+@pytest.mark.parametrize("screen, dims", [
+    (None, (8, 8)),
+    (DisplacementScreen(0.3, 0.2, 0.1), (8, 8)),
+    (amplitude_damping_kraus(0.9, 9), (8, 6)),
 ])
-def test_trotter_evolve_is_conjugated_apply_composition(screen, convention, dims, fc_dim, rho_f):
+def test_trotter_evolve_is_conjugated_apply_composition(screen, dims):
     # R(-tau/2), then n single steps in the Fock basis, then R(+tau/2)
     t, n = 0.6, 5
     tau = t / n
     st = product_state(coherent_vector(0.4, dims[0]), coherent_vector(-0.3j, dims[1]))
-    kw = dict(fc_dim=fc_dim, rho_f=rho_f, eta_convention=convention)
-    out = trotter_evolve(st, screen, t, n, **kw)
-    stepper = TrotterStepper(screen, tau, dims=dims, **kw)
+    out = trotter_evolve(st, screen, t, n)
+    stepper = TrotterStepper(screen, tau, dims=dims)
     rho, leaks = _rotated(st.rho, dims, -tau / 2), []
     for _ in range(n):
         rho, leak = stepper.apply(rho)
@@ -414,17 +396,19 @@ def test_stepper_rejects_bad_step_length(tau):
         trotter_evolve(vacuum_state((4, 4)), None, 4 * tau, 4)
 
 
-@pytest.mark.parametrize("dims, fc_dim", [((2, 6), None), ((6, 1), None), ((6, 6), 2)])
-def test_stepper_rejects_truncation_below_three_levels(dims, fc_dim):
-    # the leakage estimate reads the top two levels of the carrier
+@pytest.mark.parametrize("dims, stack_levels", [((2, 6), None), ((6, 1), None), ((6, 6), 2)])
+def test_stepper_rejects_truncation_below_three_levels(dims, stack_levels):
+    # the leakage estimate reads the top two levels of the carrier, whose size
+    # a Kraus stack sets
+    screen = None if stack_levels is None else np.eye(stack_levels)[None]
     with pytest.raises(ValueError, match="at least 3 levels"):
-        TrotterStepper(None, 0.1, dims=dims, fc_dim=fc_dim)
+        TrotterStepper(screen, 0.1, dims=dims)
 
 
 def test_leakage_warning_attached():
     # a strong screen on a tiny carrier leaks population into the top levels
     st = vacuum_state((6, 6))
-    out = trotter_evolve(st, DisplacementScreen(3.0, 3.0), 0.8, 1, fc_dim=6)
+    out = trotter_evolve(st, DisplacementScreen(3.0, 3.0), 0.8, 1)
     assert any("leakage" in note for note in out.notes)
     assert out.notes == ("carrier truncation leakage up to 3.23e-01",)
 
@@ -466,29 +450,14 @@ def test_moments_numeric_matches_closed_form():
         assert numeric.mean_defect_x < 1e-9 and numeric.mean_defect_p < 1e-9
 
 
-def test_moments_independent_of_reference_state():
-    # displacement-screen moments do not depend on rho_f: vacuum vs thermal
-    # (d large enough that thermal weight stays clear of the boundary rows)
-    screen = DisplacementScreen(0.6, 0.3, 0.2)
-    d = 60
-    nbar = 2.0
-    weights = (nbar / (1 + nbar)) ** np.arange(d)
-    thermal = np.diag(weights / weights.sum()).astype(complex)
-    m_vac = moments_numeric(screen, dim=d)
-    m_th = moments_numeric(screen, rho_f=thermal, dim=d)
-    np.testing.assert_allclose(m_th.Y, m_vac.Y, atol=1e-5)
-    assert m_th.eta == pytest.approx(m_vac.eta, abs=1e-5)
-
-
-def test_amplitude_damping_fails_convergence_on_displaced_state():
-    d = 20
-    screen = amplitude_damping_kraus(0.9, d)
-    m_vac = moments_numeric(screen, dim=d)
-    assert m_vac.mean_defect_x < 1e-12  # vacuum means are zero either way
-    alpha = coherent_vector(1.0, d)
-    displaced = np.outer(alpha, alpha.conj())
-    m_disp = moments_numeric(screen, rho_f=displaced, dim=d)
-    assert m_disp.mean_defect_x > 1e-2
+def test_shifting_screen_fails_mean_preservation():
+    # a screen that shifts the carrier's x by 0.5 moves the vacuum's mean; the
+    # loss channel moves no vacuum mean, so the vacuum carrier cannot see it
+    d = 14
+    shift = moments_numeric(displacement_operator(0.5, 0.0, d)[None], dim=d)
+    assert shift.mean_defect_x == pytest.approx(0.5, abs=1e-9)
+    assert shift.mean_defect_p < 1e-12
+    assert moments_numeric(amplitude_damping_kraus(0.9, d), dim=d).mean_defect_x < 1e-12
 
 
 def test_carrier_kraus_ops_returns_a_stack():
@@ -497,11 +466,13 @@ def test_carrier_kraus_ops_returns_a_stack():
         assert ops.dtype == complex and ops.ndim == 3 and ops.shape[1:] == (6, 6)
     # a displacement screen is the nine-point sigma-point mixture
     assert len(carrier_kraus_ops(DisplacementScreen(0.3, 0.2, 0.1), 6)) == 9
+    # a stack brings its own carrier size
+    assert carrier_kraus_ops(np.zeros((2, 5, 5)), 6).shape == (2, 5, 5)
 
 
-@pytest.mark.parametrize("shape", [(2, 5, 5), (1, 6, 5), (6, 6), (0, 6, 6)])
+@pytest.mark.parametrize("shape", [(2, 5, 5, 1), (1, 6, 5), (6, 6), (0, 6, 6)])
 def test_carrier_kraus_ops_rejects_mismatched_stack(shape):
-    with pytest.raises(ValueError, match=r"Kraus stack has shape .* \(k, 6, 6\)"):
+    with pytest.raises(ValueError, match=r"Kraus stack has shape .* not \(k, d, d\) with k >= 1"):
         carrier_kraus_ops(np.zeros(shape, dtype=complex), 6)
 
 
@@ -511,8 +482,17 @@ def test_kraus_completeness_defect_is_flagged_not_fatal():
     defect = completeness_defect(screen)
     assert 0 < defect < 1.0
     # the step still runs; its trace defect on near-vacuum support stays tiny
-    rho, _ = TrotterStepper(screen, 0.1, dims=(6, 6), fc_dim=10).apply(vacuum_state((6, 6)).rho)
+    rho, _ = TrotterStepper(screen, 0.1, dims=(6, 6)).apply(vacuum_state((6, 6)).rho)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
+
+
+def test_kraus_stack_sets_the_carrier_size():
+    # a (k, 10, 10) stack on a (6, 6) system runs on 10 carrier levels, as the
+    # literal three-mode step on a 10-level carrier does
+    st = product_state(coherent_vector(0.4, 6), coherent_vector(-0.3j, 6))
+    screen = amplitude_damping_kraus(0.9, 10)
+    fast, _ = TrotterStepper(screen, 0.2, dims=st.dims).apply(st.rho)
+    assert np.max(np.abs(fast - reduced_step_dense(st, screen, 0.2).rho)) < 1e-12
 
 
 def test_generator_extraction_matches_build_dynamics():
@@ -533,7 +513,7 @@ def test_generator_extraction_steps_each_probe_once(monkeypatch):
         return apply(self, rho)
 
     monkeypatch.setattr(TrotterStepper, "apply", counted)
-    extract_generator(None, dims=(6, 6))
+    extract_generator(None)
     assert calls == [0.02] * 5 + [0.01] * 5 + [0.005] * 5
 
 
@@ -548,19 +528,6 @@ def test_sqrt_step_coefficient_vanishes_for_valid_screens():
 
 
 def test_sqrt_step_coefficient_detects_broken_screen():
-    d = 14
-    alpha = coherent_vector(0.8, d)
-    displaced = np.outer(alpha, alpha.conj())
-    coeff = sqrt_step_coefficient(amplitude_damping_kraus(0.9, d), rho_f=displaced)
-    assert coeff > 1e-2
-
-
-def test_thermal_carrier_reduced_step_trace_preserving():
-    d = 10
-    nbar = 0.5
-    weights = (nbar / (1 + nbar)) ** np.arange(d)
-    thermal = np.diag(weights / weights.sum()).astype(complex)
-    st = vacuum_state((8, 8))
-    rho, _ = TrotterStepper(DisplacementScreen(0.2, 0.2), 0.1, dims=st.dims, rho_f=thermal,
-                            fc_dim=d).apply(st.rho)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+    # shifting the carrier's x by 0.5 kicks p_a by 0.5 sqrt(tau) per step
+    coeff = sqrt_step_coefficient(displacement_operator(0.5, 0.0, 14)[None])
+    assert coeff == pytest.approx(0.5, abs=1e-3)

@@ -68,3 +68,84 @@ def test_every_public_definition_has_a_caller():
                 if node.name not in elsewhere | own_module:
                     uncalled.append(f"{path.stem}.{node.name}")
     assert not uncalled, f"public names with no caller outside the tests: {uncalled}"
+
+
+
+def _parameters(fn, skip_first):
+    """{name: has a default} of fn's parameters, and its positional names in order."""
+    args = fn.args
+    ordered = args.posonlyargs + args.args
+    defaulted = {a.arg for a in ordered[len(ordered) - len(args.defaults):]}
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    names = [a.arg for a in ordered + args.kwonlyargs]
+    return {name: name in defaulted for name in names}, [a.arg for a in ordered][skip_first:]
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a defaulted parameter of a library function must be passed a value by
+    # some call in the package, a demo or the bench. A bare name that is the
+    # calling function's own defaulted parameter passes on that parameter, so
+    # it counts only if that one is set by the same rule. Calls are matched by
+    # name (a class name calls its __init__); a name shared by two
+    # definitions credits both.
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for directory in CALLER_DIRS for path in sorted(directory.glob("*.py"))}
+    library = sorted(CALLER_DIRS[0].glob("*.py"))
+    assert library, f"no library modules under {CALLER_DIRS[0]}"
+    callees = {}  # called name -> [(qualified name, {param: defaulted}, positional names)]
+    owners = {}   # id of a library FunctionDef -> (qualified name, {param: defaulted})
+    for path in library:
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef):
+                methods = [(node, node.name, f"{path.stem}.{node.name}", 0)]
+            elif isinstance(node, ast.ClassDef):
+                methods = [(fn, node.name if fn.name == "__init__" else fn.name,
+                            f"{path.stem}.{node.name}.{fn.name}", 1)
+                           for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                methods = []
+            for fn, called_as, qualified, skip in methods:
+                params, positional = _parameters(fn, skip)
+                callees.setdefault(called_as, []).append((qualified, params, positional))
+                owners[id(fn)] = (qualified, params)
+
+    def origin(value, scopes):
+        """The enclosing defaulted parameter that value passes on, else True (a value)."""
+        if isinstance(value, ast.Name):
+            for fn in reversed(scopes):
+                qualified, params = owners.get(id(fn), (None, _parameters(fn, 0)[0]))
+                if value.id in params:
+                    return (qualified, value.id) if qualified and params[value.id] else True
+        return True
+
+    sources = {}  # (qualified, param) -> origins of the values calls pass it
+
+    def visit(node, scopes):
+        if isinstance(node, ast.FunctionDef):
+            scopes = scopes + [node]
+        if isinstance(node, ast.Call):
+            func = node.func
+            called_as = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for qualified, params, positional in callees.get(called_as, []):
+                passed = [(name, value) for name, value in zip(positional, node.args)
+                          if not isinstance(value, ast.Starred)]
+                passed += [(kw.arg, kw.value) for kw in node.keywords if kw.arg in params]
+                for name, value in passed:
+                    sources.setdefault((qualified, name), set()).add(origin(value, scopes))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    for tree in trees.values():
+        visit(tree, [])
+    is_set, grew = set(), True
+    while grew:
+        grew = False
+        for key, values in sources.items():
+            if key not in is_set and any(v is True or v in is_set for v in values):
+                is_set.add(key)
+                grew = True
+    unset = sorted(f"{qualified}({name})" for entries in callees.values()
+                   for qualified, params, _ in entries
+                   for name, defaulted in params.items()
+                   if defaulted and (qualified, name) not in is_set)
+    assert not unset, f"defaulted parameters no caller outside the tests sets: {unset}"
