@@ -30,7 +30,7 @@ from .entanglement import (
     is_separable,
     log_negativity,
 )
-from .noise import NoiseReport, excess_variance, noise_rate_at_zero, run_noise_test
+from .noise import NoiseReport, noise_rate_at_zero, run_noise_test
 from .errors import EhrenfestViolation, PhysicsRejection, UnphysicalCovariance
 
 __version__ = "0.1.0"

@@ -138,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=_number(float, 0.0), default=TOL_PSD,
                         help="PSD decision tolerance, finite and >= 0 (default 1e-10)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for random inputs")
-    parser.add_argument("--omega-convention", choices=["hz-cycles", "rad-s"],
-                        default="hz-cycles", help="how frequency figures are interpreted")
     parser.add_argument("--output", default=None, help="write to this path (atomic)")
     parser.add_argument("--format", choices=["json", "csv"], default=None,
                         help="output format (default: json for reports, csv for tables)")
@@ -217,7 +215,7 @@ def _cmd_simulate(args):
 
 def _cmd_noise_test(args):
     dyn = _dynamics_from_args(args)
-    report = run_noise_test(dyn, vacuum_cov(), args.t_max, args.grid)
+    report = run_noise_test(dyn, args.t_max, args.grid)
     return list(report.rows()), "csv"
 
 
@@ -275,10 +273,7 @@ def _cmd_oracle_verify(args):
 def _cmd_plan_experiment(args):
     with open(args.config) as fh:
         fields = parse_config_text(fh.read())
-    plan = plan_experiment(fields)
-    plan["selected_convention"] = args.omega_convention
-    plan["selected_report"] = plan["reports"][args.omega_convention]
-    return plan, "json"
+    return plan_experiment(fields), "json"
 
 
 def cli_main(argv=None) -> int:

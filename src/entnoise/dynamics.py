@@ -45,9 +45,6 @@ class QuadraticHamiltonian:
         H[0, 2] = H[2, 0] = self.g
         return H
 
-    def without_shifts(self) -> "QuadraticHamiltonian":
-        return QuadraticHamiltonian(0.0, 0.0, self.g)
-
 
 @dataclass(frozen=True)
 class GaussianDynamics:

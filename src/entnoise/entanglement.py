@@ -22,6 +22,7 @@ from .phasespace import (
     TOL_PSD,
     Certificate,
     _require_finite_time,
+    _require_tolerance,
     min_eig_hermitian,
     partial_reverse,
     require_symmetric,
@@ -32,12 +33,12 @@ from .dynamics import (
 from .screens import is_classical, moments_with_coupling
 
 
-def _require_physical(gamma: np.ndarray, tol_psd: float) -> np.ndarray:
-    """gamma as a float array, once it is a physical two-mode covariance."""
+def _require_physical(gamma: np.ndarray) -> np.ndarray:
+    """gamma as a float array, once it is a physical two-mode covariance at TOL_PSD."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (4, 4):
         raise ValueError(f"two-mode covariance expected, got shape {gamma.shape}")
-    cert = validate_covariance(gamma, tol_psd=tol_psd)
+    cert = validate_covariance(gamma)
     if not cert.ok:
         raise UnphysicalCovariance(f"covariance violates the uncertainty principle "
                                    f"(min eigenvalue {cert.min_eigenvalue:.3e})")
@@ -154,7 +155,7 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
 
 def is_separable(gamma: np.ndarray) -> Certificate:
     """Momentum-reversal separability test with its eigenvalue certificate."""
-    gamma = _require_physical(gamma, TOL_PSD)
+    gamma = _require_physical(gamma)
     lam = ppt_margin(gamma)
     return Certificate(lam >= -TOL_PSD, lam)
 
@@ -166,7 +167,7 @@ def log_negativity(gamma: np.ndarray) -> float:
     the state is separable. Only the smaller symplectic eigenvalue of a
     physical state's reversal can fall below 1, so it is the whole sum.
     """
-    gamma = _require_physical(gamma, TOL_PSD)
+    gamma = _require_physical(gamma)
     det_a, det_b, det_c, _, det = _lower_minors(gamma.reshape(16)[_LOWER])
     tilde = det_a + det_b - 2.0 * det_c
     # a root of nu^4 - Delta~ nu^2 + det that does not cancel when nu~_+ >> nu~_-
@@ -196,7 +197,8 @@ def entanglement_onset(
     target width inside, so a side that has converged closes the bracket at
     once. Returns its upper end, or None when the state stays separable up
     to t_max. tol_psd must be finite and >= 0: the batched scan's margins
-    are sign-exact only for thresholds at or below zero.
+    are sign-exact only for thresholds at or below zero. It sets the
+    entanglement threshold only; gamma0 must be physical at TOL_PSD.
 
     From the vacuum with tol_psd > 0 the converse may answer instead: with
     lam < 0 the least eigenvalue of _first_order_form, the margin falls as
@@ -206,7 +208,8 @@ def entanglement_onset(
     """
     if grid < 100:
         raise ValueError(f"grid must be at least 100 points, got {grid}")
-    gamma0 = _require_physical(gamma0, tol_psd)
+    _require_tolerance(tol_psd)
+    gamma0 = _require_physical(gamma0)
     if ppt_margin(gamma0) < -tol_psd:
         raise ValueError("initial state is already entangled; onset is undefined")
 

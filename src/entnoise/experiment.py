@@ -128,8 +128,6 @@ class GravitationalHamiltonian:
     moment_of_inertia: float     # I = 2 M R^2
     omega: float                 # rad/s
     g: float                     # 1/s
-    stiffness: float             # coefficient of theta_a^2 + theta_b^2
-    cross_term: float            # coefficient of theta_a theta_b
 
     def to_unit_oscillator(self) -> QuadraticHamiltonian:
         """Dimensionless form (hbar = omega = 1): shifts g/omega, coupling -g/omega."""
@@ -156,15 +154,8 @@ def gravitational_hamiltonian(
             f"sphere radius r = {r} must be smaller than the arm length R = {R}"
         )
     density = M / (4.0 / 3.0 * math.pi * r ** 3)
-    I = 2.0 * M * R ** 2
-    g = _coupling(1.0, density, omega)
     return GravitationalHamiltonian(
-        moment_of_inertia=I,
-        omega=omega,
-        g=g,
-        stiffness=0.5 * I * omega * (omega + g),
-        cross_term=-I * omega * g,
-    )
+        moment_of_inertia=2.0 * M * R ** 2, omega=omega, g=_coupling(1.0, density, omega))
 
 
 # --- configuration files ---

@@ -105,22 +105,21 @@ def min_eig_hermitian(matrix: np.ndarray) -> float:
     return lam
 
 
-def validate_covariance(gamma: np.ndarray, tol_psd: float = TOL_PSD) -> Certificate:
+def validate_covariance(gamma: np.ndarray) -> Certificate:
     """Check the uncertainty principle, gamma + i Delta_2 >= 0.
 
     Returns a Certificate carrying the minimum eigenvalue of the Hermitian
     matrix gamma + i Delta_2; the state is physical iff that eigenvalue is
-    >= -tol_psd. Raises ValueError on non-symmetric input, on a non-finite
-    entry or on a tol_psd that is negative or not finite.
+    >= -TOL_PSD. Raises ValueError on non-symmetric input or on a non-finite
+    entry.
     """
-    _require_tolerance(tol_psd)
     gamma = np.asarray(gamma, dtype=float)
     require_symmetric(gamma, name="covariance matrix")
     if gamma.shape[0] % 2:
         raise ValueError(f"covariance must be 2n x 2n, got shape {gamma.shape}")
     n = gamma.shape[0] // 2
     lam = min_eig_hermitian(gamma + 1j * symplectic_form(n))
-    return Certificate(lam >= -tol_psd, lam)
+    return Certificate(lam >= -TOL_PSD, lam)
 
 
 def partial_reverse(gamma: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from .states import direct_sum
 _MAX_TRIES = 10_000
 
 
-def random_symplectic(rng: np.random.Generator, n_modes: int = 2, strength: float = 1.0) -> np.ndarray:
+def random_symplectic(rng: np.random.Generator, n_modes: int, strength: float) -> np.ndarray:
     """exp(Delta H) for a random symmetric H; exactly symplectic."""
     dim = 2 * n_modes
     A = rng.normal(scale=strength, size=(dim, dim))

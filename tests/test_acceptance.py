@@ -105,7 +105,7 @@ def test_criterion_2_noise_inequality():
         for _ in range(500):
             g = _draw_coupling(rng)
             moments = random_classical_screen(rng, g, margin=0.25)
-            report = run_noise_test(build_dynamics(moments), vacuum_cov(), 0.4, 161)
+            report = run_noise_test(build_dynamics(moments), 0.4, 161)
             assert report.verdict.all(), (
                 f"classical screen dipped below 2|g| at t = "
                 f"{report.times[~report.verdict][0]:.3f} (g = {g:.3f})"
@@ -114,12 +114,12 @@ def test_criterion_2_noise_inequality():
         for g in (0.3, 0.5, 0.8):
             boundary = moments_with_coupling(np.diag([2 * g, 2 * g]), g)
             dyn = build_dynamics(boundary)
-            report = run_noise_test(dyn, vacuum_cov(), 0.05, 21)
+            report = run_noise_test(dyn, 0.05, 21)
             assert report.rate[0] == pytest.approx(2 * g, rel=1e-6)
             assert noise_rate_at_zero(dyn) == pytest.approx(2 * g, rel=1e-12)
 
         identity = moments_with_coupling(np.zeros((2, 2)), 0.4)
-        report = run_noise_test(build_dynamics(identity), vacuum_cov(), 0.05, 21)
+        report = run_noise_test(build_dynamics(identity), 0.05, 21)
         assert not report.verdict[0]
 
 

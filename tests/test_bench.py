@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # grid points per item: 20 starts x 2,000 points on certify, whose onset from
 # the vacuum needs no scan; two 161-point trajectories on noise
-GRID_POINTS = {"certify": 40_000, "noise": 2 * 161}
+GRID_POINTS = {"certify": 40_000, "noise": 161}
 SPANNED = {
     "certify": ["dynamics.propagate_grid", "dynamics.iter_grid_segments",
                 "entanglement.ppt_margins", "entanglement.entanglement_onset"],

@@ -212,8 +212,7 @@ def test_plan_experiment_roundtrip(tmp_path, capsys):
     g_hz = doc["reports"]["hz-cycles"]["g_per_s"]
     assert g_hz == pytest.approx(0.23e-3, rel=0.05)
     assert doc["reports"]["rad-s"]["g_per_s"] / g_hz == pytest.approx(2 * math.pi)
-    assert doc["selected_convention"] == "hz-cycles"
-    assert 1e3 <= doc["selected_report"]["tau_s"] <= 1e4
+    assert 1e3 <= doc["reports"]["hz-cycles"]["tau_s"] <= 1e4
 
 
 def test_plan_experiment_csv_format(tmp_path, capsys):
@@ -238,7 +237,7 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
 
 def test_omega_convention_config_key_exits_2(tmp_path, capsys):
-    # the convention is the --omega-convention flag; the config has no such key
+    # plan-experiment reports both conventions; the config has no such key
     cfg = tmp_path / "conv.cfg"
     cfg.write_text("mass_density = 22000\nfrequency = 1e-3\nquality_factor = 1e9\n"
                    "temperature = 0.01\nomega_convention = bogus\n")
@@ -490,8 +489,21 @@ def test_seeded_random_start_is_reproducible(tmp_path, capsys):
 
 
 def test_noise_test_has_no_initial_state_flag(capsys):
-    # the excess is Y_t's p diagonal for any start, so noise-test starts from the vacuum
+    # the excess is Y_t's p diagonal for any start, so noise-test takes none
     code, out, err = run_cli(capsys, "noise-test", "--gamma0", "random")
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --gamma0 random" in err
+
+
+def test_plan_experiment_has_no_convention_flag(tmp_path, capsys):
+    # the plan reports both conventions; no flag picks one
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(
+        "mass_density = 22000\nfrequency = 1e-3\nquality_factor = 1e9\ntemperature = 0.01\n"
+    )
+    code, out, err = run_cli(capsys, "--omega-convention", "rad-s",
+                             "plan-experiment", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'rad-s'" in err

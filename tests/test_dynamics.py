@@ -92,10 +92,10 @@ def test_hamiltonian_rejects_non_finite(bad):
             QuadraticHamiltonian(**kwargs)
 
 
-def test_include_shifts_flag():
+def test_build_dynamics_carries_the_level_shifts():
     m = ScreenMoments(nu_a=0.3, nu_b=-0.1, eta=0.5, xi=0.0, Y=np.eye(2))
-    assert build_dynamics(m).hamiltonian.nu_a == 0.3
-    assert build_dynamics(m).hamiltonian.without_shifts().nu_a == 0.0
+    ham = build_dynamics(m).hamiltonian
+    assert (ham.nu_a, ham.nu_b, ham.g) == (0.3, -0.1, 0.5)
 
 
 def test_vacuum_stationary_without_noise_or_coupling():

@@ -354,8 +354,8 @@ def test_separability_invariant_under_local_symplectics(rng):
     for _ in range(50):
         gamma = random_physical_cov(rng)
         S_local = np.zeros((4, 4))
-        S_local[:2, :2] = random_symplectic(rng, 1)
-        S_local[2:, 2:] = random_symplectic(rng, 1)
+        S_local[:2, :2] = random_symplectic(rng, 1, 1.0)
+        S_local[2:, 2:] = random_symplectic(rng, 1, 1.0)
         moved = S_local.T @ gamma @ S_local
         assert is_separable(gamma).ok == is_separable(moved).ok
 
@@ -398,6 +398,14 @@ def test_onset_rejects_bad_tolerance(tol):
         entanglement_onset(dyn, vacuum_cov(), t_max=10.0, grid=200, tol_psd=tol)
 
 
+def test_onset_checks_its_start_at_the_fixed_tolerance():
+    # tol_psd is the entanglement threshold; it must not admit a start that
+    # violates the uncertainty principle by 0.4
+    dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
+    with pytest.raises(UnphysicalCovariance):
+        entanglement_onset(dyn, 0.6 * np.eye(4), t_max=5.0, grid=200, tol_psd=0.5)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_onset_rejects_non_finite_t_max():
     dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
@@ -405,7 +413,7 @@ def test_onset_rejects_non_finite_t_max():
         entanglement_onset(dyn, vacuum_cov(), t_max=np.inf, grid=200)
 
 
-def test_onset_bisection_is_tight():
+def test_onset_sits_at_the_margin_crossing():
     dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
     onset = entanglement_onset(dyn, vacuum_cov(), t_max=10.0, grid=2000)
     from entnoise.dynamics import propagate

@@ -20,7 +20,6 @@ from entnoise.experiment import (
 )
 from entnoise.noise import NoiseReport, coupling_bound, noise_rate_at_zero, run_noise_test
 from entnoise.screens import moments_with_coupling
-from entnoise.states import vacuum_cov
 
 PLATINUM = dict(
     mass_density=22_000.0,       # kg / m^3
@@ -174,20 +173,13 @@ def test_gravitational_hamiltonian_coefficients():
     assert ham.moment_of_inertia == pytest.approx(2 * M * R**2)
     density = M / (4 / 3 * math.pi * r**3)
     assert ham.g == pytest.approx(G_NEWTON * density / omega, rel=1e-12)
-    assert ham.cross_term == pytest.approx(-ham.moment_of_inertia * omega * ham.g, rel=1e-12)
-    assert ham.stiffness == pytest.approx(
-        0.5 * ham.moment_of_inertia * omega * (omega + ham.g), rel=1e-12
-    )
 
 
 def test_gravitational_hamiltonian_zero_g_limit():
     from entnoise.experiment import GravitationalHamiltonian
 
     omega = 0.5
-    ham = GravitationalHamiltonian(
-        moment_of_inertia=0.02, omega=omega, g=0.0,
-        stiffness=0.5 * 0.02 * omega**2, cross_term=0.0,
-    )
+    ham = GravitationalHamiltonian(moment_of_inertia=0.02, omega=omega, g=0.0)
     scaled = ham.to_unit_oscillator()
     # two uncoupled unit oscillators
     assert scaled.g == 0.0
@@ -231,7 +223,7 @@ def test_budget_report_includes_noise_bound_when_inertia_given():
 
 def test_damped_transform_reduces_to_plain_rate_at_zero_kappa(rng):
     dyn = build_dynamics(moments_with_coupling(np.diag([2.0, 2.0]), 0.5))
-    report = run_noise_test(dyn, vacuum_cov(), 0.3, 121)
+    report = run_noise_test(dyn, 0.3, 121)
     np.testing.assert_array_equal(damped_rate_series(report, 0.0), report.rate)
     damped = damped_rate_series(report, 0.2)
     assert damped[0] == pytest.approx(report.rate[0])

@@ -2,70 +2,57 @@ import numpy as np
 import pytest
 
 from entnoise.cli import _render
-from entnoise.dynamics import accumulated_noise, build_dynamics, propagate_grid
-from entnoise.noise import (
-    coupling_bound,
-    excess_variance,
-    noise_rate_at_zero,
-    reversible_benchmark,
-    run_noise_test,
+from entnoise.dynamics import (
+    GaussianDynamics,
+    QuadraticHamiltonian,
+    accumulated_noise,
+    build_dynamics,
+    drift_from_hamiltonian,
+    propagate_grid,
 )
+from entnoise.errors import PhysicsRejection
+from entnoise.noise import coupling_bound, noise_rate_at_zero, run_noise_test
 from entnoise.sampling import random_classical_screen, random_physical_cov
-from entnoise.screens import DisplacementScreen, moments_from_displacement, moments_with_coupling
-from entnoise.states import vacuum_cov
+from entnoise.screens import (
+    DisplacementScreen, ScreenMoments, moments_from_displacement, moments_with_coupling)
+from entnoise.states import two_mode_squeezed_cov, vacuum_cov
 
 
-def test_excess_variance_zero_for_equal_inputs(rng):
-    gamma = random_physical_cov(rng)
-    assert excess_variance(gamma, gamma) == 0.0
+def two_trajectory_reference(dyn, gamma0, times):
+    """(excess, rate) by the definition: the screened trajectory against a reversible one.
+
+    The benchmark keeps the coupling, drops level shifts and diffusion, and
+    starts from the same gamma0; the rate is the p_a, p_b diagonal of the
+    difference of the two equations of motion dgamma/dt = x^T gamma + gamma x + y.
+    """
+    ham = QuadraticHamiltonian(g=dyn.g)
+    benchmark = GaussianDynamics(drift_from_hamiltonian(ham), np.zeros((4, 4)), ham)
+    gammas = propagate_grid(gamma0, dyn, times)
+    gammas_r = propagate_grid(gamma0, benchmark, times)
+    diff = gammas - gammas_r
+    x, x_r, y = dyn.drift, benchmark.drift, dyn.diffusion
+    derivs = [x.T @ g + g @ x + y - (x_r.T @ g_r + g_r @ x_r) for g, g_r in zip(gammas, gammas_r)]
+    return (0.5 * (diff[:, 1, 1] + diff[:, 3, 3]),
+            np.array([0.5 * (d[1, 1] + d[3, 3]) for d in derivs]))
 
 
-def test_excess_variance_reads_momentum_diagonal():
-    gamma_r = vacuum_cov()
-    gamma = gamma_r + np.diag([0.0, 2 * 0.3, 0.0, 2 * 0.8])
-    assert excess_variance(gamma, gamma_r) == pytest.approx(1.1)
+def test_report_matches_the_two_trajectory_reference(rng):
+    starts = [random_physical_cov(rng) for _ in range(6)] + [two_mode_squeezed_cov(0.5)]
+    for gamma0 in starts:
+        dyn = build_dynamics(random_classical_screen(rng, rng.uniform(-0.9, 0.9)))
+        report = run_noise_test(dyn, 2.0, 41)
+        excess, rate = two_trajectory_reference(dyn, gamma0, report.times)
+        np.testing.assert_allclose(report.excess, excess, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.rate, rate, rtol=0, atol=1e-12)
 
 
-def test_excess_variance_cross_entries_cancel():
-    s, t = 0.4, 0.9
-    Y = np.array([[2 * s, 0.3], [0.3, 2 * s]])
-    y = np.zeros((4, 4))
-    y[1, 1], y[3, 3] = Y[0, 0], Y[1, 1]
-    y[1, 3] = y[3, 1] = Y[0, 1]
-    gamma_r = vacuum_cov()
-    assert excess_variance(gamma_r + y * t, gamma_r) == pytest.approx(t * (Y[0, 0] + Y[1, 1]) / 2)
-
-
-def test_excess_variance_rejects_asymmetric_difference():
-    # an asymmetric p_a/p_b entry gives the quadratic form an imaginary part
-    gamma = vacuum_cov()
-    gamma[1, 3] = 0.2
-    with pytest.raises(RuntimeError, match="imaginary"):
-        excess_variance(gamma, vacuum_cov())
-
-
-def test_batched_excess_matches_pairs_and_report(rng):
-    dyn = build_dynamics(moments_from_displacement(DisplacementScreen(0.3, 0.2, 0.05)))
-    gamma0 = random_physical_cov(rng)
-    report = run_noise_test(dyn, gamma0, 2.0, 41)
-    gammas = propagate_grid(gamma0, dyn, report.times)
-    gammas_r = propagate_grid(gamma0, reversible_benchmark(dyn), report.times)
-    batched = excess_variance(gammas, gammas_r)
-    assert batched.shape == (41,)
-    pairs = [excess_variance(g, g_r) for g, g_r in zip(gammas, gammas_r)]
-    np.testing.assert_array_equal(batched, pairs)
-    np.testing.assert_array_equal(report.excess, batched)
-
-
-def test_excess_imaginary_bound_scales_with_the_difference():
-    # the same relative asymmetry passes at any scale; a larger one does not
-    gamma_r = vacuum_cov()
-    big = gamma_r + 1e6 * np.diag([0.0, 1.0, 0.0, 1.0])
-    big[1, 3] += 1e-12 * 1e6 / 2
-    assert excess_variance(big, gamma_r) == pytest.approx(1e6)
-    big[1, 3] += 1e-12 * 1e6 * 2
-    with pytest.raises(RuntimeError, match="imaginary"):
-        excess_variance(np.stack([gamma_r, big]), np.stack([gamma_r, gamma_r]))
+@pytest.mark.parametrize("nu_a, nu_b", [(0.3, 0.0), (0.0, -0.1), (1e-11, 0.0)])
+def test_shifted_screen_is_refused(nu_a, nu_b):
+    # with level shifts the benchmark would not share the flow, and the
+    # excess would depend on the start
+    dyn = build_dynamics(ScreenMoments(nu_a=nu_a, nu_b=nu_b, eta=0.5, xi=0.0, Y=np.eye(2)))
+    with pytest.raises(PhysicsRejection, match="nu_a.*nu_b"):
+        run_noise_test(dyn, 0.3, 121)
 
 
 def test_rate_at_zero_identity_screen():
@@ -88,7 +75,7 @@ def test_boundary_screen_saturates_bound():
 def test_run_noise_test_rejects_tiny_grid():
     dyn = build_dynamics(moments_with_coupling(np.eye(2), 0.2))
     with pytest.raises(ValueError):
-        run_noise_test(dyn, vacuum_cov(), 1.0, grid=2)
+        run_noise_test(dyn, 1.0, grid=2)
 
 
 @pytest.mark.filterwarnings("error")
@@ -97,20 +84,20 @@ def test_run_noise_test_rejects_non_finite_t_max(t_max):
     # refused before np.linspace, which would warn on it
     dyn = build_dynamics(moments_with_coupling(np.eye(2), 0.2))
     with pytest.raises(ValueError, match="propagation time must be finite"):
-        run_noise_test(dyn, vacuum_cov(), t_max, grid=161)
+        run_noise_test(dyn, t_max, grid=161)
 
 
 def test_classical_screen_passes_over_window(rng):
     for _ in range(5):
         g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
         m = random_classical_screen(rng, g, margin=0.25)
-        report = run_noise_test(build_dynamics(m), vacuum_cov(), t_max=0.4, grid=161)
+        report = run_noise_test(build_dynamics(m), t_max=0.4, grid=161)
         assert report.verdict.all()
 
 
 def test_identity_screen_violates_at_zero():
     dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
-    report = run_noise_test(dyn, vacuum_cov(), t_max=0.3, grid=121)
+    report = run_noise_test(dyn, t_max=0.3, grid=121)
     assert not report.verdict[0]
     assert report.rate[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -120,7 +107,7 @@ def test_zero_coupling_any_valid_screen_passes(rng):
         a, b = rng.uniform(0, 2, size=2)
         c = rng.uniform(-1, 1) * np.sqrt(a * b)
         dyn = build_dynamics(moments_with_coupling(np.array([[a, c], [c, b]]), 0.0))
-        report = run_noise_test(dyn, random_physical_cov(rng), t_max=2.0, grid=201)
+        report = run_noise_test(dyn, t_max=2.0, grid=201)
         assert report.bound == 0.0
         assert report.verdict.all()
 
@@ -130,7 +117,7 @@ def test_finite_difference_rate_matches_analytic_zero_rate(rng):
         g = rng.uniform(0.1, 0.8)
         m = random_classical_screen(rng, g, margin=0.1)
         dyn = build_dynamics(m)
-        report = run_noise_test(dyn, random_physical_cov(rng), t_max=0.2, grid=101)
+        report = run_noise_test(dyn, t_max=0.2, grid=101)
         assert report.rate[0] == pytest.approx(noise_rate_at_zero(dyn), abs=1e-6)
 
 
@@ -138,7 +125,7 @@ def test_rate_matches_finite_difference_of_excess(rng):
     # the rate column is an exact derivative; a second-order difference of the
     # excess column, taken here on a fine grid, must agree to its O(h^2) error
     m = random_classical_screen(rng, 0.55, margin=0.2)
-    report = run_noise_test(build_dynamics(m), random_physical_cov(rng), t_max=1.5, grid=1501)
+    report = run_noise_test(build_dynamics(m), t_max=1.5, grid=1501)
     h = report.times[1] - report.times[0]
     fd = np.gradient(report.excess, h, edge_order=2)
     np.testing.assert_allclose(report.rate, fd, atol=1e-5)
@@ -146,7 +133,7 @@ def test_rate_matches_finite_difference_of_excess(rng):
 
 def test_excess_starts_at_zero_exactly(rng):
     m = random_classical_screen(rng, 0.5, margin=0.2)
-    report = run_noise_test(build_dynamics(m), random_physical_cov(rng), t_max=0.3, grid=121)
+    report = run_noise_test(build_dynamics(m), t_max=0.3, grid=121)
     assert report.excess[0] == 0.0
 
 
@@ -156,12 +143,14 @@ def test_excess_is_the_accumulated_noise_from_any_start(rng):
     # the rate that of dY_t/dt = X_t^T y X_t
     for _ in range(6):
         dyn = build_dynamics(random_classical_screen(rng, rng.uniform(-0.9, 0.9)))
-        report = run_noise_test(dyn, random_physical_cov(rng), t_max=3.0, grid=31)
+        report = run_noise_test(dyn, t_max=3.0, grid=31)
         flows = [accumulated_noise(dyn, t) for t in report.times]
         excess = [0.5 * (Y[1, 1] + Y[3, 3]) for _, Y in flows]
         rate = [0.5 * (X.T @ dyn.diffusion @ X)[[1, 3], [1, 3]].sum() for X, _ in flows]
-        np.testing.assert_allclose(report.excess, excess, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(report.rate, rate, rtol=1e-12, atol=1e-12)
+        reference = two_trajectory_reference(dyn, random_physical_cov(rng), report.times)
+        for got_excess, got_rate in [(report.excess, report.rate), reference]:
+            np.testing.assert_allclose(got_excess, excess, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got_rate, rate, rtol=1e-12, atol=1e-12)
 
 
 def test_near_boundary_screen_violates(rng):
@@ -169,7 +158,7 @@ def test_near_boundary_screen_violates(rng):
     s = abs(g) * (1 - eps)
     dyn = build_dynamics(moments_with_coupling(np.diag([2 * s, 2 * s]), g))
     assert noise_rate_at_zero(dyn) == pytest.approx(2 * abs(g) * (1 - eps), rel=1e-12)
-    report = run_noise_test(dyn, vacuum_cov(), t_max=0.1, grid=41)
+    report = run_noise_test(dyn, t_max=0.1, grid=41)
     assert not report.verdict[0]
 
 
@@ -181,10 +170,8 @@ def test_coupling_sign_symmetry(rng):
     dyn_plus = build_dynamics(m_plus)
     Y_flipped = m_plus.Y * np.array([[1.0, -1.0], [-1.0, 1.0]])
     dyn_minus = build_dynamics(moments_with_coupling(Y_flipped, -g))
-    F = np.diag([1.0, 1.0, -1.0, -1.0])  # x_b, p_b sign flip
-    gamma0 = random_physical_cov(rng)
-    r_plus = run_noise_test(dyn_plus, gamma0, t_max=0.3, grid=121)
-    r_minus = run_noise_test(dyn_minus, F @ gamma0 @ F, t_max=0.3, grid=121)
+    r_plus = run_noise_test(dyn_plus, t_max=0.3, grid=121)
+    r_minus = run_noise_test(dyn_minus, t_max=0.3, grid=121)
     np.testing.assert_allclose(r_plus.excess, r_minus.excess, atol=1e-12)
     np.testing.assert_allclose(r_plus.rate, r_minus.rate, atol=1e-10)
     assert r_plus.bound == r_minus.bound
@@ -193,20 +180,19 @@ def test_coupling_sign_symmetry(rng):
 def test_rate_series_is_start_independent(rng):
     # the benchmark shares the drift, so the excess is the accumulated-noise
     # integral whatever the start; entangled starts obey the bound too
-    from entnoise.states import two_mode_squeezed_cov
-
     m = random_classical_screen(rng, 0.45, margin=0.25)
     dyn = build_dynamics(m)
-    r_vac = run_noise_test(dyn, vacuum_cov(), t_max=0.3, grid=121)
-    r_ent = run_noise_test(dyn, two_mode_squeezed_cov(0.5), t_max=0.3, grid=121)
-    np.testing.assert_allclose(r_ent.excess, r_vac.excess, atol=1e-10)
-    np.testing.assert_allclose(r_ent.rate, r_vac.rate, atol=1e-8)
-    assert r_ent.verdict.all()
+    report = run_noise_test(dyn, t_max=0.3, grid=121)
+    for gamma0 in (vacuum_cov(), two_mode_squeezed_cov(0.5)):
+        excess, rate = two_trajectory_reference(dyn, gamma0, report.times)
+        np.testing.assert_allclose(excess, report.excess, atol=1e-10)
+        np.testing.assert_allclose(rate, report.rate, atol=1e-8)
+    assert report.verdict.all()
 
 
 def test_csv_serialization(rng):
     m = random_classical_screen(rng, 0.3, margin=0.2)
-    report = run_noise_test(build_dynamics(m), vacuum_cov(), t_max=0.1, grid=11)
+    report = run_noise_test(build_dynamics(m), t_max=0.1, grid=11)
     lines = _render(list(report.rows()), "csv").strip().splitlines()
     assert lines[0] == "time,excess,rate,bound,verdict"
     assert len(lines) == 12

@@ -149,3 +149,39 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                    for name, defaulted in params.items()
                    if defaulted and (qualified, name) not in is_set)
     assert not unset, f"defaulted parameters no caller outside the tests sets: {unset}"
+
+
+def _class_members(cls):
+    """Public fields and methods of a class: its annotated or assigned names, its
+    methods and properties, and the attributes its methods set on self."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                    yield sub.attr
+
+
+def test_every_public_member_is_read():
+    # a public field or method of a library class must be read as an attribute
+    # by the package, a demo or the bench; a keyword that only sets a field is
+    # not a read, and a member that only the tests read belongs in the tests.
+    # Members are matched by name, so a name that any class reads counts for all
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for directory in CALLER_DIRS for path in sorted(directory.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    library = sorted(CALLER_DIRS[0].glob("*.py"))
+    assert library, f"no library modules under {CALLER_DIRS[0]}"
+    unread = sorted({f"{path.stem}.{node.name}.{name}"
+                     for path in library
+                     for node in ast.parse(path.read_text(), filename=str(path)).body
+                     if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                     for name in _class_members(node) if not name.startswith("_")
+                     and name not in read})
+    assert not unread, f"public members no caller outside the tests reads: {unread}"
