@@ -53,6 +53,14 @@ def _dynamics_from_args(args):
     return build_dynamics(moments)
 
 
+def _over_span(flag: str, value: float, propagation):
+    """propagation(), naming the flag that set its time span if it refuses that span."""
+    try:
+        return propagation()
+    except ValueError as exc:  # every other input has passed its own check by now
+        raise type(exc)(f"{flag} = {value:g}: {exc}") from None
+
+
 def _write_output(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -206,7 +214,7 @@ def _cmd_simulate(args):
     gamma0 = (vacuum_cov() if args.gamma0 == "vacuum"
               else random_physical_cov(np.random.default_rng(args.seed)))
     times = np.linspace(0.0, args.t_max, args.grid)
-    gammas = propagate_grid(gamma0, dyn, times)
+    gammas = _over_span("--t-max", args.t_max, lambda: propagate_grid(gamma0, dyn, times))
     columns = {"time": times.tolist()}
     columns.update((f"g{i + 1}{j + 1}", gammas[:, i, j].tolist())
                    for i in range(4) for j in range(i, 4))
@@ -215,7 +223,8 @@ def _cmd_simulate(args):
 
 def _cmd_noise_test(args):
     dyn = _dynamics_from_args(args)
-    report = run_noise_test(dyn, args.t_max, args.grid)
+    report = _over_span("--t-max", args.t_max,
+                        lambda: run_noise_test(dyn, args.t_max, args.grid))
     return list(report.rows()), "csv"
 
 
@@ -230,10 +239,9 @@ def _cmd_entanglement_scan(args):
     for s in np.linspace(args.s_min, s_max, args.steps):
         moments = moments_with_coupling(np.diag([2.0 * s, 2.0 * s]), args.g)
         ok, lam = is_classical(moments.Y, args.g, tol_psd=args.tol)
-        onset = entanglement_onset(
-            build_dynamics(moments), vacuum_cov(), args.t_max, grid=args.grid,
-            tol_psd=args.tol,
-        )
+        dyn = build_dynamics(moments)
+        onset = _over_span("--t-max", args.t_max, lambda: entanglement_onset(
+            dyn, vacuum_cov(), args.t_max, grid=args.grid, tol_psd=args.tol))
         rows.append({
             "screen_strength": s,
             "classical": bool(ok),
@@ -255,7 +263,8 @@ def _cmd_oracle_verify(args):
         ("anisotropic", DisplacementScreen(0.4, 0.1, 0.1)),
     ]:
         closed = moments_from_displacement(screen)
-        target = propagate(vacuum_cov(), build_dynamics(closed), args.t)
+        dyn = build_dynamics(closed)
+        target = _over_span("--t", args.t, lambda: propagate(vacuum_cov(), dyn, args.t))
         oracle_screen = None if label == "identity" else screen
         for n in args.steps:
             state = trotter_evolve(vacuum_state((d, d)), oracle_screen, args.t, n)

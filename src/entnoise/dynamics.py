@@ -71,9 +71,13 @@ def build_dynamics(moments: ScreenMoments) -> GaussianDynamics:
     """Assemble drift and diffusion from screen moments.
 
     The coupling is identified with the screen's eta coefficient. Refuses
-    screens whose Ehrenfest defect is nonzero (their mean dynamics would not
-    follow a single classical Hamiltonian) or whose diffusion is not PSD.
+    screens that move the carrier means (no continuous-time limit), whose
+    Ehrenfest defect is nonzero (mean dynamics not those of a single classical
+    Hamiltonian) or whose diffusion is not PSD.
     """
+    if max(abs(moments.mean_defect_x), abs(moments.mean_defect_p)) > TOL_SYM:
+        raise PhysicsRejection(f"screen moves the carrier means by {moments.mean_defect_x:.3e} in "
+                               f"x and {moments.mean_defect_p:.3e} in p: no continuous-time limit")
     if abs(moments.xi) > TOL_SYM:
         raise EhrenfestViolation(
             f"screen has Ehrenfest defect xi = {moments.xi:.3e}; "

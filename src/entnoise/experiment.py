@@ -8,6 +8,7 @@ supported because the quoted mHz figures are only mutually consistent under
 one of them each; reports carry both rather than silently choosing.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -18,7 +19,7 @@ import numpy as np
 from .constants import G_NEWTON, HBAR, K_BOLTZMANN, YEAR_SECONDS
 from .dynamics import QuadraticHamiltonian
 from .errors import PhysicsRejection
-from .screens import _key_value_lines
+from .screens import _key_value_lines, _number_field
 
 OMEGA_CONVENTIONS = ("hz-cycles", "rad-s")
 
@@ -160,9 +161,11 @@ def gravitational_hamiltonian(
 
 # --- configuration files ---
 
-_CONFIG_KEYS = ("mass_density", "frequency", "quality_factor", "temperature",
-                "geometry_factor", "sigma_target", "shot_time", "moment_of_inertia")
-_REQUIRED_KEYS = ("mass_density", "frequency", "quality_factor", "temperature")
+# ExperimentConfig's fields, with the frequency figure in omega's place
+_CONFIG_FIELDS = dataclasses.fields(ExperimentConfig)
+_CONFIG_KEYS = tuple("frequency" if f.name == "omega" else f.name for f in _CONFIG_FIELDS)
+_REQUIRED_KEYS = tuple(key for key, f in zip(_CONFIG_KEYS, _CONFIG_FIELDS)
+                       if f.default is dataclasses.MISSING)
 
 
 def parse_config_text(text: str) -> dict:
@@ -178,20 +181,15 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {exc.lineno}: invalid JSON config ({exc.msg})") from exc
         if not isinstance(raw, dict):
             raise ValueError("line 1: JSON config must be an object")
-        items = [(key, value, 0) for key, value in raw.items()]
+        items = {key: (value, 0) for key, value in raw.items()}
     else:
         items = _key_value_lines(text)
 
     fields_out = {}
-    for key, value, lineno in items:
+    for key, (value, lineno) in items.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        try:
-            if isinstance(value, bool):  # float() would read a JSON true as 1
-                raise TypeError(value)
-            fields_out[key] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
+        fields_out[key] = _number_field(key, value, lineno)
     missing = [key for key in _REQUIRED_KEYS if key not in fields_out]
     if missing:
         raise ValueError(f"config is missing required keys: {', '.join(missing)}")
@@ -199,18 +197,10 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_fields(fields: dict, convention: str) -> ExperimentConfig:
-    omega = angular_frequency(fields["frequency"], convention)
+    kwargs = dict(fields)
+    omega = angular_frequency(kwargs.pop("frequency"), convention)
     _require_positive("frequency in rad/s", omega)  # the config has no omega key
-    kwargs = {
-        "mass_density": fields["mass_density"],
-        "omega": omega,
-        "quality_factor": fields["quality_factor"],
-        "temperature": fields["temperature"],
-    }
-    for key in ("geometry_factor", "sigma_target", "shot_time", "moment_of_inertia"):
-        if key in fields:
-            kwargs[key] = fields[key]
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(omega=omega, **kwargs)
 
 
 def plan_experiment(fields: dict) -> dict:

@@ -372,39 +372,31 @@ def gate_identity_check(tau: float, d: int) -> float:
 def moments_numeric(screen, dim: int = 30) -> ScreenMoments:
     """Extract (nu_a, nu_b, eta, xi, Y) by applying the adjoint screen.
 
-    Evaluates the adjoint channel on x, p, x^2, p^2, {x, p} and takes
-    expectations in the carrier vacuum, the (0, 0) entries, on dim levels or
-    as many as a Kraus-stack screen has. This is the oracle side of the
-    closed-form displacement moments.
+    Every coefficient is a carrier-vacuum expectation of products of x, p and
+    their adjoint images S(O) = sum_k K_k^dag O K_k, on dim levels or as many
+    as a Kraus-stack screen has. All these operators are Hermitian, so
+    <0|A B|0> = <A e_0, B e_0> needs only first columns: those of x and p, and
+    S(O) e_0 = sum_k K_k^dag (O K_k e_0), which costs matrix-vector products;
+    <0|S(a b)|0> is the inner product of a K_k e_0 with b K_k e_0, summed over
+    k. This is the oracle side of the closed-form displacement moments.
     """
     kraus = carrier_kraus_ops(screen, dim)
-    x = position(kraus.shape[-1]).astype(complex)
-    p = momentum(kraus.shape[-1])
-
-    Sx, Sp, Sxx, Spp, Sxp = (sum(K.conj().T @ op @ K for K in kraus)
-                             for op in (x, p, x @ x, p @ p, x @ p + p @ x))
-
-    mean_dx = (Sx - x)[0, 0]
-    mean_dp = (Sp - p)[0, 0]
-    nu_a = (-1j * (x @ Sx - Sx @ x)[0, 0]).real
-    nu_b = (-1j * (p @ Sp - Sp @ p)[0, 0]).real
-    c1 = (-1j * (Sx @ p - p @ Sx)[0, 0]).real
-    c2 = (-1j * (x @ Sp - Sp @ x)[0, 0]).real
-    eta = 1.0 - (c1 - c2) / 2.0
-    xi = 1.0 - (c1 + c2) / 2.0
-
-    Y_xx = 2.0 * (Sxx + x @ x - x @ Sx - Sx @ x)[0, 0].real
-    Y_pp = 2.0 * (Spp + p @ p - p @ Sp - Sp @ p)[0, 0].real
-    Y_xp = (Sxp + (x @ p + p @ x) - (x @ Sp + Sp @ x) - (Sx @ p + p @ Sx))[0, 0].real
-
+    d = kraus.shape[-1]
+    quads = np.stack([position(d), momentum(d)])
+    ket = quads[:, :, 0]  # x e_0, p e_0
+    once = np.einsum("aij,kj->aki", quads, kraus[:, :, 0])  # O K_k e_0 for O = x, p
+    image = np.einsum("kji,akj->ai", kraus.conj(), once)  # S(x) e_0, S(p) e_0
+    bare = ket.conj() @ ket.T  # <0|a b|0>
+    cross = ket.conj() @ image.T  # <0|a S(b)|0>
+    screened = np.einsum("aki,bki->ab", once.conj(), once)  # <0|S(a b)|0>
     return ScreenMoments(
-        nu_a=nu_a,
-        nu_b=nu_b,
-        eta=eta,
-        xi=xi,
-        Y=np.array([[Y_xx, Y_xp], [Y_xp, Y_pp]]),
-        mean_defect_x=abs(mean_dx),
-        mean_defect_p=abs(mean_dp),
+        nu_a=2.0 * cross[0, 0].imag,
+        nu_b=2.0 * cross[1, 1].imag,
+        eta=1.0 + (cross[1, 0] + cross[0, 1]).imag,
+        xi=1.0 + (cross[1, 0] - cross[0, 1]).imag,
+        Y=2.0 * (screened + bare - cross - cross.T).real,
+        mean_defect_x=abs(image[0, 0] - ket[0, 0]),
+        mean_defect_p=abs(image[1, 0] - ket[1, 0]),
     )
 
 

@@ -3,11 +3,11 @@
 Compares the screened evolution with a reversible benchmark that starts from
 the same state and checks the central inequality: for a classical
 interaction the combined excess momentum variance must grow at a rate of at
-least twice the coupling strength. Without level shifts the benchmark, the
-same Hamiltonian with no diffusion, shares the flow X_t, so the difference
-of the two covariances is the accumulated noise Y_t for every start; the
-report reads it off Y_t alone. Everything here is dimensionless; unit
-restoration lives in the experiment module.
+least twice the coupling strength. The benchmark, the same Hamiltonian
+(level shifts included) with no diffusion, shares the flow X_t, so the
+difference of the two covariances is the accumulated noise Y_t for every
+start; the report reads it off Y_t alone. Everything here is dimensionless;
+unit restoration lives in the experiment module.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import GaussianDynamics, propagate_grid
-from .errors import PhysicsRejection
-from .phasespace import TOL_SYM, _require_finite_time
+from .phasespace import _require_finite_time
 
 
 def noise_rate_at_zero(dyn: GaussianDynamics) -> float:
@@ -59,18 +58,10 @@ def run_noise_test(dyn: GaussianDynamics, t_max: float, grid: int) -> NoiseRepor
     The excess is 0.5 (Y_t[1, 1] + Y_t[3, 3]), with Y_t the accumulated
     noise, propagated from zero, and the rate the same diagonal of its exact
     derivative dY_t/dt = x^T Y_t + Y_t x + y at every grid point. Verdicts use
-    the tolerance 1e-6 * max(1, 2|g|). A screen with level shifts, nu_a or
-    nu_b above TOL_SYM, raises PhysicsRejection: its benchmark would not share
-    the flow, and the excess would depend on the start.
+    the tolerance 1e-6 * max(1, 2|g|).
     """
     if grid < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid}")
-    ham = dyn.hamiltonian
-    if max(abs(ham.nu_a), abs(ham.nu_b)) > TOL_SYM:
-        raise PhysicsRejection(
-            f"level shifts nu_a = {ham.nu_a:.3e}, nu_b = {ham.nu_b:.3e}: the excess "
-            "is the accumulated noise only for screens without level shifts"
-        )
     _require_finite_time(t_max)
     times = np.linspace(0.0, t_max, grid)
     noise = propagate_grid(np.zeros((4, 4)), dyn, times)

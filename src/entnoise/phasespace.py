@@ -130,40 +130,37 @@ def partial_reverse(gamma: np.ndarray) -> np.ndarray:
     return gamma * _REVERSAL_SIGNS
 
 
-# Degree m, the 1-norm theta_m up to which the [m/m] Padé approximant of exp is
-# accurate in double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
-# 2005, table 2.3), and its numerator's coefficients b_k = m! (2m - k)! /
-# ((2m)! k! (m - k)!) with odd k in row 0 and even k in row 1. Built from the
-# even powers, degree 13 costs two products more than degree 9 and saves one or
-# two squarings, so 9 is the highest.
-_PADE = [(m, theta, np.array([[math.comb(m, k) / (math.comb(2 * m, k) * math.factorial(k))
-                               for k in range(first, m + 1, 2)] for first in (1, 0)]))
-         for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-                          (7, 9.504178996162932e-1), (9, 2.097847961257068))]
+# The [9/9] Padé approximant of exp is accurate in double precision up to the
+# 1-norm theta_9 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005, table
+# 2.3). Its numerator's coefficients b_k = 9! (18 - k)! / (18! k! (9 - k)!)
+# hold the odd k in row 0 and the even k in row 1. Built from the even powers,
+# degree 13 costs two products more than degree 9 and saves one or two
+# squarings, so 9 is the degree used.
+_THETA_9 = 2.097847961257068
+_PADE_9 = np.array([[math.comb(9, k) / (math.comb(18, k) * math.factorial(k))
+                     for k in range(first, 10, 2)] for first in (1, 0)])
 
 
 def expm(A: np.ndarray) -> np.ndarray:
     """exp(A) of a real square matrix by scaling and squaring a Padé approximant.
 
-    Takes the lowest degree m whose theta_m bounds the 1-norm, else degree 9
-    on A / 2^s with s the fewest halvings to theta_9, then squares s times.
-    With V and U the even and odd parts of the numerator, exp(A) ~
-    (V - U)^-1 (V + U). A non-finite 1-norm gives NaN; overflow in the
-    squarings is the caller's to detect.
+    Takes degree 9 on A / 2^s, with s the fewest halvings that bring the
+    1-norm to theta_9, then squares s times. With V and U the even and odd
+    parts of the numerator, exp(A) ~ (V - U)^-1 (V + U). A non-finite 1-norm
+    gives NaN; overflow in the squarings is the caller's to detect.
     """
     A = np.asarray(A, dtype=float)
     norm = float(np.abs(A).sum(axis=0).max())
     if not math.isfinite(norm):
         return np.full(A.shape, np.nan)
-    m, theta, coefficients = next((p for p in _PADE if norm <= p[1]), _PADE[-1])
-    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    s = math.ceil(math.log2(norm / _THETA_9)) if norm > _THETA_9 else 0
     A = A * 0.5**s if s else A
     n = len(A)
-    powers = np.empty((m // 2 + 1, n, n))  # I, A^2, A^4, ..., A^(m - 1)
+    powers = np.empty((5, n, n))  # I, A^2, A^4, A^6, A^8
     powers[0], powers[1] = np.eye(n), A @ A
     for j in range(2, len(powers)):
         np.matmul(powers[j - 1], powers[1], out=powers[j])
-    odd, even = (coefficients @ powers.reshape(len(powers), -1)).reshape(2, n, n)
+    odd, even = (_PADE_9 @ powers.reshape(len(powers), -1)).reshape(2, n, n)
     U = A @ odd
     R = np.linalg.solve(even - U, even + U)
     for _ in range(s):

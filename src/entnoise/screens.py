@@ -158,13 +158,13 @@ def is_classical_det(Y: np.ndarray, g: float) -> bool:
 # --- flat text input (screen files and experiment configs) ---
 
 
-def _key_value_lines(text: str) -> list:
-    """(key, value, line number) per 'key = value' line, as strings.
+def _key_value_lines(text: str) -> dict:
+    """{key: (value, line number)} of 'key = value' lines, values as strings.
 
-    Drops '#' comments and blank lines; any other line without '=' raises
-    ValueError naming its line number.
+    Drops '#' comments and blank lines; any other line without '=', or a key
+    given twice, raises ValueError naming the line numbers.
     """
-    items = []
+    items = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,14 +172,26 @@ def _key_value_lines(text: str) -> list:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        items.append((key, value, lineno))
+        if key in items:
+            raise ValueError(f"line {lineno}: {key} is already set on line {items[key][1]}")
+        items[key] = (value, lineno)
     return items
+
+
+def _number_field(key: str, value, lineno: int) -> float:
+    """float(value), or ValueError naming the line and key; a bool is not a number."""
+    try:
+        if isinstance(value, bool):  # float() would read a JSON true as 1
+            raise TypeError(value)
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
 
 
 def screen_from_text(text: str):
     """Parse a key-value screen block; returns None for the identity screen."""
-    fields = {key: value for key, value, _ in _key_value_lines(text)}
-    family = fields.pop("family", None)
+    fields = _key_value_lines(text)
+    family = fields.pop("family", (None, 0))[0]
     if family is None:
         raise ValueError("screen block is missing the 'family' key")
     if family == "identity":
@@ -187,8 +199,9 @@ def screen_from_text(text: str):
             raise ValueError(f"identity screen takes no parameters, got {sorted(fields)}")
         return None
     if family == "displacement":
-        params = {key: fields.pop(key, "0.0") for key in ("sigma_uu", "sigma_vv", "sigma_uv")}
+        params = {key: _number_field(key, *fields.pop(key, ("0.0", 0)))
+                  for key in ("sigma_uu", "sigma_vv", "sigma_uv")}
         if fields:
             raise ValueError(f"unknown displacement parameters: {sorted(fields)}")
-        return DisplacementScreen(**{key: float(val) for key, val in params.items()})
+        return DisplacementScreen(**params)
     raise ValueError(f"unknown screen family {family!r}")

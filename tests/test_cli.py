@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import warnings
@@ -88,13 +90,14 @@ def test_entanglement_scan_non_finite_coupling_exits_3(capsys, g):
 @pytest.mark.parametrize("command", ["simulate", "noise-test"])
 def test_overflowing_flow_exits_2(capsys, command):
     # |g| > 1 is unstable: by t = 750 the covariances overflow double precision;
-    # a grid of one chunk is checked once, so the message names its end
+    # a grid of one chunk is checked once, so the message names its end, after
+    # the flag that set it
     code, out, err = run_cli(capsys, command, "--sxx", "1.5", "--spp", "1.5", "--g", "1.5",
                              "--t-max", "1000", "--grid", "5")
     assert code == 2
     assert out == ""
-    assert err == ("error: covariances are not finite, or near overflow, by t = 1000: "
-                   "the flow leaves double precision over this time span\n")
+    assert err == ("error: --t-max = 1000: covariances are not finite, or near overflow, "
+                   "by t = 1000: the flow leaves double precision over this time span\n")
 
 
 @pytest.mark.parametrize("argv, expected, message", [
@@ -117,6 +120,262 @@ def test_overflowing_coupling_or_screen_is_refused_naming_it(capsys, argv, expec
     assert code == expected
     assert out == ""
     assert err.startswith(message)
+
+
+# Every float flag of the screen and oracle subcommands at the edge values, and
+# the integer sizes at zero and below: per subcommand, rows of (flag, value,
+# exit code, message fragment). Exit code 0 rows run to a result with an empty
+# stderr. The flag is passed as --flag=value, so that argparse reads "-inf" as
+# a value, after base arguments that keep each run small.
+SWEEP_BASE = {
+    "check-classicality": [],
+    "simulate": ["--grid", "5"],
+    "noise-test": ["--grid", "5"],
+    "entanglement-scan": ["--g", "0.4", "--steps", "2", "--grid", "100"],
+    "oracle-verify": ["--dim", "3", "--steps", "1"],
+}
+SWEEP = {
+    "check-classicality": [
+        ("--sxx", "nan", 3, "sigma_uu = nan"),
+        ("--sxx", "inf", 3, "sigma_uu = inf"),
+        ("--sxx", "-inf", 3, "sigma_uu = -inf"),
+        ("--sxx", "1e308", 3, "sigma_uu = 1e+308"),
+        ("--sxx", "-1e308", 3, "sigma_uu = -1e+308"),
+        ("--sxx", "0", 0, ""),
+        ("--sxx", "-0", 0, ""),
+        ("--sxx", "1e-320", 0, ""),
+        ("--sxx", "-1", 3, "displacement moment matrix is not PSD"),
+        ("--sxx", "1e200", 0, ""),
+        ("--spp", "nan", 3, "sigma_vv = nan"),
+        ("--spp", "inf", 3, "sigma_vv = inf"),
+        ("--spp", "-inf", 3, "sigma_vv = -inf"),
+        ("--spp", "1e308", 3, "sigma_vv = 1e+308"),
+        ("--spp", "-1e308", 3, "sigma_vv = -1e+308"),
+        ("--spp", "0", 0, ""),
+        ("--spp", "-0", 0, ""),
+        ("--spp", "1e-320", 0, ""),
+        ("--spp", "-1", 3, "displacement moment matrix is not PSD"),
+        ("--spp", "1e200", 0, ""),
+        ("--sxp", "nan", 3, "sigma_uv = nan"),
+        ("--sxp", "inf", 3, "sigma_uv = inf"),
+        ("--sxp", "-inf", 3, "sigma_uv = -inf"),
+        ("--sxp", "1e308", 3, "sigma_uv = 1e+308"),
+        ("--sxp", "-1e308", 3, "sigma_uv = -1e+308"),
+        ("--sxp", "0", 0, ""),
+        ("--sxp", "-0", 0, ""),
+        ("--sxp", "1e-320", 0, ""),
+        ("--sxp", "-1", 3, "displacement moment matrix is not PSD"),
+        ("--sxp", "1e200", 3, "displacement moment matrix is not PSD"),
+        ("--g", "nan", 3, "must be finite, got [[0.0, 0.0], [0.0, 0.0]] and nan"),
+        ("--g", "inf", 3, "must be finite, got [[0.0, 0.0], [0.0, 0.0]] and inf"),
+        ("--g", "-inf", 3, "must be finite, got [[0.0, 0.0], [0.0, 0.0]] and -inf"),
+        ("--g", "1e308", 2, "coupling g = 1e+308 is out of range"),
+        ("--g", "-1e308", 2, "coupling g = -1e+308 is out of range"),
+        ("--g", "0", 0, ""),
+        ("--g", "-0", 0, ""),
+        ("--g", "1e-320", 0, ""),
+        ("--g", "-1", 0, ""),
+        ("--g", "1e200", 0, ""),
+        ("--tol", "nan", 2, "argument --tol: must be finite, got 'nan'"),
+        ("--tol", "inf", 2, "argument --tol: must be finite, got 'inf'"),
+        ("--tol", "-inf", 2, "argument --tol: must be finite, got '-inf'"),
+        ("--tol", "1e308", 0, ""),
+        ("--tol", "-1e308", 2, "argument --tol: must be >= 0, got '-1e308'"),
+        ("--tol", "0", 0, ""),
+        ("--tol", "-0", 0, ""),
+        ("--tol", "1e-320", 0, ""),
+        ("--tol", "-1", 2, "argument --tol: must be >= 0, got '-1'"),
+        ("--tol", "1e200", 0, ""),
+    ],
+    "simulate": [
+        ("--sxx", "nan", 3, "sigma_uu = nan"),
+        ("--sxx", "inf", 3, "sigma_uu = inf"),
+        ("--sxx", "-inf", 3, "sigma_uu = -inf"),
+        ("--sxx", "1e308", 3, "sigma_uu = 1e+308"),
+        ("--sxx", "-1e308", 3, "sigma_uu = -1e+308"),
+        ("--sxx", "0", 0, ""),
+        ("--sxx", "-0", 0, ""),
+        ("--sxx", "1e-320", 0, ""),
+        ("--sxx", "-1", 3, "displacement moment matrix is not PSD"),
+        ("--sxx", "1e200", 2, "--t-max = 10: covariances are not finite"),
+        ("--spp", "nan", 3, "sigma_vv = nan"),
+        ("--spp", "inf", 3, "sigma_vv = inf"),
+        ("--spp", "-inf", 3, "sigma_vv = -inf"),
+        ("--spp", "1e308", 3, "sigma_vv = 1e+308"),
+        ("--spp", "-1e308", 3, "sigma_vv = -1e+308"),
+        ("--spp", "0", 0, ""),
+        ("--spp", "-0", 0, ""),
+        ("--spp", "1e-320", 0, ""),
+        ("--spp", "-1", 3, "displacement moment matrix is not PSD"),
+        ("--spp", "1e200", 2, "--t-max = 10: covariances are not finite"),
+        ("--sxp", "nan", 3, "sigma_uv = nan"),
+        ("--sxp", "inf", 3, "sigma_uv = inf"),
+        ("--sxp", "-inf", 3, "sigma_uv = -inf"),
+        ("--sxp", "1e308", 3, "sigma_uv = 1e+308"),
+        ("--sxp", "-1e308", 3, "sigma_uv = -1e+308"),
+        ("--sxp", "0", 0, ""),
+        ("--sxp", "-0", 0, ""),
+        ("--sxp", "1e-320", 0, ""),
+        ("--sxp", "-1", 3, "displacement moment matrix is not PSD"),
+        ("--sxp", "1e200", 3, "displacement moment matrix is not PSD"),
+        ("--g", "nan", 3, "screen moments must be finite, got (0.0, 0.0, nan"),
+        ("--g", "inf", 3, "screen moments must be finite, got (0.0, 0.0, inf"),
+        ("--g", "-inf", 3, "screen moments must be finite, got (0.0, 0.0, -inf"),
+        ("--g", "1e308", 2, "--t-max = 10: covariances are not finite"),
+        ("--g", "-1e308", 2, "--t-max = 10: covariances are not finite"),
+        ("--g", "0", 0, ""),
+        ("--g", "-0", 0, ""),
+        ("--g", "1e-320", 0, ""),
+        ("--g", "-1", 0, ""),
+        ("--g", "1e200", 2, "--t-max = 10: covariances are not finite"),
+        ("--t-max", "nan", 2, "argument --t-max: must be finite, got 'nan'"),
+        ("--t-max", "inf", 2, "argument --t-max: must be finite, got 'inf'"),
+        ("--t-max", "-inf", 2, "argument --t-max: must be finite, got '-inf'"),
+        ("--t-max", "1e308", 2, "--t-max = 1e+308: covariances are not finite"),
+        ("--t-max", "-1e308", 2, "argument --t-max: must be > 0, got '-1e308'"),
+        ("--t-max", "0", 2, "argument --t-max: must be > 0, got '0'"),
+        ("--t-max", "-0", 2, "argument --t-max: must be > 0, got '-0'"),
+        ("--t-max", "1e-320", 0, ""),
+        ("--t-max", "-1", 2, "argument --t-max: must be > 0, got '-1'"),
+        ("--t-max", "1e200", 2, "--t-max = 1e+200: covariances are not finite"),
+    ],
+    "noise-test": [
+        ("--sxx", "nan", 3, "sigma_uu = nan"),
+        ("--sxx", "inf", 3, "sigma_uu = inf"),
+        ("--sxx", "-inf", 3, "sigma_uu = -inf"),
+        ("--sxx", "1e308", 3, "sigma_uu = 1e+308"),
+        ("--sxx", "-1e308", 3, "sigma_uu = -1e+308"),
+        ("--sxx", "0", 0, ""),
+        ("--sxx", "-0", 0, ""),
+        ("--sxx", "1e-320", 0, ""),
+        ("--sxx", "-1", 3, "displacement moment matrix is not PSD"),
+        ("--sxx", "1e200", 2, "--t-max = 0.3: covariances are not finite"),
+        ("--spp", "nan", 3, "sigma_vv = nan"),
+        ("--spp", "inf", 3, "sigma_vv = inf"),
+        ("--spp", "-inf", 3, "sigma_vv = -inf"),
+        ("--spp", "1e308", 3, "sigma_vv = 1e+308"),
+        ("--spp", "-1e308", 3, "sigma_vv = -1e+308"),
+        ("--spp", "0", 0, ""),
+        ("--spp", "-0", 0, ""),
+        ("--spp", "1e-320", 0, ""),
+        ("--spp", "-1", 3, "displacement moment matrix is not PSD"),
+        ("--spp", "1e200", 2, "--t-max = 0.3: covariances are not finite"),
+        ("--sxp", "nan", 3, "sigma_uv = nan"),
+        ("--sxp", "inf", 3, "sigma_uv = inf"),
+        ("--sxp", "-inf", 3, "sigma_uv = -inf"),
+        ("--sxp", "1e308", 3, "sigma_uv = 1e+308"),
+        ("--sxp", "-1e308", 3, "sigma_uv = -1e+308"),
+        ("--sxp", "0", 0, ""),
+        ("--sxp", "-0", 0, ""),
+        ("--sxp", "1e-320", 0, ""),
+        ("--sxp", "-1", 3, "displacement moment matrix is not PSD"),
+        ("--sxp", "1e200", 3, "displacement moment matrix is not PSD"),
+        ("--g", "nan", 3, "screen moments must be finite, got (0.0, 0.0, nan"),
+        ("--g", "inf", 3, "screen moments must be finite, got (0.0, 0.0, inf"),
+        ("--g", "-inf", 3, "screen moments must be finite, got (0.0, 0.0, -inf"),
+        ("--g", "1e308", 2, "--t-max = 0.3: covariances are not finite"),
+        ("--g", "-1e308", 2, "--t-max = 0.3: covariances are not finite"),
+        ("--g", "0", 0, ""),
+        ("--g", "-0", 0, ""),
+        ("--g", "1e-320", 0, ""),
+        ("--g", "-1", 0, ""),
+        ("--g", "1e200", 2, "--t-max = 0.3: covariances are not finite"),
+        ("--t-max", "nan", 2, "argument --t-max: must be finite, got 'nan'"),
+        ("--t-max", "inf", 2, "argument --t-max: must be finite, got 'inf'"),
+        ("--t-max", "-inf", 2, "argument --t-max: must be finite, got '-inf'"),
+        ("--t-max", "1e308", 2, "--t-max = 1e+308: covariances are not finite"),
+        ("--t-max", "-1e308", 2, "argument --t-max: must be > 0, got '-1e308'"),
+        ("--t-max", "0", 2, "argument --t-max: must be > 0, got '0'"),
+        ("--t-max", "-0", 2, "argument --t-max: must be > 0, got '-0'"),
+        ("--t-max", "1e-320", 0, ""),
+        ("--t-max", "-1", 2, "argument --t-max: must be > 0, got '-1'"),
+        ("--t-max", "1e200", 2, "--t-max = 1e+200: covariances are not finite"),
+    ],
+    "entanglement-scan": [
+        ("--g", "nan", 3, "coupling g must be finite, got nan"),
+        ("--g", "inf", 3, "coupling g must be finite, got inf"),
+        ("--g", "-inf", 3, "coupling g must be finite, got -inf"),
+        ("--g", "1e308", 2, "coupling g = 1e+308 is out of range"),
+        ("--g", "-1e308", 2, "coupling g = -1e+308 is out of range"),
+        ("--g", "0", 0, ""),
+        ("--g", "-0", 0, ""),
+        ("--g", "1e-320", 0, ""),
+        ("--g", "-1", 0, ""),
+        ("--g", "1e200", 2, "--t-max = 25: covariances are not finite"),
+        ("--s-min", "nan", 2, "argument --s-min: must be finite, got 'nan'"),
+        ("--s-min", "inf", 2, "argument --s-min: must be finite, got 'inf'"),
+        ("--s-min", "-inf", 2, "argument --s-min: must be finite, got '-inf'"),
+        ("--s-min", "1e308", 3, "--s-min = 1e+308 is out of range"),
+        ("--s-min", "-1e308", 3, "--s-min = -1e+308 is out of range"),
+        ("--s-min", "0", 0, ""),
+        ("--s-min", "-0", 0, ""),
+        ("--s-min", "1e-320", 0, ""),
+        ("--s-min", "-1", 3, "diffusion matrix Y is not PSD"),
+        ("--s-min", "1e200", 2, "--t-max = 25: covariances are not finite"),
+        ("--s-max", "nan", 2, "argument --s-max: must be finite, got 'nan'"),
+        ("--s-max", "inf", 2, "argument --s-max: must be finite, got 'inf'"),
+        ("--s-max", "-inf", 2, "argument --s-max: must be finite, got '-inf'"),
+        ("--s-max", "1e308", 3, "--s-max = 1e+308 is out of range"),
+        ("--s-max", "-1e308", 3, "--s-max = -1e+308 is out of range"),
+        ("--s-max", "0", 0, ""),
+        ("--s-max", "-0", 0, ""),
+        ("--s-max", "1e-320", 0, ""),
+        ("--s-max", "-1", 3, "diffusion matrix Y is not PSD"),
+        ("--s-max", "1e200", 2, "--t-max = 25: covariances are not finite"),
+        ("--t-max", "nan", 2, "argument --t-max: must be finite, got 'nan'"),
+        ("--t-max", "inf", 2, "argument --t-max: must be finite, got 'inf'"),
+        ("--t-max", "-inf", 2, "argument --t-max: must be finite, got '-inf'"),
+        ("--t-max", "1e308", 2, "--t-max = 1e+308: covariances are not finite"),
+        ("--t-max", "-1e308", 2, "argument --t-max: must be > 0, got '-1e308'"),
+        ("--t-max", "0", 2, "argument --t-max: must be > 0, got '0'"),
+        ("--t-max", "-0", 2, "argument --t-max: must be > 0, got '-0'"),
+        ("--t-max", "1e-320", 2, "--t-max = 9.99989e-321: times must be uniform and start at 0"),
+        ("--t-max", "-1", 2, "argument --t-max: must be > 0, got '-1'"),
+        ("--t-max", "1e200", 2, "--t-max = 1e+200: covariances are not finite"),
+        ("--steps", "0", 2, "argument --steps: must be >= 1, got '0'"),
+        ("--steps", "-0", 2, "argument --steps: must be >= 1, got '-0'"),
+        ("--steps", "-1", 2, "argument --steps: must be >= 1, got '-1'"),
+    ],
+    "oracle-verify": [
+        ("--t", "nan", 2, "argument --t: must be finite, got 'nan'"),
+        ("--t", "inf", 2, "argument --t: must be finite, got 'inf'"),
+        ("--t", "-inf", 2, "argument --t: must be finite, got '-inf'"),
+        ("--t", "1e308", 2, "--t = 1e+308: covariances are not finite"),
+        ("--t", "-1e308", 2, "argument --t: must be >= 0, got '-1e308'"),
+        ("--t", "0", 0, ""),
+        ("--t", "-0", 0, ""),
+        ("--t", "1e-320", 0, ""),
+        ("--t", "-1", 2, "argument --t: must be >= 0, got '-1'"),
+        ("--t", "1e200", 2, "--t = 1e+200: covariances are not finite"),
+        ("--dim", "0", 2, "--dim must be at least 3 levels, got 0"),
+        ("--dim", "-0", 2, "--dim must be at least 3 levels, got 0"),
+        ("--dim", "-1", 2, "--dim must be at least 3 levels, got -1"),
+        ("--steps", "0", 2, "argument --steps: must be >= 1, got '0'"),
+        ("--steps", "-0", 2, "argument --steps: must be >= 1, got '-0'"),
+        ("--steps", "-1", 2, "argument --steps: must be >= 1, got '-1'"),
+    ],
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_input_sweep():
+    # one in-process run per row; numpy warnings are errors, so none may print
+    mismatched = []
+    for command, rows in SWEEP.items():
+        for flag, value, code, fragment in rows:
+            base = list(SWEEP_BASE[command])
+            if flag in base:
+                del base[base.index(flag):base.index(flag) + 2]
+            arg = f"{flag}={value}"
+            argv = [arg, command, *base] if flag == "--tol" else [command, *base, arg]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli_main(argv)
+            out, err = out.getvalue(), err.getvalue()
+            ok = (out and not err) if code == 0 else (not out and fragment in err)
+            if status != code or not ok:
+                mismatched.append((command, flag, value, status, err.strip()[-120:]))
+    assert not mismatched, mismatched
 
 
 def test_overflowing_certificate_exits_2(capsys):
@@ -462,6 +721,31 @@ def test_malformed_screen_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line 2: expected 'key = value'" in err
+
+
+_CONFIG = "mass_density = 22000\nfrequency = 1e-3\nquality_factor = 1e9\ntemperature = 0.01\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    # a repeated key names both lines instead of letting the second win
+    ("check-classicality", "family = displacement\nsigma_uu = 1\nsigma_vv = 1\nsigma_uu = 9\n",
+     "line 4: sigma_uu is already set on line 2"),
+    ("check-classicality", "family = identity\n# again\nfamily = displacement\n",
+     "line 3: family is already set on line 1"),
+    ("plan-experiment", _CONFIG + "mass_density = 1\n",
+     "line 5: mass_density is already set on line 1"),
+    # a number that does not parse names its line and key, as in a config
+    ("check-classicality", "family = displacement\nsigma_uu = abc\n",
+     "line 2: cannot parse sigma_uu = 'abc'"),
+    ("plan-experiment", _CONFIG.replace("1e9", "1e9x"), "line 3: cannot parse quality_factor = '1e9x'"),
+])
+def test_key_value_file_is_refused_naming_its_lines(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    flag = "--config" if command == "plan-experiment" else "--screen-file"
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_screen_file_skips_comments_and_blank_lines(tmp_path, capsys):

@@ -15,6 +15,7 @@ from entnoise.dynamics import (
 )
 from entnoise.entanglement import ppt_margins
 from entnoise.errors import EhrenfestViolation, PhysicsRejection
+from entnoise.fock import displacement_operator, moments_numeric
 from entnoise.phasespace import validate_covariance
 from entnoise.sampling import (
     random_classical_screen,
@@ -83,6 +84,21 @@ def test_ehrenfest_violation_refused():
     m = ScreenMoments(nu_a=0, nu_b=0, eta=1.0, xi=1e-6, Y=np.zeros((2, 2)))
     with pytest.raises(EhrenfestViolation):
         build_dynamics(m)
+
+
+def test_mean_shifting_screen_refused_naming_both_defects():
+    # a screen that shifts the carrier's x by 0.5 has no continuous-time limit
+    shift = moments_numeric(displacement_operator(0.5, 0.0, 20)[None], dim=20)
+    with pytest.raises(PhysicsRejection, match=r"by 5\.000e-01 in x and \d\.\d{3}e-\d+ in p"):
+        build_dynamics(shift)
+    m = ScreenMoments(nu_a=0, nu_b=0, eta=1.0, xi=0.0, Y=np.eye(2), mean_defect_p=2e-12)
+    with pytest.raises(PhysicsRejection, match="0.000e\\+00 in x and 2.000e-12 in p"):
+        build_dynamics(m)
+    # oracle-read displacement screens move no mean beyond rounding
+    for dim in (12, 20, 30):
+        m = moments_numeric(DisplacementScreen(0.6, 0.3, 0.2), dim=dim)
+        assert max(m.mean_defect_x, m.mean_defect_p) < 1e-15
+    build_dynamics(m)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

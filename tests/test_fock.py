@@ -92,6 +92,32 @@ def sqrt_step_coefficient(screen, tau: float = 0.0025, dims=(14, 14)) -> float:
     return float(np.max(np.abs(coeff)))
 
 
+def moments_dense_reference(screen, dim: int) -> np.ndarray:
+    """(nu_a, nu_b, eta, xi, Y_xx, Y_xp, Y_pp, mean defects) by dense adjoint images.
+
+    Forms S(O) = sum_k K_k^dag O K_k for O = x, p, x^2, p^2, {x, p} and every
+    product of them as full matrices, then reads their (0, 0) entries.
+    """
+    kraus = carrier_kraus_ops(screen, dim)
+    x = position(kraus.shape[-1]).astype(complex)
+    p = momentum(kraus.shape[-1])
+    Sx, Sp, Sxx, Spp, Sxp = (sum(K.conj().T @ op @ K for K in kraus)
+                             for op in (x, p, x @ x, p @ p, x @ p + p @ x))
+    c1 = (-1j * (Sx @ p - p @ Sx)[0, 0]).real
+    c2 = (-1j * (x @ Sp - Sp @ x)[0, 0]).real
+    return np.array([
+        (-1j * (x @ Sx - Sx @ x)[0, 0]).real,
+        (-1j * (p @ Sp - Sp @ p)[0, 0]).real,
+        1.0 - (c1 - c2) / 2.0,
+        1.0 - (c1 + c2) / 2.0,
+        2.0 * (Sxx + x @ x - x @ Sx - Sx @ x)[0, 0].real,
+        (Sxp + (x @ p + p @ x) - (x @ Sp + Sp @ x) - (Sx @ p + p @ Sx))[0, 0].real,
+        2.0 * (Spp + p @ p - p @ Sp - Sp @ p)[0, 0].real,
+        abs((Sx - x)[0, 0]),
+        abs((Sp - p)[0, 0]),
+    ])
+
+
 # literal three-mode reference (small dimensions only)
 
 
@@ -448,6 +474,24 @@ def test_moments_numeric_matches_closed_form():
         assert abs(numeric.xi) < 1e-6
         assert abs(numeric.nu_a) < 1e-6 and abs(numeric.nu_b) < 1e-6
         assert numeric.mean_defect_x < 1e-9 and numeric.mean_defect_p < 1e-9
+
+
+@pytest.mark.parametrize("screen", [
+    None,
+    DisplacementScreen(0.5, 0.5, 0.0),
+    DisplacementScreen(0.8, 0.0, 0.0),
+    DisplacementScreen(0.4, 0.9, -0.3),
+    DisplacementScreen(0.05, 0.6, 0.1),
+    DisplacementScreen(0.3, 0.2, 0.1),
+    displacement_operator(0.5, 0.0, 20)[None],
+    displacement_operator([0.3, -0.1], [0.2, 0.4], 20) * np.sqrt([0.7, 0.3])[:, None, None],
+    amplitude_damping_kraus(0.9, 20),
+], ids=["identity", "iso", "x-only", "aniso", "thin", "mixed", "shift", "two-shifts", "loss"])
+def test_moments_numeric_matches_the_dense_adjoint_readout(screen):
+    m = moments_numeric(screen, dim=30)
+    got = [m.nu_a, m.nu_b, m.eta, m.xi, m.Y[0, 0], m.Y[0, 1], m.Y[1, 1],
+           m.mean_defect_x, m.mean_defect_p]
+    np.testing.assert_allclose(got, moments_dense_reference(screen, 30), rtol=0, atol=1e-13)
 
 
 def test_shifting_screen_fails_mean_preservation():

@@ -1,16 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from entnoise.cli import _render
 from entnoise.dynamics import (
-    GaussianDynamics,
-    QuadraticHamiltonian,
-    accumulated_noise,
-    build_dynamics,
-    drift_from_hamiltonian,
-    propagate_grid,
-)
-from entnoise.errors import PhysicsRejection
+    GaussianDynamics, accumulated_noise, build_dynamics, propagate_grid)
+from entnoise.experiment import angular_frequency, gravitational_hamiltonian
 from entnoise.noise import coupling_bound, noise_rate_at_zero, run_noise_test
 from entnoise.sampling import random_classical_screen, random_physical_cov
 from entnoise.screens import (
@@ -21,12 +17,12 @@ from entnoise.states import two_mode_squeezed_cov, vacuum_cov
 def two_trajectory_reference(dyn, gamma0, times):
     """(excess, rate) by the definition: the screened trajectory against a reversible one.
 
-    The benchmark keeps the coupling, drops level shifts and diffusion, and
-    starts from the same gamma0; the rate is the p_a, p_b diagonal of the
-    difference of the two equations of motion dgamma/dt = x^T gamma + gamma x + y.
+    The benchmark keeps the whole Hamiltonian, level shifts included, drops
+    the diffusion and starts from the same gamma0; the rate is the p_a, p_b
+    diagonal of the difference of the two equations of motion
+    dgamma/dt = x^T gamma + gamma x + y.
     """
-    ham = QuadraticHamiltonian(g=dyn.g)
-    benchmark = GaussianDynamics(drift_from_hamiltonian(ham), np.zeros((4, 4)), ham)
+    benchmark = GaussianDynamics(dyn.drift, np.zeros((4, 4)), dyn.hamiltonian)
     gammas = propagate_grid(gamma0, dyn, times)
     gammas_r = propagate_grid(gamma0, benchmark, times)
     diff = gammas - gammas_r
@@ -46,13 +42,26 @@ def test_report_matches_the_two_trajectory_reference(rng):
         np.testing.assert_allclose(report.rate, rate, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("nu_a, nu_b", [(0.3, 0.0), (0.0, -0.1), (1e-11, 0.0)])
-def test_shifted_screen_is_refused(nu_a, nu_b):
-    # with level shifts the benchmark would not share the flow, and the
-    # excess would depend on the start
-    dyn = build_dynamics(ScreenMoments(nu_a=nu_a, nu_b=nu_b, eta=0.5, xi=0.0, Y=np.eye(2)))
-    with pytest.raises(PhysicsRejection, match="nu_a.*nu_b"):
-        run_noise_test(dyn, 0.3, 121)
+def test_torsion_pendulum_hamiltonian_is_reported_against_its_own_benchmark(rng):
+    # demo 05's dumbbells in unit form: level shifts g/omega on both modes and
+    # coupling -g/omega; the benchmark keeps the shifts, so it shares the flow
+    # and the excess is Y_t from every start, up to the shot time omega/g
+    cycles = angular_frequency(1e-3, "hz-cycles")
+    r, R = 0.05, 0.2
+    M = 22_000.0 * 4.0 / 3.0 * math.pi * r ** 3
+    unit = gravitational_hamiltonian(M, R, r, cycles).to_unit_oscillator()
+    g = abs(unit.g)
+    assert unit.nu_a == unit.nu_b == pytest.approx(0.0372, abs=5e-5)
+    dyn = build_dynamics(ScreenMoments(nu_a=unit.nu_a, nu_b=unit.nu_b, eta=unit.g, xi=0.0,
+                                       Y=2.5 * g * np.eye(2)))
+    assert dyn.hamiltonian == unit
+    report = run_noise_test(dyn, 1.0 / g, 121)
+    assert report.times[-1] == pytest.approx(26.9, abs=0.05)
+    assert report.rate[0] == pytest.approx(2.5 * g, rel=1e-14)
+    for _ in range(5):
+        excess, rate = two_trajectory_reference(dyn, random_physical_cov(rng), report.times)
+        np.testing.assert_allclose(report.excess, excess, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.rate, rate, rtol=0, atol=1e-12)
 
 
 def test_rate_at_zero_identity_screen():
