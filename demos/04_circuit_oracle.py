@@ -2,7 +2,8 @@
 
 The oracle simulates the microscopic exchange circuit on truncated Fock
 spaces, with no Gaussian formulas anywhere in its path. This demo reproduces
-the gate identity, arbitrates the coupling sign, extracts the generator
+the gate identity, reads the coupling sign exactly off the phases of the bare
+exchange block in both gate orders, extracts the screen's generator
 coefficients numerically, and shows the second-order convergence of the
 stepped circuit (local rotation split symmetrically around the exchange
 steps) toward the continuous-time covariance propagation.
@@ -28,9 +29,9 @@ print("== exchange-gate identity (deviation is pure truncation) ==")
 for d in (12, 16, 20):
     print(f"  d = {d:2d}: trace distance = {gate_identity_check(0.1, d):.3e}")
 
-print("\n== sign arbitration: effective coupling of the bare exchange ==")
-print(f"  default gate order : eta = {fitted_coupling(None):+.6f}")
-print(f"  swapped gate order : eta = {fitted_coupling(None, eta_convention='negative'):+.6f}")
+print("\n== sign arbitration: coupling read off the bare block's phases ==")
+print(f"  default gate order : eta = {fitted_coupling():+.6f}")
+print(f"  swapped gate order : eta = {fitted_coupling(eta_convention='negative'):+.6f}")
 
 screen = DisplacementScreen(0.4, 0.3, 0.1)
 closed = moments_from_displacement(screen)

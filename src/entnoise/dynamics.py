@@ -149,6 +149,9 @@ def _check_uniform_grid(times: np.ndarray) -> float:
         raise ValueError(f"propagation time must be finite, got {times[~np.isfinite(times)][-1]}")
     steps = np.diff(times)
     if times[0] != 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        if times[0] == 0.0 and 0.0 < steps[0] < np.finfo(float).tiny:  # subnormal spacing rounds
+            raise ValueError(f"time step {steps[0]:g} is below the smallest normal double, "
+                             "too fine for a uniform grid")
         raise ValueError("times must be uniform and start at 0")
     if not steps[0] > 0.0:
         raise ValueError(f"times must increase, got step {steps[0]:g}")

@@ -168,15 +168,25 @@ _REQUIRED_KEYS = tuple(key for key, f in zip(_CONFIG_KEYS, _CONFIG_FIELDS)
                        if f.default is dataclasses.MISSING)
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key given twice raises ValueError."""
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(f"JSON config sets {key} twice")
+    return dict(pairs)
+
+
 def parse_config_text(text: str) -> dict:
     """Parse 'key = value' lines (or a JSON object) into raw config fields.
 
-    Raises ValueError with the offending line number on malformed input.
+    Raises ValueError with the offending line number on malformed input, and
+    naming the key when one is given twice.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {exc.lineno}: invalid JSON config ({exc.msg})") from exc
         if not isinstance(raw, dict):

@@ -2,13 +2,13 @@
 
 Simulates the microscopic exchange circuit (local rotation, +-sqrt(tau)
 carrier gates sandwiching the screen, carrier reset) as dense linear algebra
-and exposes covariance extraction, generator-coefficient extraction, and the
-gate-identity check. Everything the Gaussian-level modules compute in closed
+and exposes covariance extraction, the screen moments, the gate-identity check
+and the coupling sign. Everything the Gaussian-level modules compute in closed
 form is re-derived here from the circuit, so agreement is a real test.
 
 TrotterStepper is the one circuit step: trotter_evolve runs n of them, and
-gate_identity_check reads the bare four-gate block off a stepper with no
-screen. The carrier gates exp(-i sqrt(tau) x_f A) are controlled
+gate_identity_check and fitted_coupling read the bare four-gate block off a
+stepper with no screen. The carrier gates exp(-i sqrt(tau) x_f A) are controlled
 displacements: in the joint eigenbasis of A = x_a and B = x_b the gates,
 screen and carrier reset are an entrywise multiplier C = Xi Xi^dag assembled
 from carrier-space vectors. That is algebraically identical to exponentiating
@@ -30,12 +30,7 @@ import numpy as np
 
 # unused here; only bench/tracer.py's fock.expm rebinding needs the name
 from .phasespace import expm  # noqa: F401
-from .screens import (
-    DEFAULT_ETA_CONVENTION,
-    ETA_CONVENTIONS,
-    DisplacementScreen,
-    ScreenMoments,
-)
+from .screens import DisplacementScreen, ScreenMoments
 
 # --- single-mode operators ---
 
@@ -236,18 +231,14 @@ class TrotterStepper:
     the eigenbasis or by V, is a product with the two factors on the reshaped
     density matrix. With no screen the multiplier is that of the bare four-gate
     block, which gate_identity_check compares with the direct product gate.
+    The gate order fixes the coupling's sign: "positive" applies the p-gate
+    first, giving the closed forms' eta = +1; "negative" gives eta = -1.
     """
 
-    def __init__(
-        self,
-        screen,
-        tau: float,
-        dims=(20, 20),
-        eta_convention: str = DEFAULT_ETA_CONVENTION,
-    ):
+    def __init__(self, screen, tau: float, dims=(20, 20), eta_convention: str = "positive"):
         if not (np.isfinite(tau) and tau >= 0):
             raise ValueError(f"step length must be finite and nonnegative, got {tau}")
-        if eta_convention not in ETA_CONVENTIONS:
+        if eta_convention not in ("positive", "negative"):
             raise ValueError(f"unknown eta convention {eta_convention!r}")
         self.tau = float(tau)
         self.dims = tuple(dims)
@@ -271,8 +262,7 @@ class TrotterStepper:
         # over the (alpha, beta) grid of system eigenvalues
         E = _phase_gates(root * self.a_vals, position(df))[:, None]
         F = _phase_gates(root * self.b_vals, momentum(df))[None, :]
-        # "positive" applies the p-gate first; the adjoints follow the screen in
-        # the same order
+        # the adjoints follow the screen in the same order
         first, second = (F, E) if eta_convention == "positive" else (E, F)
 
         # both gates on the carrier vacuum, broadcast over (alpha, beta): (da, db, df)
@@ -336,7 +326,17 @@ def trotter_evolve(rho_ab: FockState, screen, t: float, n: int) -> FockState:
     return FockState(rho * np.outer(half, half.conj()), rho_ab.dims, rho_ab.notes + notes)
 
 
-# --- gate identity ---
+# --- the bare exchange block ---
+
+
+def _bare_block(tau: float, d: int, eta_convention: str = "positive"):
+    """The four-gate block with no screen on d levels per mode, and p = a_alpha b_beta.
+
+    In the joint position eigenbasis the block is exp(-i tau eta x_a x_b) up to
+    truncation, so its multiplier is C[i, j] = exp(-i tau eta (p_i - p_j)).
+    """
+    block = TrotterStepper(None, tau, dims=(d, d), eta_convention=eta_convention)
+    return block, np.multiply.outer(block.a_vals, block.b_vals).ravel()
 
 
 def gate_identity_check(tau: float, d: int) -> float:
@@ -351,8 +351,7 @@ def gate_identity_check(tau: float, d: int) -> float:
         product_state(coherent_vector(0.6, d), coherent_vector(0.0, d)),
         product_state(coherent_vector(0.4, d), coherent_vector(-0.5j, d)),
     ]
-    block = TrotterStepper(None, tau, dims=(d, d))
-    prods = np.multiply.outer(block.a_vals, block.b_vals).ravel()
+    block, prods = _bare_block(tau, d)
     phases = np.exp(-1j * tau * prods)
     target = np.outer(phases, phases.conj())
 
@@ -366,7 +365,22 @@ def gate_identity_check(tau: float, d: int) -> float:
     return worst
 
 
-# --- generator coefficient extraction ---
+def fitted_coupling(eta_convention: str = "positive") -> float:
+    """Coupling eta of the bare exchange block in the given gate order, read off its phases.
+
+    eta = -arg C[i, j] / (tau (p_i - p_j)), i the least |p| and j the least |p|
+    distinct from p_i: deepest inside the 14 levels, where the phases are exact
+    to rounding, and at tau = 0.1 far from +-pi. No stepping, no fit.
+    """
+    tau = 0.1
+    block, prods = _bare_block(tau, 14, eta_convention)
+    i = int(np.argmin(np.abs(prods)))
+    distinct = np.abs(prods - prods[i]) > 1e-8  # beyond the rounding of equal products
+    j = int(np.argmin(np.where(distinct, np.abs(prods), np.inf)))
+    return float(-np.angle(block.multiplier[i, j]) / (tau * (prods[i] - prods[j])))
+
+
+# --- screen moments ---
 
 
 def moments_numeric(screen, dim: int = 30) -> ScreenMoments:
@@ -398,53 +412,3 @@ def moments_numeric(screen, dim: int = 30) -> ScreenMoments:
         mean_defect_x=abs(image[0, 0] - ket[0, 0]),
         mean_defect_p=abs(image[1, 0] - ket[1, 0]),
     )
-
-
-def _displaced_vacuum(direction: int, delta: float, dims) -> FockState:
-    """Vacuum displaced by delta along one quadrature direction."""
-    da, db = dims
-    alphas = {0: (delta / np.sqrt(2), 0), 1: (1j * delta / np.sqrt(2), 0),
-              2: (0, delta / np.sqrt(2)), 3: (0, 1j * delta / np.sqrt(2))}[direction]
-    return product_state(coherent_vector(alphas[0], da), coherent_vector(alphas[1], db))
-
-
-def extract_generator(screen, eta_convention: str = DEFAULT_ETA_CONVENTION):
-    """Drift and diffusion of the circuit's continuous-time limit.
-
-    Richardson-extrapolates (step - identity)/tau over tau = 0.02, tau/2 and
-    tau/4 on 14 levels per mode, cancelling the first- and second-order
-    remainders; the result matches the assembled Gaussian generator when the
-    screen satisfies its constraints. Gaussian channels act linearly on means,
-    so the step's mean map A is probed exactly (up to truncation) by the vacuum
-    and its displacements by 0.5 along each quadrature; the vacuum's output
-    also gives the noise, gamma_out - A^T gamma_in A.
-    Returns (drift, diffusion) in the same convention as GaussianDynamics.
-    """
-    delta, dims = 0.5, (14, 14)
-    vacuum = vacuum_state(dims)
-    probes = [vacuum.rho] + [_displaced_vacuum(k, delta, dims).rho for k in range(4)]
-    gamma_in = covariance_of(vacuum)
-
-    def one(tau_k):
-        stepper = TrotterStepper(screen, tau_k, dims=dims, eta_convention=eta_convention)
-        base, *shifted = [FockState(stepper.apply(rho)[0], dims) for rho in probes]
-        base_mean = mean_quadratures(base)
-        A = np.stack([(mean_quadratures(s) - base_mean) / delta for s in shifted], axis=1)
-        y_hat = (covariance_of(base) - A.T @ gamma_in @ A) / tau_k
-        return ((A - np.eye(4)) / tau_k).T, y_hat
-
-    (x1, y1), (x2, y2), (x4, y4) = (one(0.02 / k) for k in (1, 2, 4))
-    # eliminate the O(tau) and O(tau^2) remainders
-    return (x1 - 6.0 * x2 + 8.0 * x4) / 3.0, (y1 - 6.0 * y2 + 8.0 * y4) / 3.0
-
-
-def fitted_coupling(screen=None, eta_convention: str = DEFAULT_ETA_CONVENTION) -> float:
-    """Effective x_a x_b coupling of the circuit's reduced dynamics.
-
-    Reads eta off the extracted drift (drift^T = Delta_2 H, so the (p_a, x_b)
-    entry is -H_13). For the identity screen this arbitrates the sign
-    convention.
-    """
-    drift, _ = extract_generator(screen, eta_convention=eta_convention)
-    return -float(drift.T[1, 2])
-

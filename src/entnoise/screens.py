@@ -30,15 +30,6 @@ def _finite(*values) -> bool:
     """No NaN or +-inf among scalar values; cheaper than np.isfinite at this size."""
     return all(map(math.isfinite, values))
 
-# Sign convention for the effective coupling of the identity screen. The
-# exchange circuit fixes the coupling magnitude but its sign depends on which
-# carrier gate acts first; "positive" orders the gates so the identity screen
-# couples with eta = +1 (the product gate is exp(-i tau A B)), which the Fock
-# oracle confirms by fitting the reduced dynamics. "negative" keeps the
-# opposite order for auditability.
-ETA_CONVENTIONS = {"positive": 1.0, "negative": -1.0}
-DEFAULT_ETA_CONVENTION = "positive"
-
 
 @dataclass(frozen=True)
 class ScreenMoments:
@@ -115,12 +106,12 @@ def moments_from_displacement(screen: DisplacementScreen) -> ScreenMoments:
     """Closed-form generator coefficients for a displacement screen.
 
     Averaging the adjoint action x -> x + u, p -> p + v over the displacement
-    distribution gives nu_a = nu_b = xi = 0, eta equal to the identity-screen
-    coupling under the default convention, and Y = 2 Sigma. The Fock oracle confirms each of these
-    numerically (see the test suite).
+    distribution gives nu_a = nu_b = xi = 0, Y = 2 Sigma, and eta = +1, the
+    identity-screen coupling of the circuit's default gate order (see
+    fock.fitted_coupling). The Fock oracle confirms each of these numerically
+    (see the test suite).
     """
-    eta = ETA_CONVENTIONS[DEFAULT_ETA_CONVENTION]
-    return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=eta, xi=0.0, Y=2.0 * screen.matrix)
+    return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=1.0, xi=0.0, Y=2.0 * screen.matrix)
 
 
 def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certificate:

@@ -221,10 +221,10 @@ def test_criterion_5_gate_identity():
 def test_criterion_6_sign_convention():
     """The circuit's fitted identity-screen coupling is +1 within 1e-4."""
     with criterion(6, "sign-convention arbitration"):
-        eta = fitted_coupling(None)
+        eta = fitted_coupling()
         assert eta == pytest.approx(1.0, abs=1e-4), eta
         # the swapped gate order gives the opposite sign, as documented
-        assert fitted_coupling(None, eta_convention="negative") == pytest.approx(-1.0, abs=1e-4)
+        assert fitted_coupling(eta_convention="negative") == pytest.approx(-1.0, abs=1e-4)
 
 
 def test_criterion_7_experiment_numbers():

@@ -329,7 +329,8 @@ SWEEP = {
         ("--t-max", "-1e308", 2, "argument --t-max: must be > 0, got '-1e308'"),
         ("--t-max", "0", 2, "argument --t-max: must be > 0, got '0'"),
         ("--t-max", "-0", 2, "argument --t-max: must be > 0, got '-0'"),
-        ("--t-max", "1e-320", 2, "--t-max = 9.99989e-321: times must be uniform and start at 0"),
+        ("--t-max", "1e-320", 2,
+         "--t-max = 9.99989e-321: time step 9.88131e-323 is below the smallest normal double"),
         ("--t-max", "-1", 2, "argument --t-max: must be > 0, got '-1'"),
         ("--t-max", "1e200", 2, "--t-max = 1e+200: covariances are not finite"),
         ("--steps", "0", 2, "argument --steps: must be >= 1, got '0'"),
@@ -734,6 +735,8 @@ _CONFIG = "mass_density = 22000\nfrequency = 1e-3\nquality_factor = 1e9\ntempera
      "line 3: family is already set on line 1"),
     ("plan-experiment", _CONFIG + "mass_density = 1\n",
      "line 5: mass_density is already set on line 1"),
+    ("plan-experiment", '{"mass_density": 1, "mass_density": 22000, "frequency": 1e-3, '
+     '"quality_factor": 1e9, "temperature": 0.01}', "JSON config sets mass_density twice"),
     # a number that does not parse names its line and key, as in a config
     ("check-classicality", "family = displacement\nsigma_uu = abc\n",
      "line 2: cannot parse sigma_uu = 'abc'"),

@@ -223,6 +223,19 @@ def test_propagate_grid_rejects_non_increasing_times(t_end):
         propagate_grid(vacuum_cov(), dyn, np.linspace(0.0, t_end, 5))
 
 
+def test_propagate_grid_names_a_subnormal_step():
+    # np.linspace cannot space 100 points evenly below the smallest normal double
+    dyn = dyn_from_sigma(0.1, 0.1)
+    with pytest.raises(ValueError, match="time step 9.88131e-323 is below the smallest normal"):
+        propagate_grid(vacuum_cov(), dyn, np.linspace(0.0, 1e-320, 100))
+    # a subnormal grid that does come out uniform still runs
+    gammas = propagate_grid(vacuum_cov(), dyn, np.linspace(0.0, 1e-320, 5))
+    np.testing.assert_allclose(gammas[-1], vacuum_cov(), rtol=0, atol=1e-300)
+    # a non-uniform grid of normal steps keeps the old message
+    with pytest.raises(ValueError, match="times must be uniform and start at 0"):
+        propagate_grid(vacuum_cov(), dyn, [0.0, 1.0, 3.0])
+
+
 @pytest.mark.parametrize("t_end", [np.inf, np.nan])
 def test_propagate_grid_rejects_non_finite_times(t_end):
     dyn = dyn_from_sigma(0.1, 0.1)

@@ -8,13 +8,11 @@ from entnoise.dynamics import build_dynamics, propagate
 from entnoise.fock import (
     FockState,
     TrotterStepper,
-    _displaced_vacuum,
     _kron_conjugate,
     carrier_kraus_ops,
     coherent_vector,
     covariance_of,
     displacement_operator,
-    extract_generator,
     ladder,
     fitted_coupling,
     gate_identity_check,
@@ -27,11 +25,7 @@ from entnoise.fock import (
     trotter_evolve,
     vacuum_state,
 )
-from entnoise.screens import (
-    DEFAULT_ETA_CONVENTION,
-    DisplacementScreen,
-    moments_from_displacement,
-)
+from entnoise.screens import DisplacementScreen, moments_from_displacement
 from entnoise.states import vacuum_cov
 
 
@@ -71,6 +65,44 @@ def completeness_defect(kraus: np.ndarray) -> float:
     return float(np.max(np.abs(acc - np.eye(kraus.shape[-1]))))
 
 
+def displaced_vacuum(direction: int, delta: float, dims) -> FockState:
+    """Vacuum displaced by delta along one quadrature direction."""
+    da, db = dims
+    alphas = {0: (delta / np.sqrt(2), 0), 1: (1j * delta / np.sqrt(2), 0),
+              2: (0, delta / np.sqrt(2)), 3: (0, 1j * delta / np.sqrt(2))}[direction]
+    return product_state(coherent_vector(alphas[0], da), coherent_vector(alphas[1], db))
+
+
+def extract_generator(screen):
+    """Drift and diffusion of the circuit's continuous-time limit, by stepping.
+
+    Richardson-extrapolates (step - identity)/tau over tau = 0.02, tau/2 and
+    tau/4 on 14 levels per mode, cancelling the first- and second-order
+    remainders; the result matches the assembled Gaussian generator when the
+    screen satisfies its constraints. Gaussian channels act linearly on means,
+    so the step's mean map A is probed exactly (up to truncation) by the vacuum
+    and its displacements by 0.5 along each quadrature; the vacuum's output
+    also gives the noise, gamma_out - A^T gamma_in A.
+    Returns (drift, diffusion) in the same convention as GaussianDynamics.
+    """
+    delta, dims = 0.5, (14, 14)
+    vacuum = vacuum_state(dims)
+    probes = [vacuum.rho] + [displaced_vacuum(k, delta, dims).rho for k in range(4)]
+    gamma_in = covariance_of(vacuum)
+
+    def one(tau_k):
+        stepper = TrotterStepper(screen, tau_k, dims=dims)
+        base, *shifted = [FockState(stepper.apply(rho)[0], dims) for rho in probes]
+        base_mean = mean_quadratures(base)
+        A = np.stack([(mean_quadratures(s) - base_mean) / delta for s in shifted], axis=1)
+        y_hat = (covariance_of(base) - A.T @ gamma_in @ A) / tau_k
+        return ((A - np.eye(4)) / tau_k).T, y_hat
+
+    (x1, y1), (x2, y2), (x4, y4) = (one(0.02 / k) for k in (1, 2, 4))
+    # eliminate the O(tau) and O(tau^2) remainders
+    return (x1 - 6.0 * x2 + 8.0 * x4) / 3.0, (y1 - 6.0 * y2 + 8.0 * y4) / 3.0
+
+
 def sqrt_step_coefficient(screen, tau: float = 0.0025, dims=(14, 14)) -> float:
     """Magnitude of the sqrt(tau) term in one circuit step's mean response.
 
@@ -81,7 +113,7 @@ def sqrt_step_coefficient(screen, tau: float = 0.0025, dims=(14, 14)) -> float:
 
     def mean_shift(tau_k):
         stepper = TrotterStepper(screen, tau_k, dims=dims)
-        state = _displaced_vacuum(0, 0.5, dims)
+        state = displaced_vacuum(0, 0.5, dims)
         rho_out, _ = stepper.apply(state.rho)
         return mean_quadratures(FockState(rho_out, dims)) - mean_quadratures(state)
 
@@ -125,7 +157,7 @@ def reduced_step_dense(
     rho_ab: FockState,
     screen,
     tau: float,
-    eta_convention: str = DEFAULT_ETA_CONVENTION,
+    eta_convention: str = "positive",
 ) -> FockState:
     """Direct product-space implementation of one circuit step.
 
@@ -562,8 +594,18 @@ def test_generator_extraction_steps_each_probe_once(monkeypatch):
 
 
 def test_fitted_coupling_sign_arbitration():
-    assert fitted_coupling(None) == pytest.approx(1.0, abs=1e-4)
-    assert fitted_coupling(None, eta_convention="negative") == pytest.approx(-1.0, abs=1e-4)
+    # read off the bare block's phases, exact to rounding in both gate orders
+    assert fitted_coupling() == pytest.approx(1.0, abs=1e-12)
+    assert fitted_coupling(eta_convention="negative") == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_fitted_coupling_makes_no_step(monkeypatch):
+    def refused(self, *args):
+        raise AssertionError("fitted_coupling stepped the circuit")
+
+    monkeypatch.setattr(TrotterStepper, "apply", refused)
+    monkeypatch.setattr(TrotterStepper, "_run", refused)
+    assert fitted_coupling() > 0.0
 
 
 def test_sqrt_step_coefficient_vanishes_for_valid_screens():

@@ -1,20 +1,27 @@
-"""Property checks of the exact flow, its physicality, the two classicality routes
-and the contract of the batched separability screen.
+"""Property checks of the exact flow, its physicality, the two classicality routes,
+the contract of the batched separability screen and the input contract of the
+library entry points.
 
 Examples are derandomized with a fixed budget, so every run draws the same
 cases and the module stays fast.
 """
 
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from entnoise import entanglement
-from entnoise.dynamics import accumulated_noise, build_dynamics, propagate
-from entnoise.entanglement import ppt_margin, ppt_margins
+from entnoise.dynamics import accumulated_noise, build_dynamics, propagate, propagate_grid
+from entnoise.entanglement import entanglement_onset, ppt_margin, ppt_margins
+from entnoise.experiment import ExperimentConfig, budget
+from entnoise.fock import trotter_evolve, vacuum_state
+from entnoise.noise import run_noise_test
 from entnoise.phasespace import K_REVERSAL, validate_covariance
 from entnoise.sampling import (
     random_classical_screen,
@@ -23,7 +30,7 @@ from entnoise.sampling import (
     random_symplectic,
 )
 from entnoise.screens import is_classical, is_classical_det, moments_with_coupling
-from entnoise.states import two_mode_squeezed_cov
+from entnoise.states import two_mode_squeezed_cov, vacuum_cov
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -220,3 +227,57 @@ def test_closed_form_clears_no_strongly_squeezed_boundary_state(seed, strength):
         routed = _assert_screen_contract(
             _boundary_states(np.random.default_rng(seed), 2.0, 4.0, strength))
     assert sum(screened) == routed.sum()
+
+
+# --- the input contract of the library entry points ---
+
+_CLASSICAL = build_dynamics(moments_with_coupling(2.0 * np.eye(2), 0.5))
+
+
+def _budget_with(mass_density):
+    return budget(ExperimentConfig(mass_density=mass_density, omega=2e-3 * math.pi,
+                                   quality_factor=1e9, temperature=0.01))
+
+
+def _grid(x, n):
+    with np.errstate(all="ignore"):  # the test's own linspace may meet nan or inf
+        return np.linspace(0.0, x, max(n, 0))
+
+
+# name -> (call with a scalar x and an integer n, whether (x, n) lies in the
+# documented domain). Outside it the call must raise ValueError (PhysicsRejection
+# is one); inside it may still raise one, for a flow that leaves double range
+ENTRY_POINTS = {
+    "propagate": (lambda x, n: propagate(vacuum_cov(), _CLASSICAL, x),
+                  lambda x, n: x >= 0),
+    "propagate_grid": (lambda x, n: propagate_grid(vacuum_cov(), _CLASSICAL, _grid(x, n)),
+                       lambda x, n: x > 0 and n >= 2),
+    "ppt_margins": (lambda x, n: ppt_margins(np.full((abs(n) + 1, 4, 4), x)),
+                    lambda x, n: True),
+    "entanglement_onset": (lambda x, n: entanglement_onset(_CLASSICAL, vacuum_cov(), x, 100 * n),
+                           lambda x, n: x > 0 and n >= 1),
+    "run_noise_test": (lambda x, n: run_noise_test(_CLASSICAL, x, n),
+                       lambda x, n: x > 0 and n >= 3),
+    "trotter_evolve": (lambda x, n: trotter_evolve(vacuum_state((3, 3)), None, x, n),
+                       lambda x, n: x >= 0 and n >= 1),
+    "budget": (lambda x, n: _budget_with(x), lambda x, n: x > 0),
+}
+
+
+edge_scalars = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0,
+                                1e-320, 1e308, -1e308, 1e200])
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@PROPERTY_SETTINGS
+@given(st.one_of(edge_scalars, st.floats()), st.integers(-1, 5))
+def test_entry_points_refuse_bad_scalars_with_a_value_error_and_no_warning(name, x, n):
+    # a float grid or step count raises TypeError, so n is drawn as an int
+    call, in_domain = ENTRY_POINTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            call(x, n)
+        except ValueError:
+            return
+    assert math.isfinite(x) and in_domain(x, n), f"{name} accepted x = {x!r}, n = {n}"
