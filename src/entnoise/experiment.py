@@ -223,7 +223,11 @@ def plan_experiment(fields: dict) -> dict:
     reports = {}
     for convention in OMEGA_CONVENTIONS:
         cfg = config_from_fields(fields, convention)
-        reports[convention] = budget(cfg)
+        try:
+            reports[convention] = budget(cfg)
+        except PhysicsRejection as exc:  # a budget figure is not a config key: cite them all
+            given = ", ".join(f"{key} = {value:g}" for key, value in fields.items())
+            raise PhysicsRejection(f"{exc} ({convention} convention, config {given})") from None
     ratio = reports["rad-s"]["g_per_s"] / reports["hz-cycles"]["g_per_s"]
     return {
         "input": dict(fields),

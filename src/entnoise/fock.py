@@ -8,20 +8,20 @@ form is re-derived here from the circuit, so agreement is a real test.
 
 TrotterStepper is the one circuit step: trotter_evolve runs n of them, and
 gate_identity_check and fitted_coupling read the bare four-gate block off a
-stepper with no screen. The carrier gates exp(-i sqrt(tau) x_f A) are controlled
-displacements: in the joint eigenbasis of A = x_a and B = x_b the gates,
-screen and carrier reset are an entrywise multiplier C = Xi Xi^dag assembled
-from carrier-space vectors. That is algebraically identical to exponentiating
-the truncated operators directly (the gates block-diagonalize over the system
-eigenbasis), but costs O((d_a d_b)^2) instead of a dense three-mode product;
-a literal three-mode step in the tests cross-checks it at small dimension.
-The local rotation is the Kronecker product V_a tensor V_b in that basis, so
-trotter_evolve changes basis once, takes all n steps there and changes back
-once. Every basis change is four products of the reshaped density matrix with
-the single-mode factors, each a plain 2D GEMM that rotates the index order; no
-dense basis matrix of the joint space is formed. Quadrature moments are read
-off the reduced states, and cross moments off one contraction each of the
-reshaped density matrix.
+stepper with no screen. The carrier gates exp(-i sqrt(tau) x_f A) are
+displacements controlled by the system: in the joint eigenbasis of A = x_a and
+B = x_b each is one displacement_operator per eigenvalue, and the gates, screen
+and carrier reset are an entrywise multiplier C = Xi Xi^dag assembled from
+carrier-space vectors. That is algebraically identical to exponentiating the
+truncated operators directly, but costs O((d_a d_b)^2) instead of a dense
+three-mode product; a literal three-mode step in the tests cross-checks it at
+small dimension. The local rotation is V_a tensor V_b in that basis, so a run
+of n steps changes basis once in and once out, and the rotations that open and
+close it (trotter_evolve's Strang half steps) ride on those two changes. Every
+basis change is four 2D GEMMs of the reshaped density matrix with single-mode
+factors; no dense basis matrix of the joint space is formed. Quadrature moments
+are read off the reduced states, and cross moments off one contraction each of
+the reshaped density matrix.
 """
 
 from dataclasses import dataclass, field
@@ -185,13 +185,6 @@ def carrier_kraus_ops(screen, d: int) -> np.ndarray:
 MIN_LEVELS = 3
 
 
-def _phase_gates(scaled_vals: np.ndarray, herm_op: np.ndarray) -> np.ndarray:
-    """Stack of exp(-i c_k herm_op) for every c_k, via one eigendecomposition."""
-    lam, V = np.linalg.eigh(herm_op)
-    phases = np.exp(-1j * np.outer(scaled_vals, lam))
-    return np.einsum("mk,ck,nk->cmn", V, phases, V.conj())
-
-
 def _rotation_phases(tau: float, d: int) -> np.ndarray:
     """Diagonal of exp(-i tau (n + 1/2)) on one d-level mode."""
     return np.exp(-1j * tau * (np.arange(d) + 0.5))
@@ -224,12 +217,12 @@ class TrotterStepper:
     gates with the screen in the middle, and traces the carrier (Markovian
     reset to the vacuum). The carrier keeps max(dims) levels, or as many as a
     Kraus-stack screen has. The step runs in the joint position eigenbasis of
-    the two system modes, T = W_a tensor W_b (real): there the rotation is the
-    product V_a tensor V_b with V_a = W_a^T diag(e^{-i tau (n + 1/2)}) W_a, and
-    the gates, screen and reset are an entrywise multiplier, so a step is
-    rho_e -> multiplier * (V rho_e V^dag). Every basis change, into or out of
-    the eigenbasis or by V, is a product with the two factors on the reshaped
-    density matrix. With no screen the multiplier is that of the bare four-gate
+    the two system modes, T = W_a tensor W_b (real). There the gates are the
+    displacement operators exp(-i sqrt(tau) a_alpha x_f) and exp(-i sqrt(tau)
+    b_beta p_f), one per eigenvalue, and with the screen and reset they make an
+    entrywise multiplier; the rotation is V_a tensor V_b with V_a = W_a^T
+    diag(e^{-i tau (n + 1/2)}) W_a, so a step is rho_e -> multiplier * (V rho_e
+    V^dag). With no screen the multiplier is that of the bare four-gate
     block, which gate_identity_check compares with the direct product gate.
     The gate order fixes the coupling's sign: "positive" applies the p-gate
     first, giving the closed forms' eta = +1; "negative" gives eta = -1.
@@ -253,15 +246,16 @@ class TrotterStepper:
         self.a_vals, self.W_a = np.linalg.eigh(position(da))
         self.b_vals, self.W_b = np.linalg.eigh(position(db))
 
-        # local rotation of each mode in that basis, applied first within each step
-        self._V_a = (self.W_a.T * _rotation_phases(self.tau, da)) @ self.W_a
-        self._V_b = (self.W_b.T * _rotation_phases(self.tau, db)) @ self.W_b
+        # local rotation of each mode, applied first within each step: its Fock-basis
+        # phases, and V = W^T diag(phases) W in the eigenbasis
+        self._phases = tuple(_rotation_phases(self.tau, d) for d in self.dims)
+        self._V_a = (self.W_a.T * self._phases[0]) @ self.W_a
+        self._V_b = (self.W_b.T * self._phases[1]) @ self.W_b
 
         root = np.sqrt(self.tau)
-        # exp(-i sqrt(tau) a_alpha x_f) and exp(-i sqrt(tau) b_beta p_f), broadcast
-        # over the (alpha, beta) grid of system eigenvalues
-        E = _phase_gates(root * self.a_vals, position(df))[:, None]
-        F = _phase_gates(root * self.b_vals, momentum(df))[None, :]
+        # the two gates, broadcast over the (alpha, beta) grid of system eigenvalues
+        E = displacement_operator(0.0, -root * self.a_vals, df)[:, None]
+        F = displacement_operator(root * self.b_vals, 0.0, df)[None, :]
         # the adjoints follow the screen in the same order
         first, second = (F, E) if eta_convention == "positive" else (E, F)
 
@@ -276,30 +270,36 @@ class TrotterStepper:
         Xi = phi.reshape(da * db, -1)
         self.multiplier = Xi @ Xi.conj().T
 
-    def _run(self, rho: np.ndarray, n: int):
+    def _run(self, rho: np.ndarray, n: int, lead: tuple, trail: tuple):
         """n steps between one change into the eigenbasis and one change back.
 
-        Returns (rho_out, worst per-step leakage). The leakage of a step is read
-        off the diagonal after the rotation, before the multiplier. A
-        zero-length step is exact.
+        lead and trail are per-mode Fock-basis rotation phases: step 1 rotates by
+        lead, folded into the change in as W^T diag(lead), steps 2 ... n by V_a
+        tensor V_b, and trail is folded into the change back as diag(trail) W.
+        Returns (fresh rho_out, worst per-step leakage), a step's leakage read off
+        the diagonal after its rotation. A zero-length step is exact.
         """
         if self.tau == 0.0:
             return rho.copy(), 0.0
-        # All passes write into one pair of buffers. A fresh array per pass is as
-        # large as rho (2.56 MB at d = 20), so whenever glibc's mmap threshold
-        # sits below that size each pass page-faults it in anew.
+        # All passes write into one pair of buffers: a fresh array per pass (2.56 MB
+        # at d = 20) page-faults in anew whenever glibc's mmap threshold is below it.
         buffers = np.empty((2, rho.size), dtype=complex)
-        rho = _kron_conjugate(self.W_a.T, self.W_b.T, rho, buffers)
+        (lead_a, lead_b), (trail_a, trail_b) = lead, trail
+        rho = _kron_conjugate(self.W_a.T * lead_a, self.W_b.T * lead_b, rho, buffers)
         worst = 0.0
-        for _ in range(n):
-            rho = _kron_conjugate(self._V_a, self._V_b, rho, buffers)
+        for step in range(n):
+            if step:
+                rho = _kron_conjugate(self._V_a, self._V_b, rho, buffers)
             worst = max(worst, float(np.real(np.diagonal(rho)) @ self._leak_row))
             rho *= self.multiplier
-        return _kron_conjugate(self.W_a, self.W_b, rho, buffers), worst
+        # the change back's last pass writes into a fresh array, so the result holds no buffer
+        out = _kron_conjugate(trail_a[:, None] * self.W_a, trail_b[:, None] * self.W_b, rho,
+                              (buffers[0], np.empty_like(buffers[1])))
+        return out, worst
 
     def apply(self, rho: np.ndarray):
         """One step on a Fock-basis density matrix; returns (rho_out, leakage_estimate)."""
-        return self._run(rho, 1)
+        return self._run(rho, 1, self._phases, tuple(np.ones(d) for d in self.dims))
 
 
 def trotter_evolve(rho_ab: FockState, screen, t: float, n: int) -> FockState:
@@ -308,22 +308,21 @@ def trotter_evolve(rho_ab: FockState, screen, t: float, n: int) -> FockState:
     Each circuit step is local rotation R(tau) then exchange block E, so n
     plain steps read the rotation half a step ahead of the exchange. Placing
     the rotation symmetrically, R(tau/2) E R(tau) E ... E R(tau/2), gives the
-    second-order (Strang) splitting; it equals R(tau/2) (E R(tau))^n R(-tau/2),
-    so the n steps are conjugated by a half-step rotation. The gates (in the
-    default order), screen, vacuum reset and total rotation t are those of n
-    TrotterStepper steps, all taken in the joint position eigenbasis between
-    one basis change in and one out.
+    second-order (Strang) splitting. The gates (in the default order), screen,
+    vacuum reset and total rotation t are those of n TrotterStepper steps, all
+    taken in the joint position eigenbasis; the two half-step rotations ride on
+    the one basis change in and the one out, so the n steps take n + 1
+    conjugations by single-mode factors.
     A note on the returned state flags carrier leakage above 1e-4 in any step.
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n = {n}")
     tau = t / n
     stepper = TrotterStepper(screen, tau, dims=rho_ab.dims)
-    # diagonal of the half-step rotation exp(-i tau/2 (n_a + n_b + 1))
-    half = np.outer(*(_rotation_phases(tau / 2, d) for d in rho_ab.dims)).ravel()
-    rho, worst_leak = stepper._run(rho_ab.rho * np.outer(half.conj(), half), n)
+    half = tuple(_rotation_phases(tau / 2, d) for d in rho_ab.dims)
+    rho, worst_leak = stepper._run(rho_ab.rho, n, half, half)
     notes = (f"carrier truncation leakage up to {worst_leak:.2e}",) if worst_leak > 1e-4 else ()
-    return FockState(rho * np.outer(half, half.conj()), rho_ab.dims, rho_ab.notes + notes)
+    return FockState(rho, rho_ab.dims, rho_ab.notes + notes)
 
 
 # --- the bare exchange block ---

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from entnoise.cli import cli_main
+from entnoise.experiment import _CONFIG_KEYS
 
 
 def run_cli(capsys, *argv):
@@ -749,6 +750,51 @@ def test_key_value_file_is_refused_naming_its_lines(tmp_path, capsys, command, t
     code, out, err = run_cli(capsys, command, flag, str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+EDGE_FIGURES = ("nan", "inf", "-inf", "1e308", "-1e308", "0", "-0", "1e-320", "-1", "1e200")
+
+
+@pytest.mark.parametrize("form", ["key-value", "json"])
+def test_config_sweep(tmp_path, form):
+    # every config key at every edge figure, one in-process run each: a report
+    # whose figures are all finite, or exit 2 or 3 with a message naming the
+    # key, and never a RuntimeWarning (a low temperature's regime warning is fine)
+    base = {"mass_density": "22000", "frequency": "1e-3", "quality_factor": "1e9",
+            "temperature": "0.01"}
+    path = tmp_path / "edge.cfg"
+    mismatched = []
+    for key in _CONFIG_KEYS:
+        for value in EDGE_FIGURES:
+            fields = {**base, key: value}
+            path.write_text(json.dumps({k: float(v) for k, v in fields.items()})
+                            if form == "json" else
+                            "".join(f"{k} = {v}\n" for k, v in fields.items()))
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                status = cli_main(["plan-experiment", "--config", str(path)])
+            out, err = out.getvalue(), err.getvalue()
+            if status == 0:
+                figures = list(_numbers(json.loads(out, parse_constant=float)))
+                ok = figures and all(map(math.isfinite, figures))
+            else:
+                ok = status in (2, 3) and not out and key in err
+            if not ok or any(issubclass(w.category, RuntimeWarning) for w in caught):
+                mismatched.append((key, value, status, err.strip()[-120:]))
+    assert not mismatched, mismatched
+
+
+def _numbers(doc):
+    """Every number in a parsed JSON document."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from _numbers(item)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield doc
 
 
 def test_screen_file_skips_comments_and_blank_lines(tmp_path, capsys):

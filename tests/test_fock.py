@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from entnoise import fock
 from entnoise.dynamics import build_dynamics, propagate
 from entnoise.fock import (
     FockState,
@@ -438,6 +439,30 @@ def test_trotter_evolve_is_conjugated_apply_composition(screen, dims):
     np.testing.assert_allclose(out.rho, _rotated(rho, dims, tau / 2), rtol=0, atol=1e-12)
     worst = max(leaks)
     assert out.notes == ((f"carrier truncation leakage up to {worst:.2e}",) if worst > 1e-4 else ())
+
+
+def test_step_results_own_no_step_buffer():
+    # a result that is a view of the (2, N^2) step buffers would hold twice rho's memory
+    st = product_state(coherent_vector(0.4, 8), coherent_vector(-0.3j, 8))
+    stepped, _ = TrotterStepper(DisplacementScreen(0.3, 0.2, 0.1), 0.2, dims=st.dims).apply(st.rho)
+    evolved = trotter_evolve(st, None, 0.6, 3).rho
+    for rho in (stepped, evolved):
+        assert (rho if rho.base is None else rho.base).size <= st.rho.size
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_trotter_evolve_makes_one_conjugation_per_step_and_one_more(monkeypatch, n):
+    # the half-step rotations ride on the basis changes in and out, and the
+    # first step's rotation is that change in: n + 1 conjugations in all
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _kron_conjugate(*args)
+
+    monkeypatch.setattr(fock, "_kron_conjugate", counted)
+    trotter_evolve(vacuum_state((6, 6)), DisplacementScreen(0.3, 0.2, 0.1), 0.5, n)
+    assert len(calls) == n + 1
 
 
 def test_trotter_rejects_bad_step_count():

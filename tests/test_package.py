@@ -49,11 +49,9 @@ def _referenced_names(node, skip=None):
         yield from _referenced_names(child, skip)
 
 
-def test_every_public_definition_has_a_caller():
-    # a public top-level function or class must be used outside its own
-    # definition by the package, a demo or the bench; an export from
-    # __init__.py does not count, and code that only the tests call belongs in
-    # the tests
+def _uncalled(selected):
+    """Library top-level definitions that selected(node) picks and that nothing
+    references outside their own definition in the package, a demo or the bench."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for directory in CALLER_DIRS for path in sorted(directory.glob("*.py"))}
     library = sorted(CALLER_DIRS[0].glob("*.py"))
@@ -63,12 +61,29 @@ def test_every_public_definition_has_a_caller():
         elsewhere = {name for other, tree in trees.items() if other != path
                      for name in _referenced_names(tree)}
         for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if selected(node):
                 own_module = set(_referenced_names(trees[path], skip=node))
                 if node.name not in elsewhere | own_module:
                     uncalled.append(f"{path.stem}.{node.name}")
+    return uncalled
+
+
+def test_every_public_definition_has_a_caller():
+    # a public top-level function or class must be used outside its own
+    # definition by the package, a demo or the bench; an export from
+    # __init__.py does not count, and code that only the tests call belongs in
+    # the tests
+    uncalled = _uncalled(lambda node: isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                         and not node.name.startswith("_"))
     assert not uncalled, f"public names with no caller outside the tests: {uncalled}"
 
+
+def test_every_private_function_has_a_caller():
+    # by the same rule a private top-level function with no caller is a
+    # leftover of a change, or a helper that only the tests use
+    uncalled = _uncalled(lambda node: isinstance(node, ast.FunctionDef)
+                         and node.name.startswith("_"))
+    assert not uncalled, f"private functions with no caller outside the tests: {uncalled}"
 
 
 def _parameters(fn, skip_first):
