@@ -285,7 +285,7 @@ def _cmd_plan_experiment(args):
     return plan_experiment(fields), "json"
 
 
-def cli_main(argv=None) -> int:
+def cli_main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -195,6 +195,11 @@ def iter_grid_segments(
     gammas[..., i, j] C-contiguous. A chunk whose flow could overflow, by its
     first point times the product of the row-sum norms of the F_f, raises
     ValueError naming its last time before its segment is yielded.
+
+    entanglement_onset keeps the 512-point chunk so that a hit ends its scan
+    early; propagate_grid takes 4096, as 512-point chunks made a 20-start,
+    2,000-point grid about 1.45x slower (1.5 against 1.0 ms, one BLAS thread
+    on a 2-core host).
     """
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")

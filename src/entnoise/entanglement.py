@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .phasespace import (
-    _REVERSAL_SIGNS,
     CHI,
     DELTA_1,
     DELTA_2,
@@ -45,8 +44,8 @@ def _require_physical(gamma: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def ppt_margin(gamma: np.ndarray) -> float:
-    """Min eigenvalue of partial_reverse(gamma) + i Delta_2 (negative = entangled)."""
+def ppt_margin(gamma: np.ndarray):
+    """Min eigenvalue of partial_reverse(gamma) + i Delta_2 (negative = entangled); stacks too."""
     return min_eig_hermitian(partial_reverse(gamma) + 1j * DELTA_2)
 
 
@@ -123,9 +122,9 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
     Weyl's inequality the margin is >= r_i - 1, r_i gamma's least row bound.
     The second, Sylvester's criterion on gamma~ + i Delta_2 itself
     (_sylvester_margins), screens the rest, gathered unless none cleared.
-    Every other entry gets the eigenvalue margin; a non-finite one, never
-    cleared, raises ValueError. Each lower entry is read as a flat row: in
-    place from propagate_grid's entry planes, else copied.
+    Every other entry gets ppt_margin, one stack per chunk, which raises
+    ValueError on a non-finite entry or margin. Each lower entry is read as a
+    flat row: in place from propagate_grid's entry planes, else copied.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape[-2:] != (4, 4):
@@ -146,10 +145,7 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
         routed = rest[~(out[rest] > 0.0)]
         if routed.size:
             entries = np.array([row[routed] for row in block])  # (10, routed)
-            reversed_batch = entries[_FULL].T.reshape(-1, 4, 4) * _REVERSAL_SIGNS
-            if not np.isfinite(reversed_batch).all():
-                raise ValueError("matrix entries must be finite")
-            out[routed] = np.linalg.eigvalsh(reversed_batch + 1j * DELTA_2)[:, 0]
+            out[routed] = ppt_margin(entries[_FULL].T.reshape(-1, 4, 4))
     return margins.reshape(gammas.shape[:-2])
 
 

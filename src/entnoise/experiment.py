@@ -71,9 +71,10 @@ def coupling_g(config: ExperimentConfig) -> float:
 
 
 def thermal_occupation(config: ExperimentConfig) -> float:
-    """Steady-state phonon occupation k_B T / (hbar omega)."""
+    """Steady-state phonon occupation k_B T / (hbar omega), refused unless positive and finite."""
     # a numpy divisor: an hbar omega that underflows gives inf, not ZeroDivisionError
     nbar = K_BOLTZMANN * config.temperature / (HBAR * np.float64(config.omega))
+    _require_positive("nbar", nbar)  # before the regime check: a refused figure gets no warning
     if nbar < 10.0:
         warnings.warn(
             f"thermal occupation {nbar:.3g} is not >> 1; the high-temperature "

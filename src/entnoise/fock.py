@@ -80,7 +80,7 @@ def product_state(vec_a: np.ndarray, vec_b: np.ndarray) -> FockState:
     return FockState(rho=np.outer(psi, psi.conj()), dims=(len(vec_a), len(vec_b)))
 
 
-def vacuum_state(dims=(20, 20)) -> FockState:
+def vacuum_state(dims) -> FockState:
     return product_state(coherent_vector(0, dims[0]), coherent_vector(0, dims[1]))
 
 
@@ -228,7 +228,7 @@ class TrotterStepper:
     first, giving the closed forms' eta = +1; "negative" gives eta = -1.
     """
 
-    def __init__(self, screen, tau: float, dims=(20, 20), eta_convention: str = "positive"):
+    def __init__(self, screen, tau: float, dims, eta_convention: str = "positive"):
         if not (np.isfinite(tau) and tau >= 0):
             raise ValueError(f"step length must be finite and nonnegative, got {tau}")
         if eta_convention not in ("positive", "negative"):
@@ -382,7 +382,7 @@ def fitted_coupling(eta_convention: str = "positive") -> float:
 # --- screen moments ---
 
 
-def moments_numeric(screen, dim: int = 30) -> ScreenMoments:
+def moments_numeric(screen, dim: int) -> ScreenMoments:
     """Extract (nu_a, nu_b, eta, xi, Y) by applying the adjoint screen.
 
     Every coefficient is a carrier-vacuum expectation of products of x, p and

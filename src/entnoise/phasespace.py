@@ -52,7 +52,7 @@ CHI[0, 0] = 1.0
 CHI[2, 1] = 1.0
 
 
-def require_symmetric(matrix: np.ndarray, name: str = "matrix") -> None:
+def require_symmetric(matrix: np.ndarray, name: str) -> None:
     """Raise ValueError on a non-finite entry, or naming the worst pair if not symmetric."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -85,24 +85,19 @@ def _require_finite_time(t: float) -> None:
         raise ValueError(f"propagation time must be finite, got {t}")
 
 
-def _require_finite(matrix: np.ndarray) -> None:
+def min_eig_hermitian(matrix: np.ndarray):
+    """Least eigenvalue of a Hermitian matrix, or of each in a stack (..., n, n).
+
+    The PSD primitive of every positivity decision, single or stacked, so
+    tolerance semantics stay uniform. Returns a float for one matrix and an
+    array for a stack; ValueError on a non-finite entry or result.
+    """
     if not np.isfinite(matrix).all():
         raise ValueError("matrix entries must be finite")
-
-
-def min_eig_hermitian(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; ValueError on a non-finite entry or result.
-
-    The PSD primitive of every single-matrix positivity decision, so tolerance
-    semantics stay uniform. The batched entanglement.ppt_margins does not call
-    it: it clears most matrices by a Gershgorin bound or a closed-form invariant
-    and gives the rest the same eigenvalue margin from one batched eigvalsh.
-    """
-    _require_finite(matrix)
-    lam = float(np.linalg.eigvalsh(matrix)[0])
-    if not math.isfinite(lam):  # finite entries whose modulus overflows
+    lam = np.linalg.eigvalsh(matrix)[..., 0]
+    if not np.isfinite(lam).all():  # finite entries whose modulus overflows
         raise ValueError("matrix entries too large: the least eigenvalue is not finite")
-    return lam
+    return lam if lam.ndim else float(lam)
 
 
 def validate_covariance(gamma: np.ndarray) -> Certificate:
@@ -123,9 +118,9 @@ def validate_covariance(gamma: np.ndarray) -> Certificate:
 
 
 def partial_reverse(gamma: np.ndarray) -> np.ndarray:
-    """Flip the sign of p_b rows and columns: K gamma K with K = diag(1,1,1,-1)."""
+    """Flip the sign of p_b rows and columns, K gamma K with K = diag(1,1,1,-1); stacks too."""
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (4, 4):
+    if gamma.shape[-2:] != (4, 4):
         raise ValueError(f"partial reversal is defined for 4x4 matrices, got {gamma.shape}")
     return gamma * _REVERSAL_SIGNS
 

@@ -69,7 +69,7 @@ def random_classical_screen(
 
 
 def random_nonclassical_screen(
-    rng: np.random.Generator, g: float, margin: float = 0.0
+    rng: np.random.Generator, g: float, margin: float
 ) -> ScreenMoments:
     """Screen moments whose certificate is below ``-margin * 2|g|``."""
     ceiling = -margin * 2.0 * abs(g)

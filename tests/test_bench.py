@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # grid points per item: 20 starts x 2,000 points on certify, whose onset from
-# the vacuum needs no scan; two 161-point trajectories on noise
+# the vacuum needs no scan; one 161-point trajectory on noise
 GRID_POINTS = {"certify": 40_000, "noise": 161}
 SPANNED = {
     "certify": ["dynamics.propagate_grid", "dynamics.iter_grid_segments",

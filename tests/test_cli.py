@@ -538,6 +538,19 @@ def test_budget_figure_out_of_double_range_exits_3(tmp_path, capsys, figures, ke
     assert f"{key} must be positive and finite" in err
 
 
+def test_underflowing_occupation_is_refused_without_a_regime_warning(tmp_path, capsys):
+    # nbar underflows to 0: the refusal comes first, not a UserWarning about
+    # the regime of the figure that is then refused
+    cfg = tmp_path / "cold.cfg"
+    cfg.write_text(_CONFIG.replace("temperature = 0.01", "temperature = 1e-320"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "plan-experiment", "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert "nbar must be positive and finite, got 0.0 (hz-cycles convention" in err
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+
+
 @pytest.mark.parametrize("figures, code, message", [
     # float(True) would read a JSON true as 1 K
     (dict(temperature=True), 2, "cannot parse temperature = True"),

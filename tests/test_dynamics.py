@@ -178,7 +178,7 @@ def test_accumulated_noise_at_unit_coupling_matches_50_digit_reference():
     t = 50.0
     for g in (1.0, -1.0):
         for sample in (random_classical_screen, random_nonclassical_screen):
-            dyn = build_dynamics(sample(rng, g))
+            dyn = build_dynamics(sample(rng, g, 0.0))
             block = np.block([[-dyn.drift.T, dyn.diffusion], [np.zeros((4, 4)), dyn.drift]]) * t
             with mpmath.workdps(50):
                 F = np.array(mpmath.expm(mpmath.matrix(block.tolist())).tolist(), dtype=object)

@@ -101,6 +101,16 @@ def test_ppt_margins_never_clear_a_dominant_off_diagonal_entry(rng, monkeypatch)
     np.testing.assert_array_equal(margins, [ppt_margin(gamma) for gamma in gammas])
 
 
+def test_ppt_margin_of_a_stack_is_the_margin_of_each_matrix(rng):
+    gammas = np.stack([random_physical_cov(rng) for _ in range(11)]
+                      + [two_mode_squeezed_cov(0.3)]).reshape(3, 4, 4, 4)
+    stacked = ppt_margin(gammas)
+    assert stacked.shape == (3, 4)
+    single = [[ppt_margin(gamma) for gamma in row] for row in gammas]
+    assert isinstance(single[0][0], float)
+    np.testing.assert_array_equal(stacked, single)
+
+
 def test_ppt_margins_keeps_batch_shape_and_rejects_other_shapes():
     gammas = np.broadcast_to(vacuum_cov(), (3, 2, 4, 4))
     assert ppt_margins(gammas).shape == (3, 2)
@@ -178,11 +188,28 @@ def test_ppt_margins_reject_a_non_finite_entry_in_any_layout(layout_matrices, la
         ppt_margins(LAYOUTS[layout](gammas))
 
 
+def test_ppt_margins_refuse_an_overflowing_margin_as_ppt_margin_does():
+    # finite entries whose least eigenvalue overflows reach the last tier, ppt_margin itself
+    gamma = np.full((1, 4, 4), -1e308)
+    for decide in (ppt_margins, ppt_margin):
+        with pytest.raises(ValueError, match="least eigenvalue is not finite"):
+            decide(gamma)
+
+
+def _on_a_stack(decide):
+    """decide applied to a stack of the identity and its argument."""
+    def stacked(gamma):
+        return decide(np.stack([np.eye(4), gamma]))
+    stacked.__name__ = f"{decide.__name__}_stacked"
+    return stacked
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (3, 3)])
 @pytest.mark.parametrize("decide", [ppt_margins, ppt_margin, min_eig_hermitian,
-                                    validate_covariance, is_separable, log_negativity])
+                                    validate_covariance, is_separable, log_negativity,
+                                    _on_a_stack(ppt_margin), _on_a_stack(min_eig_hermitian)])
 def test_non_finite_entries_raise(decide, i, j, value):
     gamma = np.eye(4)
     gamma[i, j] = gamma[j, i] = value

@@ -96,19 +96,19 @@ def _parameters(fn, skip_first):
     return {name: name in defaulted for name in names}, [a.arg for a in ordered][skip_first:]
 
 
-def test_every_defaulted_parameter_is_set_by_a_caller():
-    # a defaulted parameter of a library function must be passed a value by
-    # some call in the package, a demo or the bench. A bare name that is the
-    # calling function's own defaulted parameter passes on that parameter, so
-    # it counts only if that one is set by the same rule. Calls are matched by
-    # name (a class name calls its __init__); a name shared by two
-    # definitions credits both.
+def _library_callees():
+    """The caller trees by path, and the library's functions and methods.
+
+    Returns (trees, callees, owners): callees maps a called name (a class name
+    calls its __init__) to [(qualified name, {param: defaulted}, positional
+    names)], and owners maps the id of each library FunctionDef to (qualified
+    name, {param: defaulted}).
+    """
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for directory in CALLER_DIRS for path in sorted(directory.glob("*.py"))}
     library = sorted(CALLER_DIRS[0].glob("*.py"))
     assert library, f"no library modules under {CALLER_DIRS[0]}"
-    callees = {}  # called name -> [(qualified name, {param: defaulted}, positional names)]
-    owners = {}   # id of a library FunctionDef -> (qualified name, {param: defaulted})
+    callees, owners = {}, {}
     for path in library:
         for node in trees[path].body:
             if isinstance(node, ast.FunctionDef):
@@ -123,6 +123,22 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                 params, positional = _parameters(fn, skip)
                 callees.setdefault(called_as, []).append((qualified, params, positional))
                 owners[id(fn)] = (qualified, params)
+    return trees, callees, owners
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a defaulted parameter of a library function must be passed a value by
+    # some call in the package, a demo or the bench. A bare name that is the
+    # calling function's own defaulted parameter passes on that parameter, so
+    # it counts only if that one is set by the same rule. Calls are matched by
+    # name (a class name calls its __init__); a name shared by two
+    # definitions credits both.
+    trees, callees, owners = _library_callees()
 
     def origin(value, scopes):
         """The enclosing defaulted parameter that value passes on, else True (a value)."""
@@ -139,9 +155,7 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
         if isinstance(node, ast.FunctionDef):
             scopes = scopes + [node]
         if isinstance(node, ast.Call):
-            func = node.func
-            called_as = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            for qualified, params, positional in callees.get(called_as, []):
+            for qualified, params, positional in callees.get(_called_name(node), []):
                 passed = [(name, value) for name, value in zip(positional, node.args)
                           if not isinstance(value, ast.Starred)]
                 passed += [(kw.arg, kw.value) for kw in node.keywords if kw.arg in params]
@@ -164,6 +178,30 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                    for name, defaulted in params.items()
                    if defaulted and (qualified, name) not in is_set)
     assert not unset, f"defaulted parameters no caller outside the tests sets: {unset}"
+
+
+def test_every_defaulted_parameter_is_omitted_by_a_caller():
+    # the converse: a default that every call in the package, a demo or the
+    # bench overrides serves only the tests, so the parameter is required. A
+    # call that unpacks *args or **kwargs may omit any default; calls are
+    # matched by name as above
+    trees, callees, _ = _library_callees()
+    omitted = set()
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            unpacks = (any(isinstance(arg, ast.Starred) for arg in call.args)
+                       or any(kw.arg is None for kw in call.keywords))
+            for qualified, params, positional in callees.get(_called_name(call), []):
+                passed = set() if unpacks else (set(positional[:len(call.args)])
+                                                | {kw.arg for kw in call.keywords})
+                omitted.update((qualified, name) for name in params if name not in passed)
+    always_set = sorted(f"{qualified}({name})" for entries in callees.values()
+                        for qualified, params, _ in entries
+                        for name, defaulted in params.items()
+                        if defaulted and (qualified, name) not in omitted)
+    assert not always_set, f"defaulted parameters every outside caller sets: {always_set}"
 
 
 def _class_members(cls):

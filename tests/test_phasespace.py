@@ -39,8 +39,9 @@ def test_symplectic_form_squares_to_minus_identity():
 def test_min_eig_hermitian_rejects_an_overflowing_result():
     # finite entries whose modulus exceeds the largest double: eigvalsh answers NaN
     matrix = np.array([[8e307, 8e307 + 1.7e308j], [8e307 - 1.7e308j, 8e307]])
-    with pytest.raises(ValueError, match="least eigenvalue is not finite"):
-        min_eig_hermitian(matrix)
+    for stack in (matrix, np.stack([np.eye(2), matrix])):  # alone and behind a good one
+        with pytest.raises(ValueError, match="least eigenvalue is not finite"):
+            min_eig_hermitian(stack)
 
 
 def test_symplectic_form_rejects_zero_modes():
@@ -102,6 +103,16 @@ def test_partial_reverse_flips_pb_cross_entries():
     assert flipped[0, 0] == 1.0
 
 
+def test_partial_reverse_of_a_stack_reverses_each_matrix(rng):
+    gammas = rng.normal(size=(3, 5, 4, 4))
+    stacked = partial_reverse(gammas)
+    assert stacked.shape == gammas.shape
+    for index in np.ndindex(gammas.shape[:-2]):
+        np.testing.assert_array_equal(stacked[index], partial_reverse(gammas[index]))
+    with pytest.raises(ValueError, match="4x4"):
+        partial_reverse(np.ones((4, 4, 3)))
+
+
 def test_partial_reverse_is_involutive(rng):
     for _ in range(20):
         A = rng.normal(size=(4, 4))
@@ -121,7 +132,7 @@ def _van_loan_blocks(t):
     rng = np.random.default_rng(20261019)
     for g in (0.3, 0.8):
         for sample in (random_classical_screen, random_nonclassical_screen):
-            dyn = build_dynamics(sample(rng, g))
+            dyn = build_dynamics(sample(rng, g, 0.0))
             yield np.block([[-dyn.drift.T, dyn.diffusion], [np.zeros((4, 4)), dyn.drift]]) * t
 
 
