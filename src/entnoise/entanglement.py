@@ -161,15 +161,17 @@ def log_negativity(gamma: np.ndarray) -> float:
 
     Quantitative companion to is_separable for scan output; zero exactly when
     the state is separable. Only the smaller symplectic eigenvalue of a
-    physical state's reversal can fall below 1, so it is the whole sum.
+    physical state's reversal can fall below 1, so it is the whole sum. With
+    gamma~ = V diag(lam) V^T, i lam^-1/2 V^T Delta_2 V lam^-1/2 has eigenvalues
+    +-1/nu~_j. Rounding moves nu~_- by up to about 1.3 u kappa(gamma) of itself
+    (against 80-digit references), so it raises ValueError where 4 u kappa >= 1.
     """
     gamma = _require_physical(gamma)
-    det_a, det_b, det_c, _, det = _lower_minors(gamma.reshape(16)[_LOWER])
-    tilde = det_a + det_b - 2.0 * det_c
-    # a root of nu^4 - Delta~ nu^2 + det that does not cancel when nu~_+ >> nu~_-
-    # (Serafini, Illuminati and De Siena, J. Phys. B 37, L21, 2004)
-    nu2 = 2.0 * det / (tilde + np.sqrt(np.maximum(tilde * tilde - 4.0 * det, 0.0)))
-    nu = float(np.sqrt(nu2))
+    lam, V = np.linalg.eigh(partial_reverse(gamma))
+    if not lam[0] > 4 * _U * lam[-1]:
+        raise ValueError(f"cannot resolve nu~_- of a covariance this ill-conditioned: its "
+                         f"eigenvalues span {lam[0]:.3e} to {lam[-1]:.3e}, past 1 / (4u)")
+    nu = -1.0 / min_eig_hermitian(1j * (V.T @ DELTA_2 @ V) / np.sqrt(np.outer(lam, lam)))
     # a value within tol of 1 is separability-marginal, not entangled
     return -math.log(nu) if nu < 1.0 - TOL_PSD else 0.0
 

@@ -104,9 +104,10 @@ def validate_covariance(gamma: np.ndarray) -> Certificate:
     """Check the uncertainty principle, gamma + i Delta_2 >= 0.
 
     Returns a Certificate carrying the minimum eigenvalue of the Hermitian
-    matrix gamma + i Delta_2; the state is physical iff that eigenvalue is
-    >= -TOL_PSD. Raises ValueError on non-symmetric input or on a non-finite
-    entry.
+    matrix gamma + i Delta_2; the state is physical iff it is >= -TOL_PSD, an
+    absolute bound that eigvalsh's error, about u ||gamma||, passes once entries
+    reach ~1e6 (two_mode_squeezed_cov(8) gives -6.2e-10, and is refused).
+    ValueError on non-symmetric input or on a non-finite entry.
     """
     gamma = np.asarray(gamma, dtype=float)
     require_symmetric(gamma, name="covariance matrix")
@@ -136,8 +137,30 @@ _PADE_9 = np.array([[math.comb(9, k) / (math.comb(18, k) * math.factorial(k))
                      for k in range(first, 10, 2)] for first in (1, 0)])
 
 
+def _expm_2x2(a: float, b: float, c: float, d: float) -> np.ndarray:
+    """exp(A) = e^m [C I + S (A - m I)] for A = [[a, b], [c, d]], by Cayley-Hamilton.
+
+    m = tr A / 2, q^2 = m^2 - det A = ((a - d) / 2)^2 + b c, and (C, S) is (cosh q, sinh q /
+    q), (cos |q|, sin |q| / |q|) or (1, 1) as q^2 is > 0, < 0 or 0 (Moler and Van Loan, SIAM
+    Rev. 45, 3, 2003). A non-finite entry, or a result past the double range, gives NaN.
+    """
+    m, h = 0.5 * (a + d), 0.5 * (a - d)
+    q2 = h * h + b * c
+    q = math.sqrt(abs(q2))
+    if not math.isfinite(m + q2):  # a non-finite entry, or one near the top of the double range
+        return np.full((2, 2), np.nan)
+    try:
+        if q2 > 0:  # e^m cosh q as e^(m + q) (1 + e^(-2q)) / 2 overflows only with the result
+            e, C, S = 0.5 * math.exp(m + q), 1.0 + math.exp(-2.0 * q), -math.expm1(-2.0 * q) / q
+        else:
+            e, C, S = math.exp(m), math.cos(q), math.sin(q) / q if q else 1.0
+    except OverflowError:
+        return np.full((2, 2), np.nan)
+    return np.array([[e * (C + S * h), e * S * b], [e * S * c, e * (C - S * h)]])
+
+
 def expm(A: np.ndarray) -> np.ndarray:
-    """exp(A) of a real square matrix by scaling and squaring a Padé approximant.
+    """exp(A) of a real square matrix: _expm_2x2 at 2x2, else Padé scaling and squaring.
 
     Takes degree 9 on A / 2^s, with s the fewest halvings that bring the
     1-norm to theta_9, then squares s times. With V and U the even and odd
@@ -145,6 +168,8 @@ def expm(A: np.ndarray) -> np.ndarray:
     gives NaN; overflow in the squarings is the caller's to detect.
     """
     A = np.asarray(A, dtype=float)
+    if A.shape == (2, 2):
+        return _expm_2x2(*A.ravel().tolist())
     norm = float(np.abs(A).sum(axis=0).max())
     if not math.isfinite(norm):
         return np.full(A.shape, np.nan)

@@ -26,9 +26,8 @@ def random_symplectic(rng: np.random.Generator, n_modes: int, strength: float) -
 def random_physical_cov(rng: np.random.Generator, n_modes: int = 2) -> np.ndarray:
     """S^T (D oplus D') S with symplectic eigenvalues drawn from [1, 3)."""
     nus = rng.uniform(1.0, 3.0, size=n_modes)
-    D = np.diag(np.repeat(nus, 2))
     S = random_symplectic(rng, n_modes, 0.6)
-    gamma = S.T @ D @ S
+    gamma = (S.T * np.repeat(nus, 2)) @ S
     return 0.5 * (gamma + gamma.T)
 
 

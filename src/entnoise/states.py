@@ -22,9 +22,7 @@ def two_mode_squeezed_cov(r: float) -> np.ndarray:
 
 def direct_sum(gamma_a: np.ndarray, gamma_b: np.ndarray) -> np.ndarray:
     """Covariance of a product state from its one-mode blocks."""
-    gamma_a = np.asarray(gamma_a, dtype=float)
-    gamma_b = np.asarray(gamma_b, dtype=float)
-    out = np.zeros((gamma_a.shape[0] + gamma_b.shape[0],) * 2)
-    out[: gamma_a.shape[0], : gamma_a.shape[0]] = gamma_a
-    out[gamma_a.shape[0] :, gamma_a.shape[0] :] = gamma_b
+    n = len(gamma_a)
+    out = np.zeros((n + len(gamma_b),) * 2)
+    out[:n, :n], out[n:, n:] = gamma_a, gamma_b
     return out

@@ -369,6 +369,19 @@ def test_log_negativity_two_mode_squeezed():
     assert log_negativity(two_mode_squeezed_cov(r)) == pytest.approx(2 * r, rel=1e-10)
 
 
+@pytest.mark.parametrize("r", [0.3, 1.0, 3.0, 5.0])
+def test_log_negativity_of_strongly_squeezed_states(r):
+    # det gamma = nu~_-^2 nu~_+^2 = 1 cancels in a determinant formula by r = 3
+    assert log_negativity(two_mode_squeezed_cov(r)) == pytest.approx(2 * r, abs=1e-6)
+
+
+def test_log_negativity_refuses_a_state_it_cannot_resolve():
+    # at r = 10 gamma's eigenvalues span e^{+-20}, past 1 / (4u): rounding
+    # leaves not even the order of magnitude of nu~_- = e^{-20}
+    with pytest.raises(ValueError, match="cannot resolve nu~_-"):
+        log_negativity(two_mode_squeezed_cov(10.0))
+
+
 def test_log_negativity_consistent_with_ppt(rng):
     for _ in range(1000):
         gamma = random_physical_cov(rng)

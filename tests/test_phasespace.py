@@ -13,7 +13,8 @@ from entnoise.phasespace import (
     symplectic_form,
     validate_covariance,
 )
-from entnoise.sampling import random_classical_screen, random_nonclassical_screen
+from entnoise.sampling import (
+    random_classical_screen, random_nonclassical_screen, random_symplectic)
 from entnoise.states import squeezed_cov, two_mode_squeezed_cov, vacuum_cov, direct_sum
 
 
@@ -158,14 +159,58 @@ def test_expm_matches_scipy_on_symplectic_generators(rng, n_modes):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_expm_of_non_finite_input_is_nan_without_warning(bad):
-    A = np.eye(4)
-    A[1, 2] = bad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = expm(A)
-    assert result.shape == (4, 4)
-    assert np.isnan(result).all()
+    # the Padé path at 4x4, and the closed form at 2x2 with the entry in every
+    # place, on matrices whose q^2 is positive, negative and zero
+    cases = [(np.eye(4), (1, 2))]
+    for base in (np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2))):
+        cases += [(np.array(base), place) for place in np.ndindex(2, 2)]
+    for base, place in cases:
+        A = base.copy()
+        A[place] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = expm(A)
+        assert result.shape == A.shape
+        assert np.isnan(result).all(), (A, result)
 
 
 def test_expm_of_zero_is_identity():
-    np.testing.assert_array_equal(expm(np.zeros((8, 8))), np.eye(8))
+    for n in (2, 8):
+        np.testing.assert_array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+@pytest.mark.parametrize("A", [
+    [[0.3, 1.2], [0.9, -0.3]],     # q^2 > 0
+    [[0.2, 1.5], [-2.0, -0.2]],    # q^2 < 0
+    [[1.0, 1.0], [-1.0, -1.0]],    # nilpotent: q^2 = 0
+    [[2.0, 1.0], [0.5, 3.0]],      # nonzero trace
+    [[-0.7, 0.4], [-3.0, 1.9]],    # nonzero trace, q^2 < 0
+    [[-800.0, 1000.0], [1000.0, -800.0]],  # cosh q overflows, e^m cosh q does not
+], ids=["q2-positive", "q2-negative", "nilpotent", "trace", "trace-q2-negative", "large-q"])
+def test_closed_form_expm_matches_scipy_on_each_branch(A):
+    A = np.array(A)
+    reference = scipy_expm(A)
+    assert np.isfinite(reference).all()
+    error = np.max(np.abs(expm(A) - reference)) / np.max(np.abs(reference))
+    assert error <= 1e-12
+
+
+def test_single_mode_symplectic_exponentials_have_unit_determinant():
+    # exp(Delta_1 H) is symplectic, det 1. A computed det is off by the
+    # rounding of its two products, so the defect is taken relative to them;
+    # the +-1e-9 boundary states of the separability suites rely on it
+    rng = np.random.default_rng(20261020)
+    for strength in np.linspace(0.0, 2.0, 1000):
+        (a, b), (c, d) = random_symplectic(rng, 1, strength)
+        assert abs(a * d - b * c - 1.0) <= 1e-14 * (abs(a * d) + abs(b * c))
+
+
+@pytest.mark.parametrize("A", [[[1800.0, 0.0], [0.0, -200.0]],
+                               [[800.0, 1000.0], [1000.0, 800.0]],
+                               [[800.0, 1000.0], [-1000.0, 800.0]]])
+def test_closed_form_expm_that_overflows_is_not_finite_without_warning(A):
+    # q = 1e3 and m = 800: cosh q alone is past the double range, and so is e^m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = expm(np.array(A))
+    assert not np.isfinite(result).all()
