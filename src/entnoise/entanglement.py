@@ -98,18 +98,23 @@ def _sylvester_margins(lower: np.ndarray) -> np.ndarray:
     return np.where(positive & (det_m > 0.0), 27.0 * det_m / (tr * tr * tr), 0.0)
 
 
-def _gershgorin_margins(lower: np.ndarray) -> np.ndarray:
-    """r - 1 - err with r = min_k (gamma_kk - sum_{l != k} |gamma_kl|) for each column of lower."""
+def _gershgorin_margins(lower: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """out = r - 1 - err, r = min_k (gamma_kk - sum_{l != k} |gamma_kl|); work: (8, n) scratch."""
     a, b, e, c, f, h, d, g, i, j = lower
-    ab, ac, ad, af, ag, ai = map(np.abs, (b, c, d, f, g, i))
-    r = np.minimum(np.minimum(a - ab - ac - ad, e - ab - af - ag),
-                   np.minimum(h - ac - af - ai, j - ad - ag - ai))
+    ab, ac, ad, af, ag, ai, r, row = work
+    for entry, magnitude in zip((b, c, d, f, g, i), work):
+        np.abs(entry, out=magnitude)
+    r.fill(np.inf)  # the least row bound so far; minima are exact, so row order leaves r - 1
+    for diagonal, x, y, z in ((a, ab, ac, ad), (e, ab, af, ag), (h, ac, af, ai), (j, ad, ag, ai)):
+        np.subtract(np.subtract(np.subtract(diagonal, x, out=row), y, out=row), z, out=row)
+        np.minimum(r, row, out=r)
     # Allowance, D = max_k gamma_kk: a row ((gamma_kk - |x|) - |y|) - |z| is off by <= 3 u
     # (gamma_kk + |x| + |y| + |z|) <= 6 u D where >= 0 (Higham, ch. 3); r - 1 and the
     # subtraction of err add <= u D each, as 1 <= r <= D where it clears: 8 u D. The other
     # 56 u D keeps a cleared bound below eigvalsh's answer, off by p u ||M|| with ||M|| <=
     # max row sum + 1 <= 3 D: p up to 18 (measured < 5 where the row bound is tight).
-    return r - 1.0 - 64 * _U * np.maximum(np.maximum(a, e), np.maximum(h, j))
+    D = np.maximum(np.maximum(a, e, out=ab), np.maximum(h, j, out=row), out=ab)
+    return np.subtract(np.subtract(r, 1.0, out=out), np.multiply(D, 64 * _U, out=D), out=out)
 
 
 def ppt_margins(gammas: np.ndarray) -> np.ndarray:
@@ -121,31 +126,34 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
     (_gershgorin_margins): gamma~ = K gamma K has gamma's spectrum, so by
     Weyl's inequality the margin is >= r_i - 1, r_i gamma's least row bound.
     The second, Sylvester's criterion on gamma~ + i Delta_2 itself
-    (_sylvester_margins), screens the rest, gathered unless none cleared.
-    Every other entry gets ppt_margin, one stack per chunk, which raises
-    ValueError on a non-finite entry or margin. Each lower entry is read as a
-    flat row: in place from propagate_grid's entry planes, else copied.
+    (_sylvester_margins), screens the rest, gathered unless none cleared,
+    _CHUNK at a time; every other entry gets ppt_margin, one stack per such
+    slice, which raises ValueError on a non-finite entry or margin. Each
+    lower entry is read as a flat row: in place from propagate_grid's entry
+    planes, else copied.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape[-2:] != (4, 4):
         raise ValueError(f"two-mode covariances expected, got shape {gammas.shape}")
     lower = [gammas[..., k // 4, k % 4].ravel() for k in _LOWER]
     margins = np.empty(lower[0].size)
-    for start in range(0, len(margins), _CHUNK):
-        block = [row[start:start + _CHUNK] for row in lower]
-        out = margins[start:start + _CHUNK]
-        # entries that overflow, divide by zero or go NaN here are not cleared
+    work = np.empty((8, min(_CHUNK, len(margins))))
+    # entries that overflow, divide by zero or go NaN here are not cleared
+    with np.errstate(all="ignore"):
+        for start in range(0, len(margins), _CHUNK):
+            block = [row[start:start + _CHUNK] for row in lower]
+            _gershgorin_margins(block, margins[start:start + _CHUNK], work[:, :len(block[0])])
+        rest = np.flatnonzero(~(margins > 0.0))
+    for start in range(0, len(rest), _CHUNK):
+        part = rest[start:start + _CHUNK]
+        rows = ([row[start:start + _CHUNK] for row in lower] if len(rest) == len(margins)
+                else [row[part] for row in lower])
         with np.errstate(all="ignore"):
-            out[:] = _gershgorin_margins(block)
-            rest = np.flatnonzero(~(out > 0.0))
-            if not rest.size:
-                continue
-            rows = block if rest.size == len(out) else [row[rest] for row in block]
-            out[rest] = _sylvester_margins(rows)
-        routed = rest[~(out[rest] > 0.0)]
+            margins[part] = _sylvester_margins(rows)
+        routed = part[~(margins[part] > 0.0)]
         if routed.size:
-            entries = np.array([row[routed] for row in block])  # (10, routed)
-            out[routed] = ppt_margin(entries[_FULL].T.reshape(-1, 4, 4))
+            entries = np.array([row[routed] for row in lower])  # (10, routed)
+            margins[routed] = ppt_margin(entries[_FULL].T.reshape(-1, 4, 4))
     return margins.reshape(gammas.shape[:-2])
 
 
@@ -203,6 +211,11 @@ def entanglement_onset(
     lam t / 2, and hi = (2 tol_psd / |lam|)(1 + 5e-7) is returned without a
     scan when it lies within the first grid step and f(hi (1 - 1e-6)) >= 0 >
     f(hi): a sign-checked bracket of the width the refinement stops at.
+
+    Where margin + tol_psd sits within eigvalsh's rounding, the last digits
+    of the onset are rounding noise: from the vacuum at g = -0.7 (onset
+    1.758e-10, tol_psd = 1e-10) two correct refinements differ by up to
+    about 2e-6 relative.
     """
     if grid < 100:
         raise ValueError(f"grid must be at least 100 points, got {grid}")
@@ -212,16 +225,16 @@ def entanglement_onset(
         raise ValueError("initial state is already entangled; onset is undefined")
 
     _require_finite_time(t_max)
-    times = np.linspace(0.0, t_max, grid)
     def f(t):
         return ppt_margin(propagate(gamma0, dyn, t)) + tol_psd
 
     if tol_psd > 0 and np.array_equal(gamma0, np.eye(4)):  # the vacuum
         lam = min_eig_hermitian(_first_order_form(dyn))
         hi = 2.0 * tol_psd / -lam * (1.0 + 5e-7) if lam < 0 else np.inf
-        if hi <= times[1] and f(hi * (1.0 - 1e-6)) >= 0.0 > f(hi):
+        if hi <= t_max / (grid - 1) and f(hi * (1.0 - 1e-6)) >= 0.0 > f(hi):  # the first step
             return float(hi)
     # scan chunk by chunk, so a hit stops the scan at the end of its chunk
+    times = np.linspace(0.0, t_max, grid)
     before = None  # the margin just before the current segment
     for start, stop, seg in iter_grid_segments(gamma0, dyn, times):
         margins = ppt_margins(seg)

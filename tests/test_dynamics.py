@@ -6,7 +6,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from entnoise.dynamics import (
+    _BLOCK,
     QuadraticHamiltonian,
+    _check_uniform_grid,
     accumulated_noise,
     build_dynamics,
     iter_grid_segments,
@@ -236,6 +238,27 @@ def test_propagate_grid_names_a_subnormal_step():
         propagate_grid(vacuum_cov(), dyn, [0.0, 1.0, 3.0])
 
 
+def _grid_with_step(n, at, relative):
+    """n points spaced 0.01, the step after point `at` stretched by the given relative amount."""
+    steps = np.full(n - 1, 0.01)
+    steps[at] *= 1.0 + relative
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+@pytest.mark.parametrize("at", [0, 1000, 1998])
+@pytest.mark.parametrize("relative, uniform", [(0.5e-9, True), (-0.5e-9, True), (0.9e-9, True),
+                                               (1.1e-9, False), (-1.1e-9, False),
+                                               (1.5e-9, False), (1e-6, False)])
+def test_grid_uniformity_edge_is_1e9_of_the_first_step(at, relative, uniform):
+    # every step within 1e-9 of the first, relative to it, on either side of that edge
+    times = _grid_with_step(2000, at, relative)
+    if uniform:
+        assert _check_uniform_grid(times) == times[1]
+    else:
+        with pytest.raises(ValueError, match="times must be uniform and start at 0"):
+            _check_uniform_grid(times)
+
+
 @pytest.mark.parametrize("t_end", [np.inf, np.nan])
 def test_propagate_grid_rejects_non_finite_times(t_end):
     dyn = dyn_from_sigma(0.1, 0.1)
@@ -409,6 +432,26 @@ def test_grid_segments_reject_chunk_below_one(chunk):
     dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
     with pytest.raises(ValueError, match="chunk must be at least 1"):
         next(iter_grid_segments(vacuum_cov(), dyn, np.linspace(0.0, 1.0, 10), chunk=chunk))
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 127, 128, 129, 512, 4096])
+def test_blocked_fill_matches_pointwise_at_block_and_chunk_edges(rng, chunk):
+    # the first block of a chunk is filled by doubling, each later one from the
+    # block before it; check both sides of every block edge, in every chunk
+    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
+    batch = np.stack([random_physical_cov(rng) for _ in range(3)])
+    times = np.linspace(0.0, 30.0, 700)
+    edges = [_BLOCK * q + r for q in range(1, 6) for r in (-1, 0, 1)]
+    checked = set()
+    for start, stop, seg in iter_grid_segments(batch, dyn, times, chunk=chunk):
+        points = {start, stop - 1} | {start + p for p in edges} | {_BLOCK - 1, _BLOCK, _BLOCK + 1}
+        for idx in sorted(p for p in points if start <= p < stop):
+            checked.add(idx)
+            for k in range(3):
+                reference = propagate(batch[k], dyn, times[idx])
+                error = np.abs(seg[idx - start, k] - reference).max()
+                assert error <= 2e-12 * np.abs(reference).max(), (idx, error)
+    assert {_BLOCK - 1, _BLOCK, _BLOCK + 1, 699} <= checked
 
 
 def _entry_planes_are_contiguous(gammas):

@@ -171,7 +171,8 @@ def test_ppt_margins_do_not_depend_on_layout(layout_matrices, layout):
     np.testing.assert_array_equal(reference[routed],
                                   [ppt_margin(layout_matrices[k]) for k in routed])
     lower = [layout_matrices[:, k // 4, k % 4] for k in entanglement._LOWER]
-    assert (entanglement._gershgorin_margins(lower)[63:93] > 0).sum() > 15
+    first_tier = entanglement._gershgorin_margins(lower, np.empty(9000), np.empty((8, 9000)))
+    assert (first_tier[63:93] > 0).sum() > 15
     assert reference.min() < 0 < reference.max()
     gammas = LAYOUTS[layout](layout_matrices)
     np.testing.assert_array_equal(gammas, layout_matrices)
@@ -272,8 +273,21 @@ def test_ppt_margins_first_tier_clears_most_of_a_criterion_1_grid(screened_grids
     gammas = screened_grids["criterion 1"]
     seen = screened_columns(monkeypatch)
     margins = ppt_margins(gammas)
-    assert len(seen) == 2 and sum(seen) < len(gammas) // 2
+    # the leftovers of both screening chunks reach the second tier as one slice
+    assert len(seen) == 1 and sum(seen) < len(gammas) // 2
     assert margins.min() > 0
+
+
+@pytest.mark.parametrize("kind", ["criterion 1", "vacuum"])
+def test_ppt_margins_return_a_fresh_array_each_call(screened_grids, kind):
+    # the first tier runs through a work buffer; no result may share it
+    gammas = screened_grids[kind]
+    first, second = ppt_margins(gammas), ppt_margins(gammas)
+    np.testing.assert_array_equal(first, second)
+    kept = second.copy()
+    first[:] = np.nan
+    np.testing.assert_array_equal(second, kept)
+    assert not np.shares_memory(first, second) and not np.shares_memory(second, gammas)
 
 
 def test_ppt_margins_first_tier_keeps_clear_of_the_rounding_edge(monkeypatch):
@@ -621,6 +635,25 @@ def test_onset_scans_when_first_order_lies_past_the_first_step(vacuum_onset_case
                                tol_psd=ONSET_TOL)
     assert abs(onset - reference) <= 1e-6 * max(onset, reference)
     assert counted_calls["scan"] == 1
+
+
+def test_first_order_onset_ends_at_the_scan_grid_first_step(vacuum_onset_cases, counted_calls):
+    # the first-order answer stands where it lies within the first step of the
+    # grid the scan would take, np.linspace(0, t_max, grid)[1], to the last bit
+    dyn, _ = vacuum_onset_cases[2]
+    onset = entanglement_onset(dyn, vacuum_cov(), t_max=50.0, grid=ONSET_GRID, tol_psd=ONSET_TOL)
+    assert counted_calls["scan"] == 0
+    routes = set()
+    for k in range(-4, 5):
+        t_max = onset * (ONSET_GRID - 1) * (1.0 + k * np.finfo(float).eps)
+        scans = counted_calls["scan"]
+        answer = entanglement_onset(dyn, vacuum_cov(), t_max=t_max, grid=ONSET_GRID,
+                                    tol_psd=ONSET_TOL)
+        first_order = onset <= np.linspace(0.0, t_max, ONSET_GRID)[1]
+        assert (counted_calls["scan"] == scans) == first_order
+        assert answer == onset or not first_order
+        routes.add(first_order)
+    assert routes == {True, False}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -16,8 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from entnoise import entanglement
-from entnoise.dynamics import accumulated_noise, build_dynamics, propagate, propagate_grid
+from entnoise import dynamics, entanglement
+from entnoise.dynamics import (
+    accumulated_noise, build_dynamics, iter_grid_segments, propagate, propagate_grid)
 from entnoise.entanglement import entanglement_onset, ppt_margin, ppt_margins
 from entnoise.experiment import ExperimentConfig, budget
 from entnoise.fock import trotter_evolve, vacuum_state
@@ -117,6 +118,29 @@ def test_propagate_matches_dop853_on_classical_screens(g, seed, t):
     sol = solve_ivp(rhs, (0, t), gamma0.ravel(), method="DOP853", rtol=1e-11, atol=1e-13)
     ref = sol.y[:, -1].reshape(4, 4)
     np.testing.assert_allclose(propagate(gamma0, dyn, t), ref, atol=1e-9 * np.abs(ref).max())
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.sampled_from([1.2, -1.2, 2.0, -2.0]), seeds, st.sampled_from([100, 129, 512, 4096]))
+def test_grid_overflow_guard_bounds_the_growth_of_an_unstable_drift(g, seed, chunk):
+    # |g| > 1 gives one normal mode negative stiffness, so the grid grows as
+    # exp(2 sqrt(|g| - 1) t); the a-priori factor each chunk's first point is
+    # checked with must bound max |Z| / max |state| over the chunk it fills
+    rng = np.random.default_rng(seed)
+    dyn = build_dynamics(moments_with_coupling(_noise(*rng.uniform(0.0, 1.5, 2), 0.3), g))
+    starts = np.stack([random_physical_cov(rng) for _ in range(3)])
+    checks = []
+    peak = dynamics._peak
+
+    def spy(values, t, factor=1.0):
+        checks.append((peak(values, t, factor), factor))
+        return checks[-1][0]
+
+    with mock.patch.object(dynamics, "_peak", spy):
+        segments = list(iter_grid_segments(starts, dyn, np.linspace(0.0, 20.0, 700), chunk=chunk))
+    assert len(checks) == len(segments)
+    for (first, growth), (_, _, seg) in zip(checks, segments):
+        assert math.isfinite(growth) and max(1.0, np.abs(seg).max()) <= first * growth
 
 
 # --- ppt_margins: a lower bound on the eigenvalue margin, exact where it is routed ---
