@@ -7,7 +7,6 @@ and the converse witness) lives here too so the covariance-level decisions
 can be audited against closed forms.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -54,48 +53,52 @@ _U = np.finfo(float).eps / 2  # unit roundoff
 _CHUNK = 8192
 
 
-def _lower_minors(lower: np.ndarray):
-    """det A, det B, det C, the leading 3x3 minor and det of each gamma = [[A, C], [C^T, B]].
+def _ldl_margins(lower: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """27 p0 p1 p2 p3 / tr^3 - 144 u D, capped by each pivot p_k of M = gamma~ + i Delta_2.
 
-    lower holds the _LOWER entries a b e c f h d g i j of n covariances as ten rows.
+    M = L diag(p) L^dag in real arithmetic on the _LOWER rows a b e c f h d g i j
+    of n covariances, with M_10 = b - 1j and M_32 = -i - 1j. Where every pivot is
+    positive M > 0 and AM-GM gives lambda_min(M) >= 27 det M / tr^3 (tr M = tr
+    gamma); other entries get <= 0. work: (12, n) scratch, rows 5-7 left as p1-p3.
     """
     a, b, e, c, f, h, d, g, i, j = lower
-    det_a, det_b, det_c = a * e - b * b, h * j - i * i, c * g - d * f
-    # the other 2x2 minors of rows (0, 1) and of rows (2, 3), by column pair
-    p02, p03, p12, p13 = a * f - b * c, a * g - b * d, b * f - c * e, b * g - d * e
-    q02, q03, q12, q13 = c * i - d * h, c * j - d * i, f * i - g * h, f * j - g * i
-    # Laplace expansion along rows (0, 1) by complementary minors; the 3x3
-    # minor by expansion along row 2
-    det = det_a * det_b - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + det_c * det_c
-    return det_a, det_b, det_c, c * p12 - f * p02 + h * det_a, det
-
-
-def _sylvester_margins(lower: np.ndarray) -> np.ndarray:
-    """27 det M / tr^3, det M less twice its rounding bound, where M = gamma~ + i Delta_2 is > 0.
-
-    M's leading minors are a, det A - 1, minor3 - h and det M = det gamma -
-    Delta~ + 1 = (nu~_-^2 - 1)(nu~_+^2 - 1), with the reversal's invariant
-    Delta~ = det A + det B - 2 det C (Simon, PRL 84, 2726, 2000). If each
-    clears its rounding bound, M > 0 (Sylvester), and as tr M = tr gamma,
-    AM-GM gives lambda_min(M) >= 27 det M / tr^3. No other entry gets a positive value.
-    """
-    a, e, h, j = lower[0], lower[2], lower[5], lower[9]
-    det_a, det_b, det_c, minor3, det = _lower_minors(lower)
-    # Rounding bounds to first order in the unit roundoff u, m = max(1, max |gamma_ij|):
-    # a sum of monomials that each pass through <= k roundings is off by <= k u times
-    # the sum of |monomials| (Higham, Accuracy and Stability of Numerical Algorithms,
-    # ch. 3). det A - 1: 2 of <= m^2 at k = 3, and 1: 7 u m^2. minor3 - h: 6 of <= m^3
-    # at k = 2 + 1 + 2 + 1, and h: 37 u m^3. det M: 24 of <= m^4 at k = 2 + 2 + 1 + 5
-    # + 2, Delta~'s summing to 8 m^2 at k = 4 + 2, and 1: 337 u m^4. Subtracted twice,
-    # it leaves det_m <= det M - 337 u m^4, so the bound sits >= 35 u tr (tr <= 4 m)
-    # below AM-GM's: room for its own rounding (< 4 u tr) and for eigvalsh's error,
-    # p u ||M|| with ||M|| <= tr + 1 <= 1.25 tr (det A, det B > 1 give tr > 4), p <= 24.
-    m = functools.reduce(np.maximum, [np.abs(entry) for entry in lower], 1.0)
-    m2 = m * m
-    positive = (a > 0) & (det_a - 1.0 > 7 * _U * m2) & (minor3 - h > 37 * _U * m2 * m)
-    det_m = det - (det_a + det_b - 2.0 * det_c) + 1.0 - 674 * _U * m2 * m2
-    tr = a + e + h + j
-    return np.where(positive & (det_m > 0.0), 27.0 * det_m / (tr * tr * tr), 0.0)
+    r, x2, x3, u2, u3, p1, p2, p3, w, v, s, out = work
+    add, sub, mul = np.add, np.subtract, np.multiply
+    np.divide(1.0, a, out=r)  # pivot a: s_kl = M_kl - M_k0 conj(M_l0) / a
+    mul(c, r, out=x2)
+    mul(d, r, out=x3)
+    sub(e, mul(add(mul(b, b, out=p1), 1.0, out=p1), r, out=p1), out=p1)
+    sub(f, mul(b, x2, out=u2), out=u2)  # s21 = u2 - 1j x2
+    sub(mul(b, x3, out=u3), g, out=u3)  # s31 = u3 + 1j x3
+    sub(h, mul(c, x2, out=p2), out=p2)
+    sub(j, mul(d, x3, out=p3), out=p3)
+    sub(mul(c, x3, out=w), i, out=w)  # s32 = w - 1j
+    np.divide(1.0, p1, out=r)  # pivot p1: s_kl -= s_k1 conj(s_l1) / p1
+    sub(p2, mul(add(mul(u2, u2, out=s), mul(x2, x2, out=out), out=s), r, out=s), out=p2)
+    sub(p3, mul(add(mul(u3, u3, out=s), mul(x3, x3, out=out), out=s), r, out=s), out=p3)
+    sub(w, mul(sub(mul(u3, u2, out=s), mul(x3, x2, out=out), out=s), r, out=s), out=w)
+    sub(-1.0, mul(add(mul(u3, x2, out=s), mul(x3, u2, out=out), out=s), r, out=s), out=v)
+    # pivot p2, s32 = w + 1j v
+    sub(p3, np.divide(add(mul(w, w, out=s), mul(v, v, out=v), out=s), p2, out=s), out=p3)
+    # Allowance, D = max_k gamma_kk. The roundings in s_kl's updates sum to <= K u (|s_kl|
+    # + sum_m |s_km s_lm| / p_m), final s_kl (Higham, ch. 3): K <= 5 on the diagonal, 3
+    # sqrt 2 at (2, 1) and (3, 1), 9 at (3, 2), 0 in column 0. So the pivots are exactly
+    # those of a Hermitian M + E, |E_kl| <= 9 u sum_m |l_km| p_m |l_lm| <= 9 u sqrt(m_kk
+    # m_ll), m the diagonal of M + E (Cauchy-Schwarz for p > 0; Higham, ch. 10): ||E|| <=
+    # 9 u tr(M + E) <= 36 u D, and Weyl. The value takes 10 roundings (1/t's thrice), t =
+    # fl(tr) >= (1 - 3u) tr(M + E) / (1 + 5u): it overstates AM-GM for M + E, <= D, by <=
+    # 34 u D. eigvalsh is off by p u ||M||, ||M|| <= tr <= 4 D for M > 0, p <= 18 as in
+    # _gershgorin_margins: 72 u D; the subtraction 2 u D; 144 u D in all. Positive pivots
+    # are each <= their gamma_kk, so no partial product passes D and none overflows.
+    np.divide(1.0, add(add(add(a, e, out=s), h, out=s), j, out=s), out=s)
+    mul(a, s, out=out)
+    for factor in (p1, s, p2, s, p3, 27.0):
+        mul(out, factor, out=out)
+    D = np.maximum(np.maximum(a, e, out=r), np.maximum(h, j, out=s), out=r)
+    sub(out, mul(D, 144 * _U, out=D), out=out)
+    for pivot in (a, p1, p2, p3):
+        np.minimum(out, pivot, out=out)
+    return out
 
 
 def _gershgorin_margins(lower: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -125,35 +128,35 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
     margin is below -tol, for every tol >= 0. The first screen is Gershgorin's
     (_gershgorin_margins): gamma~ = K gamma K has gamma's spectrum, so by
     Weyl's inequality the margin is >= r_i - 1, r_i gamma's least row bound.
-    The second, Sylvester's criterion on gamma~ + i Delta_2 itself
-    (_sylvester_margins), screens the rest, gathered unless none cleared,
-    _CHUNK at a time; every other entry gets ppt_margin, one stack per such
-    slice, which raises ValueError on a non-finite entry or margin. Each
-    lower entry is read as a flat row: in place from propagate_grid's entry
-    planes, else copied.
+    The second factors gamma~ + i Delta_2 = L diag(p) L^dag (_ldl_margins)
+    for the rest, gathered _CHUNK at a time, and bounds the margin by AM-GM
+    where every pivot p_k is positive; every other entry gets ppt_margin, one
+    stack per such slice, which raises ValueError on a non-finite entry or
+    margin. Each lower entry is read as a flat row: in place from
+    propagate_grid's entry planes, else copied.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape[-2:] != (4, 4):
         raise ValueError(f"two-mode covariances expected, got shape {gammas.shape}")
     lower = [gammas[..., k // 4, k % 4].ravel() for k in _LOWER]
     margins = np.empty(lower[0].size)
-    work = np.empty((8, min(_CHUNK, len(margins))))
+    work = np.empty((22, min(_CHUNK, len(margins))))  # tiers' scratch, then 10 gathered rows
     # entries that overflow, divide by zero or go NaN here are not cleared
     with np.errstate(all="ignore"):
         for start in range(0, len(margins), _CHUNK):
             block = [row[start:start + _CHUNK] for row in lower]
-            _gershgorin_margins(block, margins[start:start + _CHUNK], work[:, :len(block[0])])
+            _gershgorin_margins(block, margins[start:start + _CHUNK], work[:8, :len(block[0])])
         rest = np.flatnonzero(~(margins > 0.0))
     for start in range(0, len(rest), _CHUNK):
         part = rest[start:start + _CHUNK]
-        rows = ([row[start:start + _CHUNK] for row in lower] if len(rest) == len(margins)
-                else [row[part] for row in lower])
+        rows = work[12:, :len(part)]
+        for row, into in zip(lower, rows):
+            np.take(row, part, out=into, mode="clip")  # in range; "clip" skips a buffered check
         with np.errstate(all="ignore"):
-            margins[part] = _sylvester_margins(rows)
-        routed = part[~(margins[part] > 0.0)]
-        if routed.size:
-            entries = np.array([row[routed] for row in lower])  # (10, routed)
-            margins[routed] = ppt_margin(entries[_FULL].T.reshape(-1, 4, 4))
+            margins[part] = second = _ldl_margins(rows, work[:12, :len(part)])
+        routed = ~(second > 0.0)
+        if routed.any():
+            margins[part[routed]] = ppt_margin(rows[:, routed][_FULL].T.reshape(-1, 4, 4))
     return margins.reshape(gammas.shape[:-2])
 
 

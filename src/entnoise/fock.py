@@ -133,9 +133,16 @@ def displacement_operator(u, v, d: int) -> np.ndarray:
     """Unitary shifting x by u and p by v: exp(i (v x - u p)), batched over u, v.
 
     The generators are Hermitian, so one batched eigendecomposition
-    exponentiates them all; the result has shape broadcast(u, v).shape + (d, d).
+    exponentiates them all. Where every u (or every v) is zero, and not both,
+    they are multiples of x (or p) and share its eigenbasis, so one eigh of it
+    serves the stack; all-zero shifts give the identity exactly. The result has
+    shape broadcast(u, v).shape + (d, d).
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    if u.any() != v.any():
+        scale, quadrature = (v, position(d)) if v.any() else (-u, momentum(d))
+        lam, V = np.linalg.eigh(quadrature)
+        return (V * np.exp(1j * scale[..., None] * lam)[..., None, :]) @ V.conj().T
     lam, V = np.linalg.eigh(v[..., None, None] * position(d) - u[..., None, None] * momentum(d))
     phased = V * np.exp(1j * lam)[..., None, :]
     return phased @ np.conjugate(V, out=V).swapaxes(-1, -2)

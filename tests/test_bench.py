@@ -22,6 +22,9 @@ SPANNED = {
                 "entanglement.ppt_margins", "entanglement.entanglement_onset"],
     "noise": ["cli.cli_main", "noise.run_noise_test", "dynamics.iter_grid_segments"],
 }
+# ppt_margin calls per item: the onset's own three on certify, as the screen's two
+# tiers clear every grid matrix; noise never reaches PPT code
+PPT_MARGIN_CALLS = {"certify": 3, "noise": 0}
 
 
 @pytest.mark.parametrize("workload", sorted(GRID_POINTS))
@@ -35,5 +38,6 @@ def test_traced_bench_run_is_correct(workload):
     assert result["correct"] is True
     metrics = {name: row["value"] for name, row in result["metrics"].items()}
     assert metrics["dynamics.grid_points"] == GRID_POINTS[workload]
+    assert metrics["entanglement.ppt_margin.calls"] == PPT_MARGIN_CALLS[workload]
     for name in SPANNED[workload]:
         assert metrics[f"{name}.self_ms"] > 0, name

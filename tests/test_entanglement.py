@@ -59,8 +59,8 @@ def test_unphysical_input_rejected():
 def test_ppt_margins_route_indefinite_matrices_to_eigvalsh(rng):
     # each has a formal nu~_-^2 >= 1 from the closed form, yet is not positive
     # definite, so only the eigenvalue margin may decide it. The last two pass
-    # the first three Sylvester minors but have det M < 0 and tr < 0, whose
-    # quotient 27 det M / tr^3 is positive
+    # the first three pivots of M = gamma~ + i Delta_2 but have det M < 0 and
+    # tr < 0, whose quotient 27 det M / tr^3 is positive
     c = 3.0 * np.eye(2)
     dense = np.full((4, 4), 0.1) + np.diag([1.9, 1.9, 1.9, -10.1])
     indefinite = np.stack([-2.0 * np.eye(4), np.diag([2.0, 2.0, -2.0, -2.0]),
@@ -79,8 +79,8 @@ def test_ppt_margins_route_indefinite_matrices_to_eigvalsh(rng):
 def test_ppt_margins_never_clear_a_dominant_off_diagonal_entry(rng, monkeypatch):
     # a positive diagonal and one off-diagonal pair, or two disjoint ones, 10 to
     # 100 times the largest diagonal entry: never positive definite. With two
-    # pairs det gamma > 0 and nu~_-^2 often clears 1, so only Sylvester's
-    # criterion keeps the screen from clearing them: every one goes to eigvalsh
+    # pairs det gamma > 0 and nu~_-^2 often clears 1, so only the sign of each
+    # pivot keeps the screen from clearing them: every one goes to eigvalsh
     n = 600
     diagonal = rng.uniform(0.2, 3.0, size=(n, 4))
     gammas = rng.uniform(-0.05, 0.05, size=(n, 4, 4)) * diagonal.min(axis=1)[:, None, None]
@@ -247,13 +247,13 @@ def eigen_margins(screened_grids):
 
 
 def screened_columns(monkeypatch):
-    """Record how many matrices reach the Sylvester screen, i.e. the first tier left over."""
+    """Record how many matrices reach the LDL screen, i.e. the first tier left over."""
     seen = []
-    sylvester = entanglement._sylvester_margins
-    def recorded(lower):
+    ldl = entanglement._ldl_margins
+    def recorded(lower, work):
         seen.append(len(lower[0]))
-        return sylvester(lower)
-    monkeypatch.setattr(entanglement, "_sylvester_margins", recorded)
+        return ldl(lower, work)
+    monkeypatch.setattr(entanglement, "_ldl_margins", recorded)
     return seen
 
 
@@ -276,6 +276,15 @@ def test_ppt_margins_first_tier_clears_most_of_a_criterion_1_grid(screened_grids
     # the leftovers of both screening chunks reach the second tier as one slice
     assert len(seen) == 1 and sum(seen) < len(gammas) // 2
     assert margins.min() > 0
+
+
+def test_ppt_margins_clear_a_criterion_1_grid_without_eigvalsh(screened_grids, monkeypatch):
+    # leftovers falling through to the eigensolver would slow the criterion-1 screen
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    assert ppt_margins(screened_grids["criterion 1"]).min() > 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["criterion 1", "vacuum"])
@@ -308,15 +317,15 @@ def test_ppt_margins_first_tier_keeps_clear_of_the_rounding_edge(monkeypatch):
     assert seen == [len(near)]
 
 
-def test_sylvester_minors_are_the_leading_minors_of_the_reversal(rng):
-    # the second tier's four minors against numpy's determinants of the leading
-    # blocks of M = gamma~ + i Delta_2, and det M against the reversal's
-    # symplectic eigenvalues nu~_-, nu~_+ (each an eigenvalue pair +-nu of i Delta_2 gamma~)
+def test_ldl_pivots_multiply_to_the_leading_minors_of_the_reversal(rng):
+    # the second tier's pivots p_0 = gamma_00, p_1, p_2, p_3 (work rows 5 to 7):
+    # p_0 ... p_k against numpy's determinant of each leading block of M = gamma~ + i Delta_2,
+    # and det M against the reversal's symplectic eigenvalues nu~_-, nu~_+ (each an
+    # eigenvalue pair +-nu of i Delta_2 gamma~)
     gammas = np.stack([physical_cov_at(rng, s) for s in np.linspace(0.0, 2.0, 200)])
-    det_a, det_b, det_c, minor3, det = entanglement._lower_minors(
-        [gammas[:, k // 4, k % 4] for k in entanglement._LOWER])
-    minors = [gammas[:, 0, 0], det_a - 1.0, minor3 - gammas[:, 2, 2],
-              det - (det_a + det_b - 2.0 * det_c) + 1.0]
+    work = np.empty((12, len(gammas)))
+    entanglement._ldl_margins([gammas[:, k // 4, k % 4] for k in entanglement._LOWER], work)
+    minors = np.cumprod([gammas[:, 0, 0], *work[5:8]], axis=0)
     reversed_ = np.stack([partial_reverse(gamma) for gamma in gammas])
     scale = np.maximum(1.0, np.abs(gammas).max(axis=(1, 2)))
     for k, minor in enumerate(minors, start=1):
@@ -327,13 +336,13 @@ def test_sylvester_minors_are_the_leading_minors_of_the_reversal(rng):
     assert (minors[3] < 0).any() and (minors[3] > 0).any()
 
 
-def test_sylvester_bounds_sit_below_50_digit_margins_at_the_boundary():
+def test_ldl_bounds_sit_below_50_digit_margins_at_the_boundary():
     # two-mode squeezed thermal states at r in [0, 2] with nu~_- = 1 + s, moved
     # by local symplectics. The second tier clears none at s = -1e-9, and each
     # bound it gives sits below the 50-digit least eigenvalue of gamma~ + i
-    # Delta_2 by more than eigvalsh's own error. Its second rounding bound
-    # guarantees 35 u tr of that room; on these states the gap exceeds
-    # 8,000 u tr and the error stays under 3 u tr
+    # Delta_2 by more than eigvalsh's own error. Its allowance guarantees 72 u D
+    # of that room, D = max gamma_kk; on these states the gap exceeds 7,000 times
+    # the error, which stays under 5 u D
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(21)
     gammas, sides = [], []
@@ -347,8 +356,8 @@ def test_sylvester_bounds_sit_below_50_digit_margins_at_the_boundary():
                 gammas.append(0.5 * (gamma + gamma.T))
                 sides.append(side)
     gammas, sides = np.stack(gammas), np.array(sides)
-    bounds = entanglement._sylvester_margins(
-        [gammas[:, k // 4, k % 4] for k in entanglement._LOWER])
+    bounds = entanglement._ldl_margins(
+        [gammas[:, k // 4, k % 4] for k in entanglement._LOWER], np.empty((12, len(gammas))))
     assert (bounds[sides < 0] <= 0).all()
     cleared = np.flatnonzero(bounds > 0)
     assert len(cleared) > 300

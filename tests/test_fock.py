@@ -288,6 +288,17 @@ def test_batched_displacement_matches_expm():
         np.testing.assert_array_equal(displacement_operator(u, v, d), D)
 
 
+@pytest.mark.parametrize("d", [3, 14, 20])
+def test_displacements_along_one_quadrature_match_the_batched_path(d):
+    # shifts along x alone or p alone share one eigenbasis; a stack with one
+    # mixed shift appended takes the batched eigendecomposition instead
+    shifts = np.linspace(-2.5, 2.5, 9)
+    zeros, mixed = np.zeros_like(shifts), np.array([0.3])
+    for u, v in ((zeros, shifts), (shifts, zeros)):
+        batched = displacement_operator(np.r_[u, mixed], np.r_[v, mixed], d)[:-1]
+        np.testing.assert_allclose(displacement_operator(u, v, d), batched, rtol=0, atol=1e-13)
+
+
 def test_gate_identity_zero_time():
     assert gate_identity_check(0.0, 12) == pytest.approx(0.0, abs=1e-13)
 

@@ -228,11 +228,11 @@ def test_strongly_squeezed_boundary_states_take_the_eigenvalue_route(seed, stren
 @PROPERTY_SETTINGS
 @given(seeds, st.floats(0.0, 1.0))
 def test_closed_form_clears_no_strongly_squeezed_boundary_state(seed, strength):
-    # at r >= 2 det M = (nu~_-^2 - 1)(nu~_+^2 - 1) is about 2e-9 e^{8r}, while
-    # the screen takes off twice its rounding bound, 674 u m^4 with m >= max
-    # gamma_kk ~ e^{4r} / 2, or 4.7e-15 e^{16r}: twenty times more at r = 2
-    # and growing, so every state the Sylvester screen sees goes on to
-    # eigvalsh. The Gershgorin tier before
+    # at r >= 2 det M = (nu~_-^2 - 1)(nu~_+^2 - 1) is about 2e-9 e^{8r} and tr M
+    # >= 4 nu cosh 2r ~ 2 e^{4r}, so 27 det M / tr^3 is at most 6.8e-9 e^{-4r},
+    # while the screen takes off 144 u D with D >= tr / 4, or 8.0e-15 e^{4r}: ten
+    # times more at r = 2 and growing, so every state the LDL screen sees goes on
+    # to eigvalsh. The Gershgorin tier before
     # it may clear a separable one: without local
     # symplectics its row bound is tight, 1 + 1e-9, and its allowance,
     # 64 u max gamma_kk, stays below 1e-9 up to r near 3.1. A cleared margin
@@ -241,13 +241,13 @@ def test_closed_form_clears_no_strongly_squeezed_boundary_state(seed, strength):
     # tolerance: on 122,000 such states cleared at strengths 0 to 1e-10 it
     # reached 9.6 u max gamma_kk (the worst checked against 50-digit eigenvalues)
     screened = []
-    sylvester = entanglement._sylvester_margins
+    ldl = entanglement._ldl_margins
 
-    def spy(lower):
+    def spy(lower, work):
         screened.append(len(lower[0]))
-        return sylvester(lower)
+        return ldl(lower, work)
 
-    with mock.patch.object(entanglement, "_sylvester_margins", spy):
+    with mock.patch.object(entanglement, "_ldl_margins", spy):
         routed = _assert_screen_contract(
             _boundary_states(np.random.default_rng(seed), 2.0, 4.0, strength))
     assert sum(screened) == routed.sum()
