@@ -27,9 +27,9 @@ from .screens import ScreenMoments, _finite
 class QuadraticHamiltonian:
     """Unit oscillators plus level shifts on x^2 and an x_a x_b coupling."""
 
-    nu_a: float = 0.0
-    nu_b: float = 0.0
-    g: float = 0.0
+    nu_a: float
+    nu_b: float
+    g: float
 
     def __post_init__(self):
         if not _finite(self.nu_a, self.nu_b, self.g):
@@ -59,14 +59,6 @@ class GaussianDynamics:
         return self.hamiltonian.g
 
 
-def drift_from_hamiltonian(ham: QuadraticHamiltonian) -> np.ndarray:
-    return -ham.matrix @ DELTA_2
-
-
-def diffusion_from_Y(Y: np.ndarray) -> np.ndarray:
-    return -DELTA_2 @ CHI @ np.asarray(Y, dtype=float) @ CHI.T @ DELTA_2
-
-
 def build_dynamics(moments: ScreenMoments) -> GaussianDynamics:
     """Assemble drift and diffusion from screen moments.
 
@@ -87,11 +79,9 @@ def build_dynamics(moments: ScreenMoments) -> GaussianDynamics:
     if lam < -TOL_PSD:
         raise PhysicsRejection(f"diffusion matrix Y is not PSD (min eigenvalue {lam:.3e})")
     ham = QuadraticHamiltonian(nu_a=moments.nu_a, nu_b=moments.nu_b, g=moments.eta)
-    return GaussianDynamics(
-        drift=drift_from_hamiltonian(ham),
-        diffusion=diffusion_from_Y(moments.Y),
-        hamiltonian=ham,
-    )
+    return GaussianDynamics(drift=-ham.matrix @ DELTA_2,
+                            diffusion=-DELTA_2 @ CHI @ moments.Y @ CHI.T @ DELTA_2,
+                            hamiltonian=ham)
 
 
 def accumulated_noise(dyn: GaussianDynamics, t: float):

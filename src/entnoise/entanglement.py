@@ -303,7 +303,8 @@ def converse_witness(Y: np.ndarray, g: float):
     Returns (z_f, z_ab): z_f is the eigenvector of Y - 2ig Delta_1 with the
     most negative eigenvalue, and z_ab its four-component lift satisfying
     chi^T (i Delta_2) z_ab = z_f and i Delta~_2 z_ab = -z_ab, so that
-    z_ab^dag (y + x^T + x) z_ab = z_f^dag (Y - 2ig Delta_1) z_f < 0.
+    z_ab^dag F z_ab = z_f^dag (Y - 2ig Delta_1) z_f < 0 for F the margin's
+    first-order form y - i x^T Delta~_2 - i Delta~_2 x (y + x^T + x on the lift).
     """
     Y = np.asarray(Y, dtype=float)
     if is_classical(Y, g).ok:
@@ -319,8 +320,7 @@ def converse_witness(Y: np.ndarray, g: float):
         raise RuntimeError("witness lift does not map back to z_f through chi^T i Delta_2")
     if not np.max(np.abs(1j * DELTA_2_TILDE @ z_ab + z_ab)) <= 1e-10:
         raise RuntimeError("witness lift is not a -1 eigenvector of i Delta~_2")
-    dyn = build_dynamics(moments_with_coupling(Y, g))
-    lhs = z_ab.conj() @ (dyn.diffusion + dyn.drift.T + dyn.drift) @ z_ab
+    lhs = z_ab.conj() @ _first_order_form(build_dynamics(moments_with_coupling(Y, g))) @ z_ab
     rhs = z_f.conj() @ M @ z_f
     if not abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)):
         raise RuntimeError(f"witness quadratic forms disagree: {lhs} vs {rhs}")

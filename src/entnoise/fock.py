@@ -132,20 +132,23 @@ def covariance_of(state: FockState) -> np.ndarray:
 def displacement_operator(u, v, d: int) -> np.ndarray:
     """Unitary shifting x by u and p by v: exp(i (v x - u p)), batched over u, v.
 
-    The generators are Hermitian, so one batched eigendecomposition
-    exponentiates them all. Where every u (or every v) is zero, and not both,
-    they are multiples of x (or p) and share its eigenbasis, so one eigh of it
-    serves the stack; all-zero shifts give the identity exactly. The result has
-    shape broadcast(u, v).shape + (d, d).
+    U = diag(e^{-i theta n}) gives U^dag a U = e^{-i theta} a exactly on d
+    levels, so v x - u p = r U^dag x U for r = hypot(u, v), theta = atan2(-u, v).
+    With x = W diag(lam) W^T real, entry (j, k) is e^{i theta (j - k)}
+    (I + W diag(expm1(i r lam)) W^T)_jk: one real eigh serves every shift, and
+    zero shifts give I exactly. Shifts that are not finite, or whose r max|lam|
+    overflows, raise ValueError. The shape is broadcast(u, v).shape + (d, d).
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    if u.any() != v.any():
-        scale, quadrature = (v, position(d)) if v.any() else (-u, momentum(d))
-        lam, V = np.linalg.eigh(quadrature)
-        return (V * np.exp(1j * scale[..., None] * lam)[..., None, :]) @ V.conj().T
-    lam, V = np.linalg.eigh(v[..., None, None] * position(d) - u[..., None, None] * momentum(d))
-    phased = V * np.exp(1j * lam)[..., None, :]
-    return phased @ np.conjugate(V, out=V).swapaxes(-1, -2)
+    lam, W = np.linalg.eigh(position(d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = np.hypot(u, v)[..., None] * lam
+    if not np.isfinite(angles).all():
+        raise ValueError("displacement shifts must be finite, with r max|lam| below overflow")
+    phases = np.exp(1j * np.arctan2(-u, v)[..., None] * np.arange(d))
+    out = (W * np.expm1(1j * angles)[..., None, :]) @ W.T
+    out *= phases[..., :, None] * phases.conj()[..., None, :]
+    return out + np.eye(d)
 
 
 def gauss_hermite_mixture(screen: DisplacementScreen):

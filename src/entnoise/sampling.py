@@ -11,9 +11,6 @@ from .phasespace import expm, symplectic_form
 from .screens import ScreenMoments, is_classical, moments_with_coupling
 from .states import direct_sum
 
-# Rejection-sampling budget of the screen generators.
-_MAX_TRIES = 10_000
-
 
 def random_symplectic(rng: np.random.Generator, n_modes: int, strength: float) -> np.ndarray:
     """exp(Delta H) for a random symmetric H; exactly symplectic."""
@@ -46,35 +43,31 @@ def random_separable_cov(rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (gamma + gamma.T)
 
 
-def _random_Y(rng: np.random.Generator, scale: float) -> np.ndarray:
-    a, b = rng.uniform(0.0, scale, size=2)
-    c = rng.uniform(-np.sqrt(a * b), np.sqrt(a * b)) if a * b > 0 else 0.0
-    return np.array([[a, c], [c, b]])
+def _screen_by_rejection(rng: np.random.Generator, g: float, scale: float, kind: str,
+                         accept) -> ScreenMoments:
+    """Moments of the first PSD Y = [[a, c], [c, b]] with accept(is_classical(Y, g)):
+    a, b uniform on [0, scale max(|g|, 1/4)), c on [-sqrt(ab), sqrt(ab)]."""
+    top = scale * max(abs(g), 0.25)
+    for _ in range(10_000):  # the rejection-sampling budget
+        a, b = rng.uniform(0.0, top, size=2)
+        c = rng.uniform(-np.sqrt(a * b), np.sqrt(a * b)) if a * b > 0 else 0.0
+        Y = np.array([[a, c], [c, b]])
+        if accept(is_classical(Y, g)):
+            return moments_with_coupling(Y, g)
+    raise RuntimeError(f"failed to sample a {kind} screen at the requested margin")
 
 
-def random_classical_screen(
-    rng: np.random.Generator, g: float, margin: float = 0.0
-) -> ScreenMoments:
+def random_classical_screen(rng: np.random.Generator, g: float,
+                            margin: float = 0.0) -> ScreenMoments:
     """Screen moments with coupling g whose classicality certificate clears
     ``margin * 2|g|``; rejection-sampled so the distribution covers the whole
     admissible region above the requested margin."""
-    floor = margin * 2.0 * abs(g)
-    for _ in range(_MAX_TRIES):
-        Y = _random_Y(rng, scale=8.0 * max(abs(g), 0.25))
-        cert = is_classical(Y, g)
-        if cert.ok and cert.min_eigenvalue >= floor:
-            return moments_with_coupling(Y, g)
-    raise RuntimeError("failed to sample a classical screen at the requested margin")
+    return _screen_by_rejection(rng, g, 8.0, "classical",
+                                lambda c: c.ok and c.min_eigenvalue >= margin * 2.0 * abs(g))
 
 
-def random_nonclassical_screen(
-    rng: np.random.Generator, g: float, margin: float
-) -> ScreenMoments:
+def random_nonclassical_screen(rng: np.random.Generator, g: float,
+                               margin: float) -> ScreenMoments:
     """Screen moments whose certificate is below ``-margin * 2|g|``."""
-    ceiling = -margin * 2.0 * abs(g)
-    for _ in range(_MAX_TRIES):
-        Y = _random_Y(rng, scale=3.0 * max(abs(g), 0.25))
-        cert = is_classical(Y, g)
-        if not cert.ok and cert.min_eigenvalue <= ceiling:
-            return moments_with_coupling(Y, g)
-    raise RuntimeError("failed to sample a non-classical screen at the requested margin")
+    return _screen_by_rejection(rng, g, 3.0, "non-classical",
+                                lambda c: not c.ok and c.min_eigenvalue <= -margin * 2.0 * abs(g))

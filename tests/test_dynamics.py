@@ -51,7 +51,7 @@ def dyn_from_sigma(s_uu, s_vv, s_uv=0.0, g=None):
 def test_identity_screen_pure_hamiltonian():
     dyn = dyn_from_sigma(0, 0)
     np.testing.assert_array_equal(dyn.diffusion, np.zeros((4, 4)))
-    H = QuadraticHamiltonian(g=1.0).matrix
+    H = QuadraticHamiltonian(nu_a=0.0, nu_b=0.0, g=1.0).matrix
     assert H[0, 2] == 1.0
     np.testing.assert_array_equal(dyn.drift, -H @ np.array(
         [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float
@@ -107,7 +107,7 @@ def test_mean_shifting_screen_refused_naming_both_defects():
 def test_hamiltonian_rejects_non_finite(bad):
     for kwargs in ({"nu_a": bad}, {"nu_b": bad}, {"g": bad}):
         with pytest.raises(PhysicsRejection, match="finite"):
-            QuadraticHamiltonian(**kwargs)
+            QuadraticHamiltonian(**{"nu_a": 0.0, "nu_b": 0.0, "g": 0.0, **kwargs})
 
 
 def test_build_dynamics_carries_the_level_shifts():

@@ -139,7 +139,7 @@ def test_budget_snr_is_the_coupling_bound_over_the_thermal_noise_rate(seed):
     dyn = GaussianDynamics(
         drift=-0.5 * kappa * np.eye(4),
         diffusion=kappa * (2 * report["nbar"] + 1) * np.eye(4),
-        hamiltonian=QuadraticHamiltonian(g=report["g_per_s"] / cfg.omega),
+        hamiltonian=QuadraticHamiltonian(nu_a=0.0, nu_b=0.0, g=report["g_per_s"] / cfg.omega),
     )
     expected = report["snr_per_shot_group"] * 2 * report["nbar"] / (2 * report["nbar"] + 1)
     assert coupling_bound(dyn) / noise_rate_at_zero(dyn) == pytest.approx(expected, rel=1e-12)

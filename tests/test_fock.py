@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -275,28 +277,55 @@ def test_gauss_hermite_mixture_moments():
     np.testing.assert_allclose(w @ along**4, 3.0 * vals**2, rtol=0, atol=1e-12)
 
 
-def test_batched_displacement_matches_expm():
+# x alone, p alone, mixed, 1e-9 and zero shifts, each sign
+SHIFTS = np.array([[0.0, 1.3], [0.0, -2.5], [2.1, 0.0], [-0.4, 0.0], [0.7, -0.3],
+                   [-1.9, 2.4], [0.05, 1.1], [-2.5, -2.5], [1e-9, 0.0], [0.0, -1e-9],
+                   [1e-9, 1e-9], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("d", [3, 14, 20, 30])
+def test_batched_displacement_matches_expm(d):
     # reference: one scipy expm of alpha a^dag - conj(alpha) a per shift
-    d = 16
     a = ladder(d)
-    shifts = np.array([[0.0, 0.0], [0.7, -0.3], [-1.9, 2.4], [0.05, 1.1]])
-    batch = displacement_operator(shifts[:, 0], shifts[:, 1], d)
-    assert batch.shape == (4, d, d)
-    for (u, v), D in zip(shifts, batch):
+    batch = displacement_operator(SHIFTS[:, 0], SHIFTS[:, 1], d)
+    assert batch.shape == (len(SHIFTS), d, d)
+    for (u, v), D in zip(SHIFTS, batch):
         alpha = (u + 1j * v) / np.sqrt(2)
-        np.testing.assert_allclose(D, expm(alpha * a.conj().T - np.conj(alpha) * a), atol=1e-12)
+        np.testing.assert_allclose(D, expm(alpha * a.conj().T - np.conj(alpha) * a),
+                                   rtol=0, atol=1e-12)
         np.testing.assert_array_equal(displacement_operator(u, v, d), D)
+    # zero shifts give the identity exactly, alone or in a stack
+    np.testing.assert_array_equal(batch[-1], np.eye(d))
+    for D in displacement_operator(np.zeros(3), -0.0, d):
+        np.testing.assert_array_equal(D, np.eye(d))
 
 
-@pytest.mark.parametrize("d", [3, 14, 20])
-def test_displacements_along_one_quadrature_match_the_batched_path(d):
-    # shifts along x alone or p alone share one eigenbasis; a stack with one
-    # mixed shift appended takes the batched eigendecomposition instead
-    shifts = np.linspace(-2.5, 2.5, 9)
-    zeros, mixed = np.zeros_like(shifts), np.array([0.3])
-    for u, v in ((zeros, shifts), (shifts, zeros)):
-        batched = displacement_operator(np.r_[u, mixed], np.r_[v, mixed], d)[:-1]
-        np.testing.assert_allclose(displacement_operator(u, v, d), batched, rtol=0, atol=1e-13)
+def test_displacements_take_one_real_eigh_of_x():
+    # the stack is mixed, so no branch on the quadrature can serve it: every
+    # eigendecomposition must be of the real position operator itself
+    d, seen = 14, []
+    eigh = np.linalg.eigh
+
+    def spy(matrix, *args, **kwargs):
+        seen.append(np.array(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", spy):
+        displacement_operator(SHIFTS[:, 0], SHIFTS[:, 1], d)
+    assert seen
+    for matrix in seen:
+        assert not np.iscomplexobj(matrix)
+        np.testing.assert_array_equal(matrix, position(d))
+
+
+@pytest.mark.parametrize("u, v", [(math.nan, 0.0), (0.0, math.nan), (0.3, math.nan),
+                                  (math.inf, 0.2), (-math.inf, 0.0), (1e308, 1e308),
+                                  (1.5e308, -1.5e308)])
+def test_displacement_refuses_non_finite_and_overflowing_shifts(u, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            displacement_operator([0.5, u], [0.1, v], 14)
 
 
 def test_gate_identity_zero_time():

@@ -96,13 +96,23 @@ def _parameters(fn, skip_first):
     return {name: name in defaulted for name in names}, [a.arg for a in ordered][skip_first:]
 
 
-def _library_callees():
+def _dataclass_fields(cls):
+    """{name: has a default} of the fields of a @dataclass class; {} for any other class."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+        return {}
+    return {node.target.id: node.value is not None for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+
+
+def _library_callees(with_fields=False):
     """The caller trees by path, and the library's functions and methods.
 
     Returns (trees, callees, owners): callees maps a called name (a class name
     calls its __init__) to [(qualified name, {param: defaulted}, positional
     names)], and owners maps the id of each library FunctionDef to (qualified
-    name, {param: defaulted}).
+    name, {param: defaulted}). With with_fields, a dataclass's generated
+    __init__ is in callees too, its fields as parameters in declaration order.
     """
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for directory in CALLER_DIRS for path in sorted(directory.glob("*.py"))}
@@ -117,6 +127,10 @@ def _library_callees():
                 methods = [(fn, node.name if fn.name == "__init__" else fn.name,
                             f"{path.stem}.{node.name}.{fn.name}", 1)
                            for fn in node.body if isinstance(fn, ast.FunctionDef)]
+                fields = _dataclass_fields(node) if with_fields else {}
+                if fields:
+                    callees.setdefault(node.name, []).append(
+                        (f"{path.stem}.{node.name}", fields, list(fields)))
             else:
                 methods = []
             for fn, called_as, qualified, skip in methods:
@@ -182,10 +196,10 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 def test_every_defaulted_parameter_is_omitted_by_a_caller():
     # the converse: a default that every call in the package, a demo or the
-    # bench overrides serves only the tests, so the parameter is required. A
-    # call that unpacks *args or **kwargs may omit any default; calls are
-    # matched by name as above
-    trees, callees, _ = _library_callees()
+    # bench overrides serves only the tests, so the parameter is required. This
+    # holds for a dataclass field's default as well. A call that unpacks *args
+    # or **kwargs may omit any default; calls are matched by name as above
+    trees, callees, _ = _library_callees(with_fields=True)
     omitted = set()
     for tree in trees.values():
         for call in ast.walk(tree):

@@ -21,7 +21,7 @@ from entnoise.dynamics import (
     accumulated_noise, build_dynamics, iter_grid_segments, propagate, propagate_grid)
 from entnoise.entanglement import entanglement_onset, ppt_margin, ppt_margins
 from entnoise.experiment import ExperimentConfig, budget
-from entnoise.fock import trotter_evolve, vacuum_state
+from entnoise.fock import displacement_operator, trotter_evolve, vacuum_state
 from entnoise.noise import run_noise_test
 from entnoise.phasespace import K_REVERSAL, validate_covariance
 from entnoise.sampling import (
@@ -284,6 +284,9 @@ ENTRY_POINTS = {
                        lambda x, n: x > 0 and n >= 3),
     "trotter_evolve": (lambda x, n: trotter_evolve(vacuum_state((3, 3)), None, x, n),
                        lambda x, n: x >= 0 and n >= 1),
+    # n picks a shift along x alone, along p with u = 0.3, or along both
+    "displacement_operator": (lambda x, n: displacement_operator(
+        (x, 0.3, x)[n % 3], (0.0, x, x)[n % 3], 3 + abs(n)), lambda x, n: True),
     "budget": (lambda x, n: _budget_with(x), lambda x, n: x > 0),
 }
 

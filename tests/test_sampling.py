@@ -1,9 +1,12 @@
 import numpy as np
+import pytest
 from scipy.linalg import block_diag
 from scipy.linalg import expm as scipy_expm
 
 from entnoise.phasespace import symplectic_form
-from entnoise.sampling import random_physical_cov, random_separable_cov
+from entnoise.sampling import (
+    random_classical_screen, random_nonclassical_screen, random_physical_cov, random_separable_cov)
+from entnoise.screens import is_classical
 
 
 def _reference_physical_cov(rng, n_modes):
@@ -40,3 +43,42 @@ def test_separable_covariances_keep_their_draws():
 def test_physical_covariances_keep_their_draws():
     _assert_same_stream(lambda rng: random_physical_cov(rng),
                         lambda rng: _reference_physical_cov(rng, 2))
+
+
+def _reference_screen(rng, g, scale, accept):
+    """The screen samplers' draws, in their order: the first accepted Y and its draw count."""
+    for tries in range(1, 10_001):
+        a, b = rng.uniform(0.0, scale * max(abs(g), 0.25), size=2)
+        c = rng.uniform(-np.sqrt(a * b), np.sqrt(a * b)) if a * b > 0 else 0.0
+        Y = np.array([[a, c], [c, b]])
+        if accept(is_classical(Y, g)):
+            return Y, tries
+    raise AssertionError("the reference loop ran out of draws")
+
+
+def _assert_same_screens(sample, scale, accept, g, seed, count=20):
+    # Y bit for bit, the generator left at the same place, and rejections on the way
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = 0
+    for _ in range(count):
+        moments = sample(rng)
+        Y, tries = _reference_screen(ref_rng, g, scale, accept)
+        assert moments.Y.tobytes() == Y.tobytes() and moments.eta == g
+        draws += tries
+    assert rng.random() == ref_rng.random()
+    assert draws > count
+
+
+@pytest.mark.parametrize("g, margin, seed", [(0.3, 0.0, 1), (-0.7, 0.1, 2), (1.5, 0.4, 3),
+                                             (0.05, 0.2, 4)])
+def test_classical_screens_keep_their_draws(g, margin, seed):
+    _assert_same_screens(lambda rng: random_classical_screen(rng, g, margin), 8.0,
+                         lambda cert: cert.ok and cert.min_eigenvalue >= 2.0 * margin * abs(g),
+                         g, seed)
+
+
+@pytest.mark.parametrize("g, margin, seed", [(0.4, 0.01, 5), (-1.0, 0.05, 6), (0.2, 0.0, 7)])
+def test_nonclassical_screens_keep_their_draws(g, margin, seed):
+    _assert_same_screens(lambda rng: random_nonclassical_screen(rng, g, margin), 3.0,
+                         lambda cert: not cert.ok and cert.min_eigenvalue <= -2.0 * margin * abs(g),
+                         g, seed)
