@@ -283,21 +283,32 @@ SHIFTS = np.array([[0.0, 1.3], [0.0, -2.5], [2.1, 0.0], [-0.4, 0.0], [0.7, -0.3]
                    [1e-9, 1e-9], [0.0, 0.0]])
 
 
-@pytest.mark.parametrize("d", [3, 14, 20, 30])
-def test_batched_displacement_matches_expm(d):
+def test_batched_displacement_matches_expm():
     # reference: one scipy expm of alpha a^dag - conj(alpha) a per shift
-    a = ladder(d)
-    batch = displacement_operator(SHIFTS[:, 0], SHIFTS[:, 1], d)
-    assert batch.shape == (len(SHIFTS), d, d)
-    for (u, v), D in zip(SHIFTS, batch):
-        alpha = (u + 1j * v) / np.sqrt(2)
-        np.testing.assert_allclose(D, expm(alpha * a.conj().T - np.conj(alpha) * a),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(displacement_operator(u, v, d), D)
-    # zero shifts give the identity exactly, alone or in a stack
-    np.testing.assert_array_equal(batch[-1], np.eye(d))
-    for D in displacement_operator(np.zeros(3), -0.0, d):
-        np.testing.assert_array_equal(D, np.eye(d))
+    for d in (3, 14, 20, 30):
+        a = ladder(d)
+        batch = displacement_operator(SHIFTS[:, 0], SHIFTS[:, 1], d)
+        assert batch.shape == (len(SHIFTS), d, d)
+        for (u, v), D in zip(SHIFTS, batch):
+            alpha = (u + 1j * v) / np.sqrt(2)
+            np.testing.assert_allclose(D, expm(alpha * a.conj().T - np.conj(alpha) * a),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(displacement_operator(u, v, d), D)
+        # zero shifts give the identity exactly, alone or in a stack
+        np.testing.assert_array_equal(batch[-1], np.eye(d))
+        for D in displacement_operator(np.zeros(3), -0.0, d):
+            np.testing.assert_array_equal(D, np.eye(d))
+
+
+@pytest.mark.parametrize("d", [3, 14, 20])
+def test_displacements_along_one_quadrature_match_the_batched_path(d):
+    # a stack of shifts along x alone or p alone gives the same operators as
+    # those shifts stacked with one mixed shift
+    shifts = np.linspace(-2.5, 2.5, 9)
+    zeros, mixed = np.zeros_like(shifts), np.array([0.3])
+    for u, v in ((zeros, shifts), (shifts, zeros)):
+        batched = displacement_operator(np.r_[u, mixed], np.r_[v, mixed], d)[:-1]
+        np.testing.assert_allclose(displacement_operator(u, v, d), batched, rtol=0, atol=1e-13)
 
 
 def test_displacements_take_one_real_eigh_of_x():
