@@ -25,9 +25,15 @@ from entnoise.fock import (
 from entnoise.screens import DisplacementScreen
 from entnoise.states import vacuum_cov
 
+
+def roundoff(value, spec):
+    """A figure below 1e-14 is rounding error: print the bound, not its digits."""
+    return "< 1e-14" if abs(value) < 1e-14 else format(value, spec)
+
+
 print("== exchange-gate identity (deviation is pure truncation) ==")
 for d in (12, 16, 20):
-    print(f"  d = {d:2d}: trace distance = {gate_identity_check(0.1, d):.3e}")
+    print(f"  d = {d:2d}: trace distance = {roundoff(gate_identity_check(0.1, d), '.3e')}")
 
 print("\n== sign arbitration: coupling read off the bare block's phases ==")
 print(f"  default gate order : eta = {fitted_coupling():+.6f}")
@@ -38,9 +44,10 @@ closed = moments_from_displacement(screen)
 numeric = moments_numeric(screen, dim=30)
 print("\n== generator coefficients for a displacement screen ==")
 print(f"  closed form Y:\n{closed.Y}")
-print(f"  oracle Y deviation : {np.max(np.abs(numeric.Y - closed.Y)):.2e}")
-print(f"  oracle eta         : {numeric.eta:+.8f}   xi: {numeric.xi:+.2e}")
-print(f"  mean defects       : {numeric.mean_defect_x:.2e}, {numeric.mean_defect_p:.2e}")
+print(f"  oracle Y deviation : {roundoff(np.max(np.abs(numeric.Y - closed.Y)), '.2e')}")
+print(f"  oracle eta         : {numeric.eta:+.8f}   xi: {roundoff(numeric.xi, '+.2e')}")
+print(f"  mean defects       : {roundoff(numeric.mean_defect_x, '.2e')}, "
+      f"{roundoff(numeric.mean_defect_p, '.2e')}")
 
 print("\n== stepped circuit vs continuous covariance propagation ==")
 dyn = build_dynamics(closed)

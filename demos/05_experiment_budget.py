@@ -45,7 +45,7 @@ unit = ham.to_unit_oscillator()
 print(f"  spheres of {M:.2f} kg, r = {r} m at R = {R} m: I = {ham.moment_of_inertia:.3f} kg m^2")
 print(f"  g      = {ham.g * 1e3:.4f} mHz "
       f"(budget: {plan['reports']['hz-cycles']['g_per_s'] * 1e3:.4f} mHz)")
-print(f"  unit oscillators: shifts g/omega = {unit.nu_a:.4f}, coupling {unit.g:+.4f}")
+print(f"  unit oscillators: shifts g/omega = {unit.nu_a:.4f}, coupling {unit.eta:+.4f}")
 
 print("\nfull report as JSON:")
 print(json.dumps(plan["reports"]["hz-cycles"], indent=2))

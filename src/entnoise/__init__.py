@@ -18,7 +18,6 @@ from .screens import (
 )
 from .dynamics import (
     GaussianDynamics,
-    QuadraticHamiltonian,
     build_dynamics,
     propagate,
     propagate_grid,

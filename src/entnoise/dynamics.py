@@ -20,49 +20,22 @@ import numpy as np
 from .errors import EhrenfestViolation, PhysicsRejection
 from .phasespace import (
     CHI, DELTA_2, TOL_PSD, TOL_SYM, _require_finite_time, expm, min_eig_hermitian)
-from .screens import ScreenMoments, _finite
-
-
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
-    """Unit oscillators plus level shifts on x^2 and an x_a x_b coupling."""
-
-    nu_a: float
-    nu_b: float
-    g: float
-
-    def __post_init__(self):
-        if not _finite(self.nu_a, self.nu_b, self.g):
-            raise PhysicsRejection(
-                f"nu_a, nu_b and g must be finite, got {(self.nu_a, self.nu_b, self.g)}"
-            )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        H = np.eye(4)
-        H[0, 0] += self.nu_a
-        H[2, 2] += self.nu_b
-        H[0, 2] = H[2, 0] = self.g
-        return H
+from .screens import ScreenMoments
 
 
 @dataclass(frozen=True)
 class GaussianDynamics:
-    """Immutable (drift, diffusion, Hamiltonian) triple."""
+    """Immutable (drift, diffusion, g) triple: the generator and its coupling."""
 
     drift: np.ndarray
     diffusion: np.ndarray
-    hamiltonian: QuadraticHamiltonian
-
-    @property
-    def g(self) -> float:
-        return self.hamiltonian.g
+    g: float
 
 
 def build_dynamics(moments: ScreenMoments) -> GaussianDynamics:
-    """Assemble drift and diffusion from screen moments.
+    """Assemble drift and diffusion from generator coefficients.
 
-    The coupling is identified with the screen's eta coefficient. Refuses
+    H holds unit oscillators, level shifts nu_a, nu_b on x^2 and coupling g = eta. Refuses
     screens that move the carrier means (no continuous-time limit), whose
     Ehrenfest defect is nonzero (mean dynamics not those of a single classical
     Hamiltonian) or whose diffusion is not PSD.
@@ -78,10 +51,13 @@ def build_dynamics(moments: ScreenMoments) -> GaussianDynamics:
     lam = min_eig_hermitian(moments.Y)
     if lam < -TOL_PSD:
         raise PhysicsRejection(f"diffusion matrix Y is not PSD (min eigenvalue {lam:.3e})")
-    ham = QuadraticHamiltonian(nu_a=moments.nu_a, nu_b=moments.nu_b, g=moments.eta)
-    return GaussianDynamics(drift=-ham.matrix @ DELTA_2,
+    H = np.eye(4)
+    H[0, 0] += moments.nu_a
+    H[2, 2] += moments.nu_b
+    H[0, 2] = H[2, 0] = moments.eta
+    return GaussianDynamics(drift=-H @ DELTA_2,
                             diffusion=-DELTA_2 @ CHI @ moments.Y @ CHI.T @ DELTA_2,
-                            hamiltonian=ham)
+                            g=moments.eta)
 
 
 def accumulated_noise(dyn: GaussianDynamics, t: float):
@@ -122,8 +98,6 @@ def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape != (4, 4):
         raise ValueError(f"two-mode covariance expected, got shape {gamma0.shape}")
-    if t == 0.0:
-        return gamma0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         X, Y = accumulated_noise(dyn, t)
         gamma = Y + X.T @ gamma0 @ X

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import G_NEWTON, HBAR, K_BOLTZMANN, YEAR_SECONDS
-from .dynamics import QuadraticHamiltonian
 from .errors import PhysicsRejection
-from .screens import _key_value_lines, _number_field
+from .screens import ScreenMoments, _key_value_lines, _number_field
 
 OMEGA_CONVENTIONS = ("hz-cycles", "rad-s")
 
@@ -131,10 +130,10 @@ class GravitationalHamiltonian:
     omega: float                 # rad/s
     g: float                     # 1/s
 
-    def to_unit_oscillator(self) -> QuadraticHamiltonian:
-        """Dimensionless form (hbar = omega = 1): shifts g/omega, coupling -g/omega."""
+    def to_unit_oscillator(self) -> ScreenMoments:
+        """Unit form (hbar = omega = 1) as moments: shifts g/omega, eta = -g/omega, Y = 0."""
         ratio = self.g / self.omega
-        return QuadraticHamiltonian(nu_a=ratio, nu_b=ratio, g=-ratio)
+        return ScreenMoments(nu_a=ratio, nu_b=ratio, eta=-ratio, xi=0.0, Y=np.zeros((2, 2)))
 
 
 def gravitational_hamiltonian(

@@ -33,7 +33,7 @@ def _finite(*values) -> bool:
 
 @dataclass(frozen=True)
 class ScreenMoments:
-    """Generator coefficients extracted from a screen.
+    """Generator coefficients, from a screen or, with Y = 0, from a Hamiltonian alone.
 
     nu_a, nu_b are level shifts, eta the effective coupling, xi the Ehrenfest
     defect (zero for any screen with consistent mean dynamics), and Y the 2x2

@@ -7,7 +7,6 @@ from scipy.linalg import expm
 
 from entnoise.dynamics import (
     _BLOCK,
-    QuadraticHamiltonian,
     _check_uniform_grid,
     accumulated_noise,
     build_dynamics,
@@ -17,8 +16,9 @@ from entnoise.dynamics import (
 )
 from entnoise.entanglement import ppt_margins
 from entnoise.errors import EhrenfestViolation, PhysicsRejection
+from entnoise.experiment import GravitationalHamiltonian
 from entnoise.fock import displacement_operator, moments_numeric
-from entnoise.phasespace import validate_covariance
+from entnoise.phasespace import DELTA_2, validate_covariance
 from entnoise.sampling import (
     random_classical_screen,
     random_nonclassical_screen,
@@ -51,8 +51,8 @@ def dyn_from_sigma(s_uu, s_vv, s_uv=0.0, g=None):
 def test_identity_screen_pure_hamiltonian():
     dyn = dyn_from_sigma(0, 0)
     np.testing.assert_array_equal(dyn.diffusion, np.zeros((4, 4)))
-    H = QuadraticHamiltonian(nu_a=0.0, nu_b=0.0, g=1.0).matrix
-    assert H[0, 2] == 1.0
+    H = np.eye(4)
+    H[0, 2] = H[2, 0] = 1.0  # unit oscillators coupled through x_a x_b, no level shifts
     np.testing.assert_array_equal(dyn.drift, -H @ np.array(
         [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float
     ))
@@ -105,15 +105,22 @@ def test_mean_shifting_screen_refused_naming_both_defects():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_hamiltonian_rejects_non_finite(bad):
-    for kwargs in ({"nu_a": bad}, {"nu_b": bad}, {"g": bad}):
+    for kwargs in ({"nu_a": bad}, {"nu_b": bad}, {"eta": bad}):
         with pytest.raises(PhysicsRejection, match="finite"):
-            QuadraticHamiltonian(**{"nu_a": 0.0, "nu_b": 0.0, "g": 0.0, **kwargs})
+            ScreenMoments(**{"nu_a": 0.0, "nu_b": 0.0, "eta": 0.0, "xi": 0.0,
+                             "Y": np.zeros((2, 2)), **kwargs})
+    # the unit form of the dumbbell Hamiltonian is refused by the same check
+    with pytest.raises(PhysicsRejection, match="finite"):
+        GravitationalHamiltonian(0.02, 0.5, bad).to_unit_oscillator()
 
 
 def test_build_dynamics_carries_the_level_shifts():
     m = ScreenMoments(nu_a=0.3, nu_b=-0.1, eta=0.5, xi=0.0, Y=np.eye(2))
-    ham = build_dynamics(m).hamiltonian
-    assert (ham.nu_a, ham.nu_b, ham.g) == (0.3, -0.1, 0.5)
+    dyn = build_dynamics(m)
+    H = dyn.drift @ DELTA_2  # drift = -H Delta_2 and Delta_2^2 = -1
+    np.testing.assert_array_equal(H, [[1.0 + 0.3, 0, 0.5, 0], [0, 1, 0, 0],
+                                      [0.5, 0, 1.0 - 0.1, 0], [0, 0, 0, 1]])
+    assert dyn.g == 0.5
 
 
 def test_vacuum_stationary_without_noise_or_coupling():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entnoise.constants import G_NEWTON, HBAR, K_BOLTZMANN
-from entnoise.dynamics import GaussianDynamics, QuadraticHamiltonian, build_dynamics
+from entnoise.dynamics import GaussianDynamics, build_dynamics
 from entnoise.errors import PhysicsRejection
 from entnoise.experiment import (
     ExperimentConfig,
@@ -19,6 +19,7 @@ from entnoise.experiment import (
     thermal_occupation,
 )
 from entnoise.noise import NoiseReport, coupling_bound, noise_rate_at_zero, run_noise_test
+from entnoise.phasespace import DELTA_2
 from entnoise.screens import moments_with_coupling
 
 PLATINUM = dict(
@@ -40,7 +41,7 @@ def damped_dynamics(dyn, kappa: float, nbar: float):
     """
     drift = dyn.drift - 0.5 * kappa * np.eye(4)
     diffusion = dyn.diffusion + kappa * (2.0 * nbar + 1.0) * np.eye(4)
-    return GaussianDynamics(drift=drift, diffusion=diffusion, hamiltonian=dyn.hamiltonian)
+    return GaussianDynamics(drift=drift, diffusion=diffusion, g=dyn.g)
 
 
 def damped_rate_series(report: NoiseReport, kappa: float) -> np.ndarray:
@@ -139,7 +140,7 @@ def test_budget_snr_is_the_coupling_bound_over_the_thermal_noise_rate(seed):
     dyn = GaussianDynamics(
         drift=-0.5 * kappa * np.eye(4),
         diffusion=kappa * (2 * report["nbar"] + 1) * np.eye(4),
-        hamiltonian=QuadraticHamiltonian(nu_a=0.0, nu_b=0.0, g=report["g_per_s"] / cfg.omega),
+        g=report["g_per_s"] / cfg.omega,
     )
     expected = report["snr_per_shot_group"] * 2 * report["nbar"] / (2 * report["nbar"] + 1)
     assert coupling_bound(dyn) / noise_rate_at_zero(dyn) == pytest.approx(expected, rel=1e-12)
@@ -182,18 +183,19 @@ def test_gravitational_hamiltonian_zero_g_limit():
     ham = GravitationalHamiltonian(moment_of_inertia=0.02, omega=omega, g=0.0)
     scaled = ham.to_unit_oscillator()
     # two uncoupled unit oscillators
-    assert scaled.g == 0.0
+    assert scaled.eta == 0.0
     assert scaled.nu_a == scaled.nu_b == 0.0
-    np.testing.assert_array_equal(scaled.matrix, np.eye(4))
+    np.testing.assert_array_equal(build_dynamics(scaled).drift, -DELTA_2)
 
 
 def test_unit_oscillator_reduction():
     omega = 2 * math.pi * 1e-3
     ham = gravitational_hamiltonian(1.0, 0.1, 0.02, omega)
     q = ham.to_unit_oscillator()
-    assert q.g == pytest.approx(-ham.g / omega, rel=1e-12)
+    assert q.eta == pytest.approx(-ham.g / omega, rel=1e-12)
     assert q.nu_a == pytest.approx(ham.g / omega, rel=1e-12)
-    assert q.matrix[0, 2] == q.g
+    # drift = -H Delta_2, so its (0, 3) entry is -H[0, 2] Delta_2[2, 3] = -eta
+    assert build_dynamics(q).drift[0, 3] == -q.eta
 
 
 def test_gravitational_hamiltonian_rejects_bad_geometry():

@@ -274,6 +274,9 @@ def _grid(x, n):
 ENTRY_POINTS = {
     "propagate": (lambda x, n: propagate(vacuum_cov(), _CLASSICAL, x),
                   lambda x, n: x >= 0),
+    # a start of x everywhere, at t = 0 and 0.5: non-finite starts are refused at both
+    "propagate_start": (lambda x, n: propagate(np.full((4, 4), x), _CLASSICAL, 0.5 * (n % 2 == 0)),
+                        lambda x, n: True),
     "propagate_grid": (lambda x, n: propagate_grid(vacuum_cov(), _CLASSICAL, _grid(x, n)),
                        lambda x, n: x > 0 and n >= 2),
     "ppt_margins": (lambda x, n: ppt_margins(np.full((abs(n) + 1, 4, 4), x)),
