@@ -16,19 +16,9 @@ from .screens import (
     moments_from_displacement,
     moments_with_coupling,
 )
-from .dynamics import (
-    GaussianDynamics,
-    build_dynamics,
-    propagate,
-    propagate_grid,
-)
+from .dynamics import GaussianDynamics, build_dynamics, propagate, propagate_grid
 from .entanglement import (
-    converse_witness,
-    entanglement_onset,
-    fprime_zero,
-    is_separable,
-    log_negativity,
-)
+    converse_witness, entanglement_onset, fprime_zero, is_separable, log_negativity)
 from .noise import NoiseReport, noise_rate_at_zero, run_noise_test
 from .errors import EhrenfestViolation, PhysicsRejection, UnphysicalCovariance
 

@@ -148,11 +148,13 @@ def _state_flow(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 # not the half-filled chunk. A certify grid (20 starts x 2,000 points) took 0.66 / 0.62
 # / 0.93 ms at 64 / 128 / 256, and 0.96 ms by doubling alone (one BLAS thread, 2 cores).
 _BLOCK = 128
+# Points per chunk, one size for every grid (one BLAS thread, 2 cores): a 20-start, 2,000-point
+# grid fills in 0.62 ms as one chunk, 0.97 ms in 512-point ones; an onset scan of 10,000 points
+# took 1.0-1.9 ms at 4,096 and 0.8-2.6 ms at 512, early hits favouring 512 and late ones 4,096.
+_CHUNK = 4096
 
 
-def iter_grid_segments(
-    gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray, chunk: int = 512
-):
+def iter_grid_segments(gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray):
     """Yield (start, stop, gammas) segments of the grid trajectory, one per chunk, in order.
 
     Each chunk is a fresh (17, points, starts) buffer Z of states
@@ -160,27 +162,21 @@ def iter_grid_segments(
     doubling, Z[:, f:f+k] = F_f @ Z[:, :k] with F_1 the flow over dt and F_2f
     = F_f @ F_f, and each later block from the one before, Z[:, p:p+B] = F_B
     @ Z[:, p-B:p]; the next chunk starts from this one's first point advanced
-    by the exact flow over one chunk, so the segments are [0, chunk), [chunk,
-    2 chunk), ... Only the lower triangle of gamma0 (..., 4, 4) is read. Each
-    gammas is an exactly symmetric view (stop - start, ..., 4, 4) of entry
-    planes, each gammas[..., i, j] C-contiguous. A chunk whose flow could
-    overflow, by its first point times prod_{f<B} |F_f| |F_B|^((points-1)//B)
-    in row-sum norms, raises ValueError naming its last time before its
-    segment is yielded.
-
-    entanglement_onset keeps the 512-point chunk so that a hit ends its scan
-    early; propagate_grid takes 4096, as 512-point chunks made a 20-start,
-    2,000-point grid about 1.6x slower (0.97 against 0.62 ms, one BLAS
-    thread on a 2-core host).
+    by the exact flow over one chunk of C = _CHUNK = 4,096 points (which fill
+    faster than 512, and still let the onset scan stop early at a hit), so
+    the segments are [0, C), [C, 2 C), ... Only the lower triangle of gamma0
+    (..., 4, 4) is read. Each gammas is an exactly symmetric view (stop -
+    start, ..., 4, 4) of entry planes, each gammas[..., i, j] C-contiguous. A
+    chunk whose flow could overflow, by its first point times prod_{f<B}
+    |F_f| |F_B|^((points-1)//B) in row-sum norms, raises ValueError naming
+    its last time before its segment is yielded.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
     dt = _check_uniform_grid(times)
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape[-2:] != (4, 4):
         raise ValueError(f"two-mode covariances expected, got shape {gamma0.shape}")
     n = np.asarray(times).size
-    m = min(chunk, n)
+    m = min(_CHUNK, n)
     state = np.ones((17, gamma0.size // 16))  # a chunk's first point, one column per start
     state[:16] = gamma0.reshape(-1, 16).T[_LOWER[_FULL]]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,10 +209,11 @@ def iter_grid_segments(
 def propagate_grid(gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndarray) -> np.ndarray:
     """Evaluate gamma(t) on a uniform time grid starting at 0.
 
-    Joins the segments of iter_grid_segments by np.concatenate, which keeps
-    their entry planes C-contiguous. gamma0 may carry leading batch
-    dimensions (..., 4, 4), of which only the lower triangle is read; the
-    result has shape (len(times), ..., 4, 4), symmetric by construction.
+    Joins by np.concatenate, which keeps entry planes C-contiguous, the
+    4,096-point segments of iter_grid_segments that the onset scan reads
+    (_CHUNK gives the timings). gamma0 may carry batch dimensions (..., 4, 4),
+    of which only the lower triangle is read; the result has shape
+    (len(times), ..., 4, 4), symmetric by construction.
     """
-    segments = [seg for _, _, seg in iter_grid_segments(gamma0, dyn, times, chunk=4096)]
+    segments = [seg for _, _, seg in iter_grid_segments(gamma0, dyn, times)]
     return segments[0] if len(segments) == 1 else np.concatenate(segments)

@@ -13,19 +13,8 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .phasespace import (
-    CHI,
-    DELTA_1,
-    DELTA_2,
-    DELTA_2_TILDE,
-    TOL_PSD,
-    Certificate,
-    _require_finite_time,
-    _require_tolerance,
-    min_eig_hermitian,
-    partial_reverse,
-    require_symmetric,
-    validate_covariance,
-)
+    CHI, DELTA_1, DELTA_2, DELTA_2_TILDE, TOL_PSD, Certificate, _require_finite_time,
+    _require_tolerance, min_eig_hermitian, partial_reverse, require_symmetric, validate_covariance)
 from .dynamics import (
     _FULL, _LOWER, GaussianDynamics, build_dynamics, iter_grid_segments, propagate)
 from .screens import is_classical, moments_with_coupling
@@ -198,16 +187,16 @@ def entanglement_onset(
 
     Scans a uniform grid, then refines the first crossing to relative
     precision 1e-6 by the Illinois secant (Dowell and Jarratt, BIT 11, 168,
-    1971) on f(t) = ppt_margin(gamma(t)) + tol_psd, seeded with the scan's
-    margins; signs alone keep the bracket f(lo) >= 0 > f(hi). A secant point
-    outside the bracket, or any point while the bracket has not halved over
-    the last two evaluations, becomes the midpoint, so at most twice the
-    evaluations of bisection are spent. Every point sits at least half the
-    target width inside, so a side that has converged closes the bracket at
-    once. Returns its upper end, or None when the state stays separable up
-    to t_max. tol_psd must be finite and >= 0: the batched scan's margins
-    are sign-exact only for thresholds at or below zero. It sets the
-    entanglement threshold only; gamma0 must be physical at TOL_PSD.
+    1971) on f(t) = ppt_margin(gamma(t)) + tol_psd, seeded with ppt_margins
+    at the first hit and the point before it; signs alone keep the bracket
+    f(lo) >= 0 > f(hi). A secant point outside the bracket, or any point
+    while the bracket has not halved over the last two evaluations, becomes
+    the midpoint, so at most twice the evaluations of bisection are spent.
+    Every point sits at least half the target width inside, so a side that
+    has converged closes the bracket at once. Returns its upper end, or None
+    when the state stays separable up to t_max. tol_psd must be finite and
+    >= 0: the scan's screen clears only where the margin is positive. It
+    sets the entanglement threshold only; gamma0 must be physical at TOL_PSD.
 
     From the vacuum with tol_psd > 0 the converse may answer instead: with
     lam < 0 the least eigenvalue of _first_order_form, the margin falls as
@@ -236,24 +225,22 @@ def entanglement_onset(
         hi = 2.0 * tol_psd / -lam * (1.0 + 5e-7) if lam < 0 else np.inf
         if hi <= t_max / (grid - 1) and f(hi * (1.0 - 1e-6)) >= 0.0 > f(hi):  # the first step
             return float(hi)
-    # scan chunk by chunk, so a hit stops the scan at the end of its chunk
+    # scan segment by segment, so a hit stops the scan at the end of its segment
     times = np.linspace(0.0, t_max, grid)
-    before = None  # the margin just before the current segment
+    last = None  # the state just before the current segment
     for start, stop, seg in iter_grid_segments(gamma0, dyn, times):
-        margins = ppt_margins(seg)
-        hits = np.flatnonzero(margins < -tol_psd)
-        if hits.size:
+        hit = _first_hit(seg, tol_psd)
+        if hit is not None:
             break
-        before = margins[-1]
+        last = seg[-1]
     else:
         return None
-    hi_idx = start + int(hits[0])
+    hi_idx = start + hit
     if hi_idx == 0:
         return 0.0
     lo, hi = times[hi_idx - 1], times[hi_idx]
-    # the scan's margins are lower bounds on cleared states: seeds, not signs
-    f_lo = (margins[hits[0] - 1] if hits[0] else before) + tol_psd
-    f_hi = margins[hits[0]] + tol_psd
+    # ppt_margins' values, lower bounds on cleared states: seeds, not signs
+    f_lo, f_hi = ppt_margins(np.stack([seg[hit - 1] if hit else last, seg[hit]])) + tol_psd
     widths = [math.inf, math.inf]  # the bracket widths before the last two evaluations
     kept = 0  # +1 after lo moved, -1 after hi moved
     while (hi - lo) > 1e-6 * max(hi, 1e-12):
@@ -269,6 +256,24 @@ def entanglement_onset(
         else:
             lo, f_lo, f_hi, kept = t, f_t, f_hi * (0.5 if kept > 0 else 1.0), 1
     return float(hi)
+
+
+def _first_hit(gammas: np.ndarray, tol_psd: float):
+    """Index of the first covariance in (n, 4, 4) whose margin is below -tol_psd, or None.
+
+    Only those _ldl_margins leaves get eigvalsh, in order and 1, 2, 4, ... at
+    a time, so the points past a hit cost none of it.
+    """
+    with np.errstate(all="ignore"):
+        bound = _ldl_margins([gammas[:, k // 4, k % 4] for k in _LOWER],
+                             np.empty((12, len(gammas))))
+    left = np.flatnonzero(~(bound > 0.0))
+    for k in range(left.size.bit_length()):
+        part = left[2 ** k - 1:2 ** (k + 1) - 1]
+        hits = part[ppt_margin(gammas[part]) < -tol_psd]
+        if hits.size:
+            return int(hits[0])
+    return None
 
 
 def _first_order_form(dyn: GaussianDynamics) -> np.ndarray:

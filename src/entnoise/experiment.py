@@ -130,9 +130,17 @@ class GravitationalHamiltonian:
     omega: float                 # rad/s
     g: float                     # 1/s
 
+    def __post_init__(self):
+        for name in ("moment_of_inertia", "omega"):
+            _require_positive(name, getattr(self, name))
+        if not 0 <= self.g < math.inf:  # g = 0 is the uncoupled limit
+            raise PhysicsRejection(f"g must be finite and non-negative, got {self.g}")
+
     def to_unit_oscillator(self) -> ScreenMoments:
         """Unit form (hbar = omega = 1) as moments: shifts g/omega, eta = -g/omega, Y = 0."""
         ratio = self.g / self.omega
+        if not math.isfinite(ratio):
+            raise PhysicsRejection(f"g / omega = {self.g} / {self.omega} overflows a double")
         return ScreenMoments(nu_a=ratio, nu_b=ratio, eta=-ratio, xi=0.0, Y=np.zeros((2, 2)))
 
 

@@ -1,10 +1,12 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from entnoise import dynamics
 from entnoise.dynamics import (
     _BLOCK,
     _check_uniform_grid,
@@ -288,11 +290,12 @@ def test_grid_rejects_overflowing_flow(size, chunk):
     # segment carries an overflowed entry
     dyn = dyn_from_sigma(1.5, 1.5, g=1.5)
     times = np.linspace(0.0, 1000.0, size)
-    with pytest.raises(ValueError, match="not finite, or near overflow, by t = "):
-        for _, _, seg in iter_grid_segments(vacuum_cov(), dyn, times, chunk=chunk):
-            assert np.isfinite(seg).all()
-    with pytest.raises(ValueError, match="near overflow"):
-        propagate_grid(vacuum_cov(), dyn, times)
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        with pytest.raises(ValueError, match="not finite, or near overflow, by t = "):
+            for _, _, seg in iter_grid_segments(vacuum_cov(), dyn, times):
+                assert np.isfinite(seg).all()
+        with pytest.raises(ValueError, match="near overflow"):
+            propagate_grid(vacuum_cov(), dyn, times)
 
 
 def test_reversible_at_zero_and_uncoupled():
@@ -373,7 +376,8 @@ def test_grid_segments_carry_matches_pointwise(rng):
     dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
     batch = np.stack([random_physical_cov(rng) for _ in range(3)])
     times = np.linspace(0.0, 30.0, 1000)
-    segments = list(iter_grid_segments(batch, dyn, times, chunk=100))
+    with mock.patch.object(dynamics, "_CHUNK", 100):
+        segments = list(iter_grid_segments(batch, dyn, times))
     assert [(start, stop) for start, stop, _ in segments] == [(k, k + 100)
                                                               for k in range(0, 1000, 100)]
     out = np.concatenate([seg for _, _, seg in segments])
@@ -391,9 +395,10 @@ def test_grid_segments_are_symmetric_and_kept_after_later_chunks(rng):
     dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
     batch = np.stack([random_physical_cov(rng) for _ in range(3)])
     kept = []
-    for _, _, seg in iter_grid_segments(batch, dyn, np.linspace(0.0, 30.0, 1000), chunk=100):
-        assert np.array_equal(seg, seg.swapaxes(-1, -2))
-        kept.append((seg, seg.copy()))
+    with mock.patch.object(dynamics, "_CHUNK", 100):
+        for _, _, seg in iter_grid_segments(batch, dyn, np.linspace(0.0, 30.0, 1000)):
+            assert np.array_equal(seg, seg.swapaxes(-1, -2))
+            kept.append((seg, seg.copy()))
     assert len(kept) == 10
     for seg, first in kept:
         np.testing.assert_array_equal(seg, first)
@@ -403,7 +408,8 @@ def test_grid_segments_of_one_point_chunks_match_pointwise(rng):
     dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
     batch = np.stack([random_physical_cov(rng) for _ in range(3)])
     times = np.linspace(0.0, 6.0, 61)
-    segments = list(iter_grid_segments(batch, dyn, times, chunk=1))
+    with mock.patch.object(dynamics, "_CHUNK", 1):
+        segments = list(iter_grid_segments(batch, dyn, times))
     assert [(start, stop) for start, stop, _ in segments] == [(k, k + 1) for k in range(61)]
     for start, _, seg in segments:
         assert np.array_equal(seg, seg.swapaxes(-1, -2))
@@ -417,9 +423,10 @@ def test_grid_segments_keep_batch_axes(rng):
     dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
     batch = np.stack([random_physical_cov(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
     times = np.linspace(0.0, 3.0, 250)
-    for start, stop, seg in iter_grid_segments(batch, dyn, times, chunk=100):
-        assert seg.shape == (stop - start, 2, 3, 4, 4)
-        assert seg.size // 16 == (stop - start) * 6
+    with mock.patch.object(dynamics, "_CHUNK", 100):
+        for start, stop, seg in iter_grid_segments(batch, dyn, times):
+            assert seg.shape == (stop - start, 2, 3, 4, 4)
+            assert seg.size // 16 == (stop - start) * 6
     np.testing.assert_allclose(seg[-1, 1, 2], propagate(batch[1, 2], dyn, 3.0), atol=1e-10)
 
 
@@ -429,16 +436,10 @@ def test_grid_of_one_chunk_is_one_segment(size, chunk):
     # and a longer grid is one segment per whole chunk, the last one short
     dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
     times = np.linspace(0.0, 5.0, size)
-    segments = list(iter_grid_segments(vacuum_cov(), dyn, times, chunk=chunk))
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        segments = list(iter_grid_segments(vacuum_cov(), dyn, times))
     assert [(start, stop) for start, stop, _ in segments] == [
         (start, min(start + chunk, size)) for start in range(0, size, chunk)]
-
-
-@pytest.mark.parametrize("chunk", [0, -3])
-def test_grid_segments_reject_chunk_below_one(chunk):
-    dyn = dyn_from_sigma(0.3, 0.5, -0.1, g=0.7)
-    with pytest.raises(ValueError, match="chunk must be at least 1"):
-        next(iter_grid_segments(vacuum_cov(), dyn, np.linspace(0.0, 1.0, 10), chunk=chunk))
 
 
 @pytest.mark.parametrize("chunk", [1, 100, 127, 128, 129, 512, 4096])
@@ -450,7 +451,9 @@ def test_blocked_fill_matches_pointwise_at_block_and_chunk_edges(rng, chunk):
     times = np.linspace(0.0, 30.0, 700)
     edges = [_BLOCK * q + r for q in range(1, 6) for r in (-1, 0, 1)]
     checked = set()
-    for start, stop, seg in iter_grid_segments(batch, dyn, times, chunk=chunk):
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        segments = list(iter_grid_segments(batch, dyn, times))
+    for start, stop, seg in segments:
         points = {start, stop - 1} | {start + p for p in edges} | {_BLOCK - 1, _BLOCK, _BLOCK + 1}
         for idx in sorted(p for p in points if start <= p < stop):
             checked.add(idx)
@@ -476,7 +479,7 @@ def test_propagate_grid_returns_contiguous_entry_planes(rng, size, batch):
     gammas = propagate_grid(starts, dyn, times)
     assert gammas.shape == (size,) + batch + (4, 4)
     assert _entry_planes_are_contiguous(gammas)
-    segments = list(iter_grid_segments(starts, dyn, times, chunk=4096))
+    segments = list(iter_grid_segments(starts, dyn, times))
     assert (len(segments) > 1) == (size > 4096)
     assert all(_entry_planes_are_contiguous(seg) for _, _, seg in segments)
     np.testing.assert_array_equal(gammas, np.concatenate([seg for _, _, seg in segments]))
@@ -488,14 +491,14 @@ def test_propagate_grid_returns_contiguous_entry_planes(rng, size, batch):
 
 
 def test_an_empty_batch_of_starts_gives_an_empty_grid():
-    # more than one chunk of iter_grid_segments' 512 points, so every path runs
+    # more than one chunk of iter_grid_segments' 4,096 points, so every path runs
     dyn = build_dynamics(moments_with_coupling(np.eye(2), 0.4))
-    times = np.linspace(0.0, 1.0, 1100)
+    times = np.linspace(0.0, 1.0, 9000)
     grid = propagate_grid(np.empty((0, 4, 4)), dyn, times)
-    assert grid.shape == (1100, 0, 4, 4)
-    assert ppt_margins(grid).shape == (1100, 0)
+    assert grid.shape == (9000, 0, 4, 4)
+    assert ppt_margins(grid).shape == (9000, 0)
     segments = list(iter_grid_segments(np.empty((2, 0, 4, 4)), dyn, times))
     assert [seg.shape for _, _, seg in segments] == [(stop - start, 2, 0, 4, 4)
                                                      for start, stop, _ in segments]
-    assert segments[0][0] == 0 and segments[-1][1] == 1100
+    assert len(segments) == 3 and segments[0][0] == 0 and segments[-1][1] == 9000
     assert all(prev[1] == nxt[0] for prev, nxt in zip(segments, segments[1:]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entnoise import entanglement
+from entnoise import dynamics, entanglement
 from entnoise.dynamics import build_dynamics, iter_grid_segments, propagate, propagate_grid
 from entnoise.entanglement import (
     converse_witness,
@@ -487,15 +487,16 @@ def test_onset_sits_at_the_margin_crossing():
 
 
 ONSET_TOL = 1e-8
-ONSET_GRID = 2000  # four chunks of the scan's 512, so a hit can follow a chunk boundary
+ONSET_GRID = 2000  # within the scan's first 4,096-point chunk
+BOUNDARY_GRID = 10_000  # three chunks, so a hit can follow a chunk boundary
 
 
-def bisection_onset(dyn, gamma0, t_max):
+def bisection_onset(dyn, gamma0, t_max, grid=ONSET_GRID):
     """Reference: the first hit on the whole grid, refined by plain bisection.
 
     Returns (onset, hit index), or (None, None) when no grid point is entangled.
     """
-    times = np.linspace(0.0, t_max, ONSET_GRID)
+    times = np.linspace(0.0, t_max, grid)
     hits = np.flatnonzero(ppt_margins(propagate_grid(gamma0, dyn, times)) < -ONSET_TOL)
     if not hits.size:
         return None, None
@@ -511,11 +512,12 @@ def bisection_onset(dyn, gamma0, t_max):
 
 @pytest.fixture(scope="module")
 def onset_cases():
-    """(dyn, gamma0, t_max, reference onset, hit index) for 30 vacuum and 31 separable starts.
+    """(dyn, gamma0, t_max, grid, reference onset, hit) for 30 vacuum and 31 separable starts.
 
     A vacuum onset lies in the first grid step (the converse is first order),
-    so its hit is index 1, in the first chunk. The last case puts a separable
-    hit on index 512, the first point of the second chunk, whose bracket's
+    so its hit is index 1. Every ONSET_GRID hit lies in the scan's first
+    chunk. The last case puts a separable hit on index 4,096 of a
+    BOUNDARY_GRID grid, the first point of the second chunk, whose bracket's
     lower end is the first chunk's last margin.
     """
     rng = np.random.default_rng(20261019)
@@ -523,24 +525,26 @@ def onset_cases():
     while len(cases) < 30:
         g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
         dyn = build_dynamics(random_nonclassical_screen(rng, g, margin=0.02))
-        cases.append((dyn, vacuum_cov(), 50.0) + bisection_onset(dyn, vacuum_cov(), 50.0))
+        cases.append((dyn, vacuum_cov(), 50.0, ONSET_GRID)
+                     + bisection_onset(dyn, vacuum_cov(), 50.0))
     while len(cases) < 60:
         g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
         dyn = build_dynamics(random_nonclassical_screen(rng, g, margin=0.5))
         gamma0 = random_separable_cov(rng)
         onset, hit = bisection_onset(dyn, gamma0, 20.0)
         if onset is not None:
-            cases.append((dyn, gamma0, 20.0, onset, hit))
-    dyn, gamma0, _, onset, _ = cases[-1]
-    t_max = onset * (ONSET_GRID - 1) / 511.5
-    cases.append((dyn, gamma0, t_max) + bisection_onset(dyn, gamma0, t_max))
+            cases.append((dyn, gamma0, 20.0, ONSET_GRID, onset, hit))
+    dyn, gamma0, _, _, onset, _ = cases[-1]
+    t_max = onset * (BOUNDARY_GRID - 1) / 4095.5
+    cases.append((dyn, gamma0, t_max, BOUNDARY_GRID)
+                 + bisection_onset(dyn, gamma0, t_max, BOUNDARY_GRID))
     return cases
 
 
 def test_onset_secant_agrees_with_bisection(onset_cases):
-    assert {1, 512} <= {hit for *_, hit in onset_cases}
-    for dyn, gamma0, t_max, reference, _ in onset_cases:
-        onset = entanglement_onset(dyn, gamma0, t_max=t_max, grid=ONSET_GRID, tol_psd=ONSET_TOL)
+    assert {1, 4096} <= {hit for *_, hit in onset_cases}
+    for dyn, gamma0, t_max, grid, reference, _ in onset_cases:
+        onset = entanglement_onset(dyn, gamma0, t_max=t_max, grid=grid, tol_psd=ONSET_TOL)
         # both are upper ends of brackets of relative width 1e-6 around one crossing
         assert abs(onset - reference) <= 1e-6 * max(onset, reference)
 
@@ -553,10 +557,57 @@ def test_onset_secant_needs_few_propagate_calls(onset_cases, monkeypatch):
         return propagate(*args)
 
     monkeypatch.setattr(entanglement, "propagate", counted)
-    for dyn, gamma0, t_max, _, _ in onset_cases:
+    for dyn, gamma0, t_max, grid, _, _ in onset_cases:
         calls.clear()
-        entanglement_onset(dyn, gamma0, t_max=t_max, grid=ONSET_GRID, tol_psd=ONSET_TOL)
+        entanglement_onset(dyn, gamma0, t_max=t_max, grid=grid, tol_psd=ONSET_TOL)
         assert 1 <= len(calls) <= 8
+
+
+def test_onset_scans_the_segments_propagate_grid_fills(onset_cases, monkeypatch):
+    # the chunk size lives in dynamics alone: a hit at index 4,096 stops the
+    # scan after the first two of the three segments that propagate_grid joins,
+    # and the secant is seeded from the first segment's last point
+    bounds, seeds = [], []
+
+    def spied(*args):
+        for start, stop, seg in iter_grid_segments(*args):
+            bounds.append((start, stop))
+            yield start, stop, seg
+
+    def seeded(gammas):
+        seeds.append(np.copy(gammas))
+        return ppt_margins(gammas)
+
+    monkeypatch.setattr(entanglement, "iter_grid_segments", spied)
+    monkeypatch.setattr(dynamics, "iter_grid_segments", spied)
+    monkeypatch.setattr(entanglement, "ppt_margins", seeded)
+    dyn, gamma0, t_max, grid, _, hit = onset_cases[-1]
+    assert hit == 4096
+    entanglement_onset(dyn, gamma0, t_max=t_max, grid=grid, tol_psd=ONSET_TOL)
+    scanned = bounds.copy()
+    bounds.clear()
+    gammas = propagate_grid(gamma0, dyn, np.linspace(0.0, t_max, grid))
+    assert bounds == [(0, 4096), (4096, 8192), (8192, 10_000)]
+    assert scanned == bounds[:2]
+    assert len(seeds) == 1
+    np.testing.assert_array_equal(seeds[0], gammas[4095:4097])
+
+
+def test_onset_scan_takes_no_eigenvalues_past_its_hit(onset_cases, monkeypatch):
+    # eigvalsh is spent only where the LDL screen fails, in grid order up to the first
+    # hit, not on the entangled points after it (thousands in the boundary case's segment)
+    stacked = []
+
+    def counted(gammas):
+        if np.ndim(gammas) == 3:
+            stacked.append(len(gammas))
+        return ppt_margin(gammas)
+
+    monkeypatch.setattr(entanglement, "ppt_margin", counted)
+    for dyn, gamma0, t_max, grid, _, _ in onset_cases[30:]:
+        stacked.clear()
+        entanglement_onset(dyn, gamma0, t_max=t_max, grid=grid, tol_psd=ONSET_TOL)
+        assert sum(stacked) <= 8
 
 
 @pytest.fixture
@@ -619,9 +670,9 @@ def test_vacuum_onset_at_the_cli_tolerance_is_a_checked_bracket(vacuum_onset_cas
 
 
 def test_onset_scans_a_separable_start(onset_cases, counted_calls):
-    dyn, gamma0, t_max, reference, _ = onset_cases[30]
+    dyn, gamma0, t_max, grid, reference, _ = onset_cases[30]
     assert not np.array_equal(gamma0, vacuum_cov())
-    onset = entanglement_onset(dyn, gamma0, t_max=t_max, grid=ONSET_GRID, tol_psd=ONSET_TOL)
+    onset = entanglement_onset(dyn, gamma0, t_max=t_max, grid=grid, tol_psd=ONSET_TOL)
     assert abs(onset - reference) <= 1e-6 * max(onset, reference)
     assert counted_calls["scan"] == 1
 
@@ -748,3 +799,4 @@ def test_decisions_use_the_fixed_tolerance(decide, scale):
         assert decide(gamma).ok
     else:
         assert decide(gamma) == 0.0
+

@@ -188,6 +188,28 @@ def test_gravitational_hamiltonian_zero_g_limit():
     np.testing.assert_array_equal(build_dynamics(scaled).drift, -DELTA_2)
 
 
+@pytest.mark.parametrize("fields, name", [((0.02, 0.0, 1e-3), "omega"),
+                                          ((-1.0, -2.0, 1e-3), "moment_of_inertia"),
+                                          ((0.02, -2.0, 1e-3), "omega"),
+                                          ((0.02, 0.5, -1e-3), "g")])
+def test_gravitational_hamiltonian_refuses_unphysical_fields(fields, name):
+    # a zero frequency used to reach to_unit_oscillator as a bare ZeroDivisionError,
+    # and negative ones gave a unit form
+    from entnoise.experiment import GravitationalHamiltonian
+
+    with pytest.raises(PhysicsRejection, match=f"^{name} must be"):
+        GravitationalHamiltonian(*fields)
+
+
+def test_unit_oscillator_refuses_an_overflowing_ratio():
+    # each field is finite and in range, but g / omega is not a double
+    from entnoise.experiment import GravitationalHamiltonian
+
+    ham = GravitationalHamiltonian(0.02, 1e-320, 1e-3)
+    with pytest.raises(PhysicsRejection, match=r"^g / omega = 0\.001 / 1e-320 overflows"):
+        ham.to_unit_oscillator()
+
+
 def test_unit_oscillator_reduction():
     omega = 2 * math.pi * 1e-3
     ham = gravitational_hamiltonian(1.0, 0.1, 0.02, omega)

@@ -136,8 +136,8 @@ def test_grid_overflow_guard_bounds_the_growth_of_an_unstable_drift(g, seed, chu
         checks.append((peak(values, t, factor), factor))
         return checks[-1][0]
 
-    with mock.patch.object(dynamics, "_peak", spy):
-        segments = list(iter_grid_segments(starts, dyn, np.linspace(0.0, 20.0, 700), chunk=chunk))
+    with mock.patch.object(dynamics, "_peak", spy), mock.patch.object(dynamics, "_CHUNK", chunk):
+        segments = list(iter_grid_segments(starts, dyn, np.linspace(0.0, 20.0, 700)))
     assert len(checks) == len(segments)
     for (first, growth), (_, _, seg) in zip(checks, segments):
         assert math.isfinite(growth) and max(1.0, np.abs(seg).max()) <= first * growth
