@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EhrenfestViolation, PhysicsRejection
 from .phasespace import (
-    CHI, DELTA_2, TOL_PSD, TOL_SYM, _require_finite_time, expm, min_eig_hermitian)
+    CHI, DELTA_2, TOL_PSD, TOL_SYM, expm, min_eig_hermitian)
 from .screens import ScreenMoments
 
 
@@ -92,9 +92,8 @@ def _peak(values: np.ndarray, t: float, factor: float = 1.0) -> float:
 
 def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray:
     """gamma(t) = Y_t + X_t^T gamma(0) X_t for a 4x4 gamma(0), t >= 0; ValueError on overflow."""
-    _require_finite_time(t)
-    if t < 0:
-        raise ValueError(f"propagate requires t >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"propagate requires t >= 0 and finite, got {t}")
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape != (4, 4):
         raise ValueError(f"two-mode covariance expected, got shape {gamma0.shape}")

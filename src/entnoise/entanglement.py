@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .phasespace import (
-    CHI, DELTA_1, DELTA_2, DELTA_2_TILDE, TOL_PSD, Certificate, _require_finite_time,
+    CHI, DELTA_1, DELTA_2, DELTA_2_TILDE, TOL_PSD, Certificate, _require_t_max,
     _require_tolerance, min_eig_hermitian, partial_reverse, require_symmetric, validate_covariance)
 from .dynamics import (
     _FULL, _LOWER, GaussianDynamics, build_dynamics, iter_grid_segments, propagate)
@@ -216,7 +216,7 @@ def entanglement_onset(
     if ppt_margin(gamma0) < -tol_psd:
         raise ValueError("initial state is already entangled; onset is undefined")
 
-    _require_finite_time(t_max)
+    _require_t_max(t_max)
     def f(t):
         return ppt_margin(propagate(gamma0, dyn, t)) + tol_psd
 

@@ -19,8 +19,8 @@ small dimension. The local rotation is V_a tensor V_b in that basis, so a run
 of n steps changes basis once in and once out, and the rotations that open and
 close it (trotter_evolve's Strang half steps) ride on those two changes. Every
 basis change is four 2D GEMMs of the reshaped density matrix with single-mode
-factors; no dense basis matrix of the joint space is formed. Quadrature moments
-are read off the reduced states, and cross moments off one contraction each of
+factors; no dense basis matrix of the joint space is formed. Every quadrature
+moment is read off one table of single-mode operator pairs, two contractions of
 the reshaped density matrix.
 """
 
@@ -54,12 +54,14 @@ def momentum(d: int) -> np.ndarray:
 
 
 def coherent_vector(alpha: complex, d: int) -> np.ndarray:
-    """Truncated coherent state, renormalized on the truncated space."""
+    """Truncated coherent state, renormalized on the truncated space; alpha must be finite."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude alpha must be finite, got {alpha}")
     if alpha == 0:
         return np.eye(d, dtype=complex)[:, 0]
     ns = np.arange(d)
-    log_fact = np.cumsum(np.log(np.maximum(ns, 1)))
-    vec = np.exp(-0.5 * abs(alpha) ** 2 + ns * np.log(complex(alpha)) - 0.5 * log_fact)
+    log_amp = ns * np.log(complex(alpha)) - 0.5 * np.cumsum(np.log(np.maximum(ns, 1)))
+    vec = np.exp(log_amp - log_amp.real.max())  # scaled so that no alpha underflows it
     return vec / np.linalg.norm(vec)
 
 
@@ -84,45 +86,27 @@ def vacuum_state(dims) -> FockState:
     return product_state(coherent_vector(0, dims[0]), coherent_vector(0, dims[1]))
 
 
-def _reduced_states(state: FockState) -> tuple:
-    """(rho_a, rho_b) = (tr_b rho, tr_a rho)."""
-    da, db = state.dims
-    r = state.rho.reshape(da, db, da, db)
-    return np.trace(r, axis1=1, axis2=3), np.trace(r, axis1=0, axis2=2)
+def _moments(state: FockState) -> tuple:
+    """(means, anticommutators) of M = (x_a, p_a, x_b, p_b), read off one moment table.
 
-
-def _trace_product(X: np.ndarray, Y: np.ndarray) -> float:
-    """Re tr(X Y); X Y is never formed."""
-    return float(np.einsum("ij,ji->", X, Y).real)
-
-
-def mean_quadratures(state: FockState) -> np.ndarray:
-    """<(x_a, p_a, x_b, p_b)> of a two-mode state, read off its reduced states."""
-    return np.array([_trace_product(rho_m, op) for rho_m in _reduced_states(state)
-                     for op in (position(len(rho_m)), momentum(len(rho_m)))])
+    T[k, l] = Re tr(rho (A_k tensor B_l)) over the per-mode stacks (1, x, p, 2x^2,
+    xp + px, 2p^2), two contractions of the reshaped rho. T's first column and
+    row hold the means and same-mode blocks; A tensor 1 and 1 tensor B commute,
+    so a cross entry <{A, B}> is 2 T.
+    """
+    A, B = ([np.eye(d), x, p, 2.0 * x @ x, x @ p + p @ x, 2.0 * p @ p]
+            for d in state.dims for x, p in [(position(d), momentum(d))])
+    r = state.rho.reshape(state.dims * 2)
+    T = np.tensordot(np.tensordot(A, r, axes=([1, 2], [2, 0])), B, axes=([1, 2], [2, 1])).real
+    same = [[3, 4], [4, 5]]
+    cross = 2.0 * T[1:3, 1:3]
+    anti = np.block([[T[same, 0], cross], [cross.T, T[0, same]]])
+    return np.concatenate([T[1:3, 0], T[0, 1:3]]), anti
 
 
 def covariance_of(state: FockState) -> np.ndarray:
-    """gamma_ij = <{M_i, M_j}> - 2 <M_i><M_j> for M = (x_a, p_a, x_b, p_b).
-
-    Same-mode moments are read off the reduced states. A cross moment
-    <A tensor B> is tr(T_A B) with T_A = tr_a[(A tensor 1) rho], one
-    contraction of the reshaped rho per A; no joint-space operator is formed.
-    """
-    da, db = state.dims
-    quads = [(position(d), momentum(d)) for d in state.dims]
-    anti = np.empty((4, 4))
-    for m, rho_m in enumerate(_reduced_states(state)):
-        for i, P in enumerate(quads[m]):
-            for j, Q in enumerate(quads[m]):
-                anti[2 * m + i, 2 * m + j] = _trace_product(rho_m, P @ Q + Q @ P)
-    r = state.rho.reshape(da, db, da, db)
-    for i, A in enumerate(quads[0]):
-        T_A = np.tensordot(A, r, axes=([0, 1], [2, 0]))
-        for j, B in enumerate(quads[1]):
-            # A tensor 1 and 1 tensor B commute, so <{M_i, M_j}> = 2 <A tensor B>
-            anti[i, 2 + j] = anti[2 + j, i] = 2.0 * _trace_product(T_A, B)
-    means = mean_quadratures(state)
+    """gamma_ij = <{M_i, M_j}> - 2 <M_i><M_j> for M = (x_a, p_a, x_b, p_b)."""
+    means, anti = _moments(state)
     return anti - 2.0 * np.outer(means, means)
 
 
@@ -405,6 +389,8 @@ def moments_numeric(screen, dim: int) -> ScreenMoments:
     """
     kraus = carrier_kraus_ops(screen, dim)
     d = kraus.shape[-1]
+    if d < MIN_LEVELS:
+        raise ValueError(f"carrier of {d} levels: it needs at least {MIN_LEVELS}")
     quads = np.stack([position(d), momentum(d)])
     ket = quads[:, :, 0]  # x e_0, p e_0
     once = np.einsum("aij,kj->aki", quads, kraus[:, :, 0])  # O K_k e_0 for O = x, p

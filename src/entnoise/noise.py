@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import GaussianDynamics, propagate_grid
-from .phasespace import _require_finite_time
+from .phasespace import _require_t_max
 
 
 def noise_rate_at_zero(dyn: GaussianDynamics) -> float:
@@ -62,7 +62,7 @@ def run_noise_test(dyn: GaussianDynamics, t_max: float, grid: int) -> NoiseRepor
     """
     if grid < 3:
         raise ValueError(f"grid must have at least 3 points, got {grid}")
-    _require_finite_time(t_max)
+    _require_t_max(t_max)
     times = np.linspace(0.0, t_max, grid)
     noise = propagate_grid(np.zeros((4, 4)), dyn, times)
     excess = 0.5 * (noise[:, 1, 1] + noise[:, 3, 3])

@@ -79,10 +79,12 @@ def _require_tolerance(tol_psd: float) -> None:
         raise ValueError(f"tol_psd must be finite and non-negative, got {tol_psd}")
 
 
-def _require_finite_time(t: float) -> None:
-    """Raise ValueError unless the propagation time t is finite (np.linspace would warn on it)."""
-    if not math.isfinite(t):
-        raise ValueError(f"propagation time must be finite, got {t}")
+def _require_t_max(t_max: float) -> None:
+    """Raise ValueError unless a grid's end time is finite (np.linspace would warn) and positive."""
+    if not math.isfinite(t_max):
+        raise ValueError(f"propagation time must be finite, got {t_max}")
+    if t_max <= 0:
+        raise ValueError(f"t_max must be positive, got {t_max:g}")
 
 
 def min_eig_hermitian(matrix: np.ndarray):

@@ -114,20 +114,28 @@ def moments_from_displacement(screen: DisplacementScreen) -> ScreenMoments:
     return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=1.0, xi=0.0, Y=2.0 * screen.matrix)
 
 
+def _checked_noise(Y: np.ndarray, g: float) -> np.ndarray:
+    """Y as floats; PhysicsRejection on a non-finite Y or g, ValueError unless Y is symmetric 2x2."""
+    Y = np.asarray(Y, dtype=float)
+    if not _finite(g, *Y.flat):
+        raise PhysicsRejection(f"Y and the coupling g must be finite, got {Y.tolist()} and {g}")
+    require_symmetric(Y, name="Y")
+    if Y.shape != (2, 2):
+        raise ValueError(f"Y must be 2x2, got shape {Y.shape}")
+    return Y
+
+
 def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certificate:
     """Decide whether screen noise Y dominates coupling g.
 
     True iff the Hermitian matrix Y - 2i|g| Delta_1 has no eigenvalue below
     -tol_psd; when it does, the exchange can generate entanglement. The |g|
     form covers both coupling signs (the g < 0 case is the transpose, which
-    has the same spectrum). Raises ValueError on a tol_psd that is negative
-    or not finite, and on a |g| whose 2|g| overflows.
+    has the same spectrum). Y and g are checked by _checked_noise; ValueError
+    on a tol_psd that is negative or not finite, or a |g| whose 2|g| overflows.
     """
     _require_tolerance(tol_psd)
-    Y = np.asarray(Y, dtype=float)
-    if not _finite(g, *Y.flat):
-        raise PhysicsRejection(f"Y and the coupling g must be finite, got {Y.tolist()} and {g}")
-    require_symmetric(Y, name="Y")
+    Y = _checked_noise(Y, g)
     if abs(g) > np.finfo(float).max / 2:  # refused before 2|g| Delta_1 overflows
         raise ValueError(f"coupling g = {g:g} is out of range: 2|g| overflows")
     lam = min_eig_hermitian(Y - 2j * abs(g) * DELTA_1)
@@ -137,13 +145,17 @@ def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certifica
 def is_classical_det(Y: np.ndarray, g: float) -> bool:
     """Determinant route to the same decision: Y PSD and det Y >= 4 g^2.
 
-    Kept as an independent code path for cross-checking is_classical, at the
-    default tolerance TOL_PSD.
+    An independent code path for cross-checking is_classical, at the default
+    tolerance TOL_PSD. Y and g are checked as there; ValueError where det Y or 4 g^2 overflows.
     """
-    Y = np.asarray(Y, dtype=float)
+    Y = _checked_noise(Y, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, bound = float(np.linalg.det(Y)), float(4.0 * g * g)
+    if not _finite(det, bound):
+        raise ValueError(f"det Y or 4 g^2 overflows, got {det:g} and {bound:g}")
     psd = min_eig_hermitian(Y) >= -TOL_PSD
-    scale = max(1.0, float(np.abs(Y).max()), 4.0 * g * g)
-    return psd and float(np.linalg.det(Y)) >= 4.0 * g * g - TOL_PSD * scale
+    scale = max(1.0, float(np.abs(Y).max()), bound)
+    return psd and det >= bound - TOL_PSD * scale
 
 
 # --- flat text input (screen files and experiment configs) ---

@@ -476,6 +476,13 @@ def test_onset_rejects_non_finite_t_max():
         entanglement_onset(dyn, vacuum_cov(), t_max=np.inf, grid=200)
 
 
+@pytest.mark.parametrize("t_max", [0.0, -1.0])
+def test_onset_names_a_non_positive_t_max(t_max):
+    dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
+    with pytest.raises(ValueError, match="^t_max must be positive, got"):
+        entanglement_onset(dyn, vacuum_cov(), t_max=t_max, grid=150)
+
+
 def test_onset_sits_at_the_margin_crossing():
     dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
     onset = entanglement_onset(dyn, vacuum_cov(), t_max=10.0, grid=2000)

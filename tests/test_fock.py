@@ -20,7 +20,6 @@ from entnoise.fock import (
     fitted_coupling,
     gate_identity_check,
     gauss_hermite_mixture,
-    mean_quadratures,
     moments_numeric,
     momentum,
     position,
@@ -96,8 +95,8 @@ def extract_generator(screen):
     def one(tau_k):
         stepper = TrotterStepper(screen, tau_k, dims=dims)
         base, *shifted = [FockState(stepper.apply(rho)[0], dims) for rho in probes]
-        base_mean = mean_quadratures(base)
-        A = np.stack([(mean_quadratures(s) - base_mean) / delta for s in shifted], axis=1)
+        base_mean = fock._moments(base)[0]
+        A = np.stack([(fock._moments(s)[0] - base_mean) / delta for s in shifted], axis=1)
         y_hat = (covariance_of(base) - A.T @ gamma_in @ A) / tau_k
         return ((A - np.eye(4)) / tau_k).T, y_hat
 
@@ -118,7 +117,7 @@ def sqrt_step_coefficient(screen, tau: float = 0.0025, dims=(14, 14)) -> float:
         stepper = TrotterStepper(screen, tau_k, dims=dims)
         state = displaced_vacuum(0, 0.5, dims)
         rho_out, _ = stepper.apply(state.rho)
-        return mean_quadratures(FockState(rho_out, dims)) - mean_quadratures(state)
+        return fock._moments(FockState(rho_out, dims))[0] - fock._moments(state)[0]
 
     # eliminate the tau and tau^(3/2) terms of the expansion in sqrt(tau)
     coeff = (
@@ -216,9 +215,25 @@ def test_vacuum_covariance_is_identity():
 def test_coherent_states_have_vacuum_covariance():
     st = product_state(coherent_vector(0.8, 25), coherent_vector(0.5j, 25))
     np.testing.assert_allclose(covariance_of(st), np.eye(4), atol=1e-10)
-    means = mean_quadratures(st)
+    means = fock._moments(st)[0]
     assert means[0] == pytest.approx(0.8 * np.sqrt(2), abs=1e-10)
     assert means[3] == pytest.approx(0.5 * np.sqrt(2), abs=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, complex(0.3, np.nan), complex(np.inf, 0)])
+def test_coherent_vector_refuses_a_non_finite_amplitude(alpha):
+    with pytest.raises(ValueError, match="coherent amplitude alpha must be finite"):
+        coherent_vector(alpha, 5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_coherent_vector_of_a_large_amplitude_keeps_its_norm():
+    # exp(-|alpha|^2 / 2) underflows from |alpha| ~ 38.6; it cancels in the norm
+    for alpha in (40.0, -60j, 1e200, 1e308 + 1e308j):
+        vec = coherent_vector(alpha, 6)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+        assert abs(vec[-1]) == pytest.approx(1.0, abs=0.1)  # alpha^n / sqrt(n!) grows with n
 
 
 def test_squeezed_covariance():
@@ -258,7 +273,7 @@ def test_moments_match_dense_kron(rng):
     target = np.array([[np.trace(rho @ (M @ N + N @ M)).real for N in ops] for M in ops])
     target -= 2.0 * np.outer(means, means)
     state = FockState(rho, (da, db))
-    np.testing.assert_allclose(mean_quadratures(state), means, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(fock._moments(state)[0], means, rtol=0, atol=1e-14)
     np.testing.assert_allclose(covariance_of(state), target, rtol=0, atol=1e-13)
 
 
@@ -567,6 +582,17 @@ def test_moments_numeric_identity_screen():
     assert m.xi == pytest.approx(0.0, abs=1e-10)
     np.testing.assert_allclose(m.Y, 0.0, atol=1e-10)
     assert m.nu_a == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("screen, dim, levels", [
+    (None, 0, 0), (None, 1, 1), (None, 2, 2), (DisplacementScreen(0.3, 0.2), 2, 2),
+    (displacement_operator(0.5, 0.0, 2)[None], 20, 2),  # a stack brings its own carrier
+])
+def test_moments_numeric_refuses_a_carrier_below_min_levels(screen, dim, levels):
+    # below MIN_LEVELS the moments are truncation artifacts: one level reads xi = 1
+    with pytest.raises(ValueError, match=f"carrier of {levels} levels: it needs at least 3"):
+        moments_numeric(screen, dim)
+    assert moments_numeric(None, fock.MIN_LEVELS).xi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_moments_numeric_matches_closed_form():

@@ -96,6 +96,13 @@ def test_run_noise_test_rejects_non_finite_t_max(t_max):
         run_noise_test(dyn, t_max, grid=161)
 
 
+@pytest.mark.parametrize("t_max", [0.0, -0.0, -1.0])
+def test_run_noise_test_names_a_non_positive_t_max(t_max):
+    dyn = build_dynamics(moments_with_coupling(np.eye(2), 0.2))
+    with pytest.raises(ValueError, match="^t_max must be positive, got"):
+        run_noise_test(dyn, t_max, grid=10)
+
+
 def test_classical_screen_passes_over_window(rng):
     for _ in range(5):
         g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])

@@ -21,7 +21,7 @@ from entnoise.dynamics import (
     accumulated_noise, build_dynamics, iter_grid_segments, propagate, propagate_grid)
 from entnoise.entanglement import entanglement_onset, ppt_margin, ppt_margins
 from entnoise.experiment import ExperimentConfig, budget
-from entnoise.fock import displacement_operator, trotter_evolve, vacuum_state
+from entnoise.fock import coherent_vector, displacement_operator, trotter_evolve, vacuum_state
 from entnoise.noise import run_noise_test
 from entnoise.phasespace import K_REVERSAL, validate_covariance
 from entnoise.sampling import (
@@ -291,6 +291,11 @@ ENTRY_POINTS = {
     "displacement_operator": (lambda x, n: displacement_operator(
         (x, 0.3, x)[n % 3], (0.0, x, x)[n % 3], 3 + abs(n)), lambda x, n: True),
     "budget": (lambda x, n: _budget_with(x), lambda x, n: x > 0),
+    # n puts x on Y's diagonal or in the coupling as x / 2, so det Y or 4 g^2 is x^2
+    "is_classical_det": (lambda x, n: is_classical_det(np.diag([x, x]), 0.5) if n % 2
+                         else is_classical_det(np.eye(2), x / 2), lambda x, n: x * x < math.inf),
+    "coherent_vector": (lambda x, n: coherent_vector((x, 1j * x)[n % 2], 3 + abs(n)),
+                        lambda x, n: True),
 }
 
 

@@ -181,3 +181,29 @@ def test_is_classical_refuses_a_coupling_whose_double_overflows(g):
         is_classical(np.eye(2), g)
     assert caught.type is ValueError
     assert not is_classical(np.eye(2), np.finfo(float).max / 2).ok
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("classical", [is_classical, is_classical_det])
+def test_both_classicality_routes_check_their_inputs_alike(classical):
+    with pytest.raises(PhysicsRejection, match="Y and the coupling g must be finite"):
+        classical(np.eye(2), np.nan)
+    with pytest.raises(PhysicsRejection, match="Y and the coupling g must be finite"):
+        classical(np.diag([1.0, np.inf]), 0.5)
+    with pytest.raises(ValueError, match=r"Y is not symmetric: entries \(0,1\) and \(1,0\)"):
+        classical(np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1)
+    with pytest.raises(ValueError, match=r"Y must be 2x2, got shape \(3, 3\)"):
+        classical(np.eye(3), 0.1)
+    with pytest.raises(ValueError, match=r"Y must be square, got shape \(2, 3\)"):
+        classical(np.ones((2, 3)), 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("Y, g", [(np.eye(2) * 1e200, 0.1), (np.eye(2), 1e154),
+                                  (np.diag([1e160, -1e160]), 0.1)])
+def test_is_classical_det_refuses_a_determinant_or_bound_that_overflows(Y, g):
+    with pytest.raises(ValueError, match=r"det Y or 4 g\^2 overflows") as caught:
+        is_classical_det(Y, g)
+    assert caught.type is ValueError
+    # just inside double range both routes still agree
+    assert is_classical_det(np.eye(2) * 1e154, 0.5) and is_classical(np.eye(2) * 1e154, 0.5).ok
