@@ -24,6 +24,7 @@ moment is read off one table of single-mode operator pairs, two contractions of
 the reshaped density matrix.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +55,14 @@ def momentum(d: int) -> np.ndarray:
 
 
 def coherent_vector(alpha: complex, d: int) -> np.ndarray:
-    """Truncated coherent state, renormalized on the truncated space; alpha must be finite."""
+    """Truncated coherent state on d >= 1 levels, renormalized there; alpha must be finite.
+
+    A d that is not an integer raises TypeError, one below 1 ValueError.
+    """
     if not np.isfinite(alpha):
         raise ValueError(f"coherent amplitude alpha must be finite, got {alpha}")
+    if operator.index(d) < 1:
+        raise ValueError(f"a mode needs at least one level, got d = {d}")
     if alpha == 0:
         return np.eye(d, dtype=complex)[:, 0]
     ns = np.arange(d)
@@ -191,12 +197,12 @@ def _kron_conjugate(A: np.ndarray, B: np.ndarray, rho: np.ndarray, buffers=None)
     Each pass is one 2D GEMM that contracts the leading index with its factor
     and appends the new index last, so after the four passes the order is
     (i, j, k, l) again and no transpose is ever copied. The passes write in
-    turn into two complex rows of rho.size entries, buffers (2, rho.size), and
-    the result is a view of the second; rho may be that view, so a caller that
+    turn into buffers, a pair of complex arrays of rho.size entries, and the
+    result is a view of the second; rho may be that view, so a caller that
     keeps one pair allocates nothing per call.
     """
     if buffers is None:
-        buffers = np.empty((2, rho.size), dtype=complex)
+        buffers = (np.empty(rho.size, dtype=complex), np.empty(rho.size, dtype=complex))
     out = rho
     for factor, buf in zip((A, B, A.conj(), B.conj()), (*buffers, *buffers)):
         out = np.matmul(out.reshape(len(factor), -1).T, factor.T,
@@ -229,6 +235,8 @@ class TrotterStepper:
             raise ValueError(f"unknown eta convention {eta_convention!r}")
         self.tau = float(tau)
         self.dims = tuple(dims)
+        if not np.isfinite(self.tau * max(self.dims)):  # so the phases tau (n + 1/2) stay finite
+            raise ValueError(f"step length {tau} is too long: tau max(dims) overflows")
         da, db = self.dims
         kraus = carrier_kraus_ops(screen, max(self.dims))
         df = kraus.shape[-1]
@@ -270,14 +278,15 @@ class TrotterStepper:
         lead and trail are per-mode Fock-basis rotation phases: step 1 rotates by
         lead, folded into the change in as W^T diag(lead), steps 2 ... n by V_a
         tensor V_b, and trail is folded into the change back as diag(trail) W.
-        Returns (fresh rho_out, worst per-step leakage), a step's leakage read off
-        the diagonal after its rotation. A zero-length step is exact.
+        Returns (rho_out, worst per-step leakage), a step's leakage read off the
+        diagonal after its rotation; rho_out is a view of the last pass's buffer.
+        A zero-length step is exact.
         """
         if self.tau == 0.0:
             return rho.copy(), 0.0
-        # All passes write into one pair of buffers: a fresh array per pass (2.56 MB
-        # at d = 20) page-faults in anew whenever glibc's mmap threshold is below it.
-        buffers = np.empty((2, rho.size), dtype=complex)
+        # The passes take turns in two buffers, the result a view of one: a fresh array per
+        # pass (2.56 MB at d = 20) page-faults in anew whenever glibc's mmap threshold is below it.
+        buffers = (np.empty(rho.size, dtype=complex), np.empty(rho.size, dtype=complex))
         (lead_a, lead_b), (trail_a, trail_b) = lead, trail
         rho = _kron_conjugate(self.W_a.T * lead_a, self.W_b.T * lead_b, rho, buffers)
         worst = 0.0
@@ -286,10 +295,8 @@ class TrotterStepper:
                 rho = _kron_conjugate(self._V_a, self._V_b, rho, buffers)
             worst = max(worst, float(np.real(np.diagonal(rho)) @ self._leak_row))
             rho *= self.multiplier
-        # the change back's last pass writes into a fresh array, so the result holds no buffer
-        out = _kron_conjugate(trail_a[:, None] * self.W_a, trail_b[:, None] * self.W_b, rho,
-                              (buffers[0], np.empty_like(buffers[1])))
-        return out, worst
+        rho = _kron_conjugate(trail_a[:, None] * self.W_a, trail_b[:, None] * self.W_b, rho, buffers)
+        return rho, worst
 
     def apply(self, rho: np.ndarray):
         """One step on a Fock-basis density matrix; returns (rho_out, leakage_estimate)."""

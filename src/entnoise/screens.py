@@ -11,6 +11,7 @@ that oracle.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,11 @@ from .phasespace import (
 
 
 def _finite(*values) -> bool:
-    """No NaN or +-inf among scalar values; cheaper than np.isfinite at this size."""
-    return all(map(math.isfinite, values))
+    """No NaN, +-inf or int beyond double range among scalars; cheaper than np.isfinite here."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # math.isfinite converts an int to float
+        return False
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,9 @@ def moments_with_coupling(Y: np.ndarray, g: float) -> ScreenMoments:
     Convenience for exploring the (Y, g) parameter plane directly; shipped
     screen families always produce |eta| = 1.
     """
-    return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=float(g), xi=0.0, Y=np.asarray(Y, dtype=float))
+    # a g that is not finite, even an int that float() overflows on, goes to ScreenMoments' check
+    eta = float(g) if _finite(g) else g
+    return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=eta, xi=0.0, Y=np.asarray(Y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ class DisplacementScreen:
 
     def __post_init__(self):
         for name, value in vars(self).items():  # so that Y = 2 Sigma and Y + Y^T stay finite
-            if not abs(value) <= np.finfo(float).max / 4:
+            if not abs(value) <= sys.float_info.max / 4:  # exact for an int, unlike np.float64
                 raise PhysicsRejection(f"{name} = {value} is not finite, or too large for 2 Sigma")
         lam = min_eig_hermitian(self.matrix)
         if lam < -TOL_PSD:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -225,6 +226,31 @@ def test_coherent_states_have_vacuum_covariance():
 def test_coherent_vector_refuses_a_non_finite_amplitude(alpha):
     with pytest.raises(ValueError, match="coherent amplitude alpha must be finite"):
         coherent_vector(alpha, 5)
+
+
+@pytest.mark.parametrize("make, d", [(lambda d: coherent_vector(0, d), 0),
+                                     (lambda d: coherent_vector(0.5, d), 0),
+                                     (lambda d: coherent_vector(0.5, d), -2),
+                                     (lambda d: vacuum_state((d, 3)), 0),
+                                     (lambda d: vacuum_state((3, d)), -1)],
+                         ids=["vector-vacuum", "vector", "vector-negative", "state-a", "state-b"])
+def test_fock_states_refuse_a_level_count_below_one(make, d):
+    with pytest.raises(ValueError, match=f"needs at least one level, got d = {d}"):
+        make(d)
+
+
+@pytest.mark.parametrize("make, d", [(lambda d: coherent_vector(0.5, d), 2.5),
+                                     (lambda d: coherent_vector(0, d), 3.0),
+                                     (lambda d: vacuum_state((d, 3)), np.float64(3))],
+                         ids=["vector", "vector-vacuum", "state"])
+def test_fock_states_refuse_a_level_count_that_is_not_an_integer(make, d):
+    with pytest.raises(TypeError):
+        make(d)
+
+
+def test_fock_states_take_any_integer_level_count():
+    assert np.array_equal(coherent_vector(0.5, np.int64(4)), coherent_vector(0.5, 4))
+    assert vacuum_state((1, np.int32(2))).rho.shape == (2, 2)
 
 
 @pytest.mark.filterwarnings("error")
@@ -472,8 +498,7 @@ def test_factor_basis_change_may_read_its_own_result_buffer(rng):
     A = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
     B = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
     rho = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
-    buffers = np.empty((2, rho.size), dtype=complex)
-    buffers[1] = rho.ravel()
+    buffers = (np.empty(rho.size, dtype=complex), rho.ravel().copy())
     out = _kron_conjugate(A, B, buffers[1].reshape(rho.shape), buffers)
     assert np.shares_memory(out, buffers[1])
     np.testing.assert_array_equal(out, _kron_conjugate(A, B, rho))
@@ -508,12 +533,26 @@ def test_trotter_evolve_is_conjugated_apply_composition(screen, dims):
 
 
 def test_step_results_own_no_step_buffer():
-    # a result that is a view of the (2, N^2) step buffers would hold twice rho's memory
+    # a result may be a view of one N^2 step buffer, never of a block of both
     st = product_state(coherent_vector(0.4, 8), coherent_vector(-0.3j, 8))
     stepped, _ = TrotterStepper(DisplacementScreen(0.3, 0.2, 0.1), 0.2, dims=st.dims).apply(st.rho)
     evolved = trotter_evolve(st, None, 0.6, 3).rho
     for rho in (stepped, evolved):
         assert (rho if rho.base is None else rho.base).size <= st.rho.size
+
+
+def test_trotter_evolve_holds_three_density_matrices_at_most():
+    # the stepper's multiplier and two step buffers, the result a view of one of them
+    st = product_state(coherent_vector(0.3, 12), coherent_vector(-0.2j, 12))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = trotter_evolve(st, DisplacementScreen(0.3, 0.2, 0.05), 1.0, 16).rho
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * st.rho.nbytes
+    assert (out if out.base is None else out.base).nbytes == st.rho.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -543,6 +582,16 @@ def test_stepper_rejects_bad_step_length(tau):
     # trotter_evolve takes tau = t / n
     with pytest.raises(ValueError, match="step length must be finite and nonnegative"):
         trotter_evolve(vacuum_state((4, 4)), None, 4 * tau, 4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [1e308, np.float64(1e308), 5e307])
+def test_stepper_refuses_a_step_whose_rotation_phases_overflow(tau):
+    # tau (n + 1/2) on the top of 4 levels; a float tau of 1e308 warned and gave NaN phases
+    with pytest.raises(ValueError, match="is too long: tau max"):
+        TrotterStepper(None, tau, dims=(4, 3))
+    with pytest.raises(ValueError, match="is too long: tau max"):
+        trotter_evolve(vacuum_state((3, 4)), None, tau, 1)
 
 
 @pytest.mark.parametrize("dims, stack_levels", [((2, 6), None), ((6, 1), None), ((6, 6), 2)])

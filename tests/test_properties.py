@@ -21,7 +21,8 @@ from entnoise.dynamics import (
     accumulated_noise, build_dynamics, iter_grid_segments, propagate, propagate_grid)
 from entnoise.entanglement import entanglement_onset, ppt_margin, ppt_margins
 from entnoise.experiment import ExperimentConfig, budget
-from entnoise.fock import coherent_vector, displacement_operator, trotter_evolve, vacuum_state
+from entnoise.fock import (
+    MIN_LEVELS, coherent_vector, displacement_operator, trotter_evolve, vacuum_state)
 from entnoise.noise import run_noise_test
 from entnoise.phasespace import K_REVERSAL, validate_covariance
 from entnoise.sampling import (
@@ -296,6 +297,10 @@ ENTRY_POINTS = {
                          else is_classical_det(np.eye(2), x / 2), lambda x, n: x * x < math.inf),
     "coherent_vector": (lambda x, n: coherent_vector((x, 1j * x)[n % 2], 3 + abs(n)),
                         lambda x, n: True),
+    # n is the first mode's level count, so n < 1 is refused by vacuum_state itself;
+    # x is the evolution time
+    "vacuum_state": (lambda x, n: trotter_evolve(vacuum_state((n, 3)), None, x, 1),
+                     lambda x, n: x >= 0 and n >= MIN_LEVELS),
 }
 
 

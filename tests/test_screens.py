@@ -77,6 +77,26 @@ def test_non_finite_inputs_rejected(bad):
         is_classical(np.diag([1.0, bad]), 0.5)
 
 
+@pytest.mark.parametrize("big", [10**400, -10**400])
+def test_an_int_beyond_double_range_is_refused_as_not_finite(big):
+    # float(big) and math.isfinite(big) raise OverflowError
+    with pytest.raises(PhysicsRejection, match="coupling g must be finite"):
+        is_classical(np.eye(2), big)
+    with pytest.raises(PhysicsRejection, match="coupling g must be finite"):
+        is_classical_det(np.eye(2), big)
+    with pytest.raises(PhysicsRejection, match="screen moments must be finite"):
+        moments_with_coupling(np.eye(2), big)
+    for params in [(big, 0.0), (0.0, big), (0.1, 0.1, big)]:
+        with pytest.raises(PhysicsRejection, match="is not finite, or too large for 2 Sigma"):
+            DisplacementScreen(*params)
+
+
+def test_an_int_within_double_range_is_taken_as_its_float():
+    assert moments_with_coupling(np.eye(2), 10**300).eta == 1e300
+    assert is_classical(np.eye(2), 10**300) == is_classical(np.eye(2), 1e300)
+    assert DisplacementScreen(10**300, 0).matrix[0, 0] == 1e300
+
+
 def test_check_constraints_pass_for_displacement_family(rng):
     # mean preservation and the Ehrenfest constraint, each within 1e-6
     for _ in range(10):
