@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EhrenfestViolation, PhysicsRejection
 from .phasespace import (
-    CHI, DELTA_2, TOL_PSD, TOL_SYM, expm, min_eig_hermitian)
+    CHI, DELTA_2, TOL_PSD, TOL_SYM, _finite, _float_array, expm, min_eig_hermitian)
 from .screens import ScreenMoments
 
 
@@ -92,7 +92,7 @@ def _peak(values: np.ndarray, t: float, factor: float = 1.0) -> float:
 
 def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray:
     """gamma(t) = Y_t + X_t^T gamma(0) X_t for a 4x4 gamma(0), t >= 0; ValueError on overflow."""
-    if not 0 <= t < math.inf:
+    if not (_finite(t) and t >= 0):
         raise ValueError(f"propagate requires t >= 0 and finite, got {t}")
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape != (4, 4):
@@ -105,7 +105,7 @@ def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray
 
 
 def _check_uniform_grid(times: np.ndarray) -> float:
-    times = np.asarray(times, dtype=float)
+    times = _float_array(times, "propagation time")
     if times.ndim != 1 or times.size < 2:
         raise ValueError("times must be a 1d grid with at least two points")
     if not np.isfinite(times).all():

@@ -76,8 +76,9 @@ def _ldl_margins(lower: np.ndarray, work: np.ndarray) -> np.ndarray:
     # m_ll), m the diagonal of M + E (Cauchy-Schwarz for p > 0; Higham, ch. 10): ||E|| <=
     # 9 u tr(M + E) <= 36 u D, and Weyl. The value takes 10 roundings (1/t's thrice), t =
     # fl(tr) >= (1 - 3u) tr(M + E) / (1 + 5u): it overstates AM-GM for M + E, <= D, by <=
-    # 34 u D. eigvalsh is off by p u ||M||, ||M|| <= tr <= 4 D for M > 0, p <= 18 as in
-    # _gershgorin_margins: 72 u D; the subtraction 2 u D; 144 u D in all. Positive pivots
+    # 34 u D. eigvalsh's answer is taken to be off by at most p u ||M||, p <= 18 (an
+    # assumption: under 5 u D was measured against 50-digit eigenvalues), with ||M|| <= tr
+    # <= 4 D for M > 0: 72 u D; the subtraction 2 u D; 144 u D in all. Positive pivots
     # are each <= their gamma_kk, so no partial product passes D and none overflows.
     np.divide(1.0, add(add(add(a, e, out=s), h, out=s), j, out=s), out=s)
     mul(a, s, out=out)
@@ -90,63 +91,45 @@ def _ldl_margins(lower: np.ndarray, work: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gershgorin_margins(lower: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """out = r - 1 - err, r = min_k (gamma_kk - sum_{l != k} |gamma_kl|); work: (8, n) scratch."""
-    a, b, e, c, f, h, d, g, i, j = lower
-    ab, ac, ad, af, ag, ai, r, row = work
-    for entry, magnitude in zip((b, c, d, f, g, i), work):
-        np.abs(entry, out=magnitude)
-    r.fill(np.inf)  # the least row bound so far; minima are exact, so row order leaves r - 1
-    for diagonal, x, y, z in ((a, ab, ac, ad), (e, ab, af, ag), (h, ac, af, ai), (j, ad, ag, ai)):
-        np.subtract(np.subtract(np.subtract(diagonal, x, out=row), y, out=row), z, out=row)
-        np.minimum(r, row, out=r)
-    # Allowance, D = max_k gamma_kk: a row ((gamma_kk - |x|) - |y|) - |z| is off by <= 3 u
-    # (gamma_kk + |x| + |y| + |z|) <= 6 u D where >= 0 (Higham, ch. 3); r - 1 and the
-    # subtraction of err add <= u D each, as 1 <= r <= D where it clears: 8 u D. The other
-    # 56 u D keeps a cleared bound below eigvalsh's answer, off by p u ||M|| with ||M|| <=
-    # max row sum + 1 <= 3 D: p up to 18 (measured < 5 where the row bound is tight).
-    D = np.maximum(np.maximum(a, e, out=ab), np.maximum(h, j, out=row), out=ab)
-    return np.subtract(np.subtract(r, 1.0, out=out), np.multiply(D, 64 * _U, out=D), out=out)
+def _screen(gammas: np.ndarray):
+    """Yield (start, bounds, left, rows) per _CHUNK of the covariances (..., 4, 4), read flat.
+
+    rows: the ten lower entries, flat rows (in place from propagate_grid's entry planes, else
+    copied); bounds: their _ldl_margins, overwritten by the next chunk; left: ~(bounds > 0).
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.shape[-2:] != (4, 4):
+        raise ValueError(f"two-mode covariances expected, got shape {gammas.shape}")
+    lower = [gammas[..., k // 4, k % 4].ravel() for k in _LOWER]
+    work = np.empty((12, min(_CHUNK, lower[0].size)))
+    for start in range(0, lower[0].size, _CHUNK):
+        rows = [row[start:start + _CHUNK] for row in lower]
+        with np.errstate(all="ignore"):  # an entry that overflows or goes NaN is not cleared
+            bounds = _ldl_margins(rows, work[:, :len(rows[0])])
+        yield start, bounds, np.flatnonzero(~(bounds > 0.0)), rows
+
+
+def _exact_margins(rows: list, part: np.ndarray) -> np.ndarray:
+    """ppt_margin of the covariances at indices part of rows, rebuilt from their lower entries."""
+    return ppt_margin(np.array([row[part] for row in rows])[_FULL].T.reshape(-1, 4, 4))
 
 
 def ppt_margins(gammas: np.ndarray) -> np.ndarray:
     """Batched lower bound on ppt_margin over an array of shape (..., 4, 4).
 
     Returns m_i <= lambda_min(gamma~_i + i Delta_2), with equality on every
-    entry neither screen clears; so m_i < -tol exactly when the eigenvalue
-    margin is below -tol, for every tol >= 0. The first screen is Gershgorin's
-    (_gershgorin_margins): gamma~ = K gamma K has gamma's spectrum, so by
-    Weyl's inequality the margin is >= r_i - 1, r_i gamma's least row bound.
-    The second factors gamma~ + i Delta_2 = L diag(p) L^dag (_ldl_margins)
-    for the rest, gathered _CHUNK at a time, and bounds the margin by AM-GM
-    where every pivot p_k is positive; every other entry gets ppt_margin, one
-    stack per such slice, which raises ValueError on a non-finite entry or
-    margin. Each lower entry is read as a flat row: in place from
-    propagate_grid's entry planes, else copied.
+    entry the screen (_screen, by _ldl_margins) does not clear; so m_i < -tol
+    exactly when the eigenvalue margin is below -tol, for every tol >= 0. The
+    rest get ppt_margin, one stack per chunk, which raises ValueError on a
+    non-finite entry or margin.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.shape[-2:] != (4, 4):
-        raise ValueError(f"two-mode covariances expected, got shape {gammas.shape}")
-    lower = [gammas[..., k // 4, k % 4].ravel() for k in _LOWER]
-    margins = np.empty(lower[0].size)
-    work = np.empty((22, min(_CHUNK, len(margins))))  # tiers' scratch, then 10 gathered rows
-    # entries that overflow, divide by zero or go NaN here are not cleared
-    with np.errstate(all="ignore"):
-        for start in range(0, len(margins), _CHUNK):
-            block = [row[start:start + _CHUNK] for row in lower]
-            _gershgorin_margins(block, margins[start:start + _CHUNK], work[:8, :len(block[0])])
-        rest = np.flatnonzero(~(margins > 0.0))
-    for start in range(0, len(rest), _CHUNK):
-        part = rest[start:start + _CHUNK]
-        rows = work[12:, :len(part)]
-        for row, into in zip(lower, rows):
-            np.take(row, part, out=into, mode="clip")  # in range; "clip" skips a buffered check
-        with np.errstate(all="ignore"):
-            margins[part] = second = _ldl_margins(rows, work[:12, :len(part)])
-        routed = ~(second > 0.0)
-        if routed.any():
-            margins[part[routed]] = ppt_margin(rows[:, routed][_FULL].T.reshape(-1, 4, 4))
-    return margins.reshape(gammas.shape[:-2])
+    shape = np.shape(gammas)[:-2]
+    margins = np.empty(math.prod(shape))
+    for start, bounds, left, rows in _screen(gammas):
+        margins[start:start + len(bounds)] = bounds
+        if left.size:
+            margins[start + left] = _exact_margins(rows, left)
+    return margins.reshape(shape)
 
 
 def is_separable(gamma: np.ndarray) -> Certificate:
@@ -259,20 +242,17 @@ def entanglement_onset(
 
 
 def _first_hit(gammas: np.ndarray, tol_psd: float):
-    """Index of the first covariance in (n, 4, 4) whose margin is below -tol_psd, or None.
+    """Flat index of the first covariance in (..., 4, 4) whose margin is below -tol_psd, or None.
 
-    Only those _ldl_margins leaves get eigvalsh, in order and 1, 2, 4, ... at
-    a time, so the points past a hit cost none of it.
+    Only what ppt_margins' screen leaves gets eigvalsh, in order and 1, 2, 4, ... at a
+    time, so the points past a hit cost none of it.
     """
-    with np.errstate(all="ignore"):
-        bound = _ldl_margins([gammas[:, k // 4, k % 4] for k in _LOWER],
-                             np.empty((12, len(gammas))))
-    left = np.flatnonzero(~(bound > 0.0))
-    for k in range(left.size.bit_length()):
-        part = left[2 ** k - 1:2 ** (k + 1) - 1]
-        hits = part[ppt_margin(gammas[part]) < -tol_psd]
-        if hits.size:
-            return int(hits[0])
+    for start, _, left, rows in _screen(gammas):
+        for k in range(left.size.bit_length()):
+            part = left[2 ** k - 1:2 ** (k + 1) - 1]
+            hits = part[_exact_margins(rows, part) < -tol_psd]
+            if hits.size:
+                return start + int(hits[0])
     return None
 
 

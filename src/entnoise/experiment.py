@@ -18,13 +18,14 @@ import numpy as np
 
 from .constants import G_NEWTON, HBAR, K_BOLTZMANN, YEAR_SECONDS
 from .errors import PhysicsRejection
+from .phasespace import _finite
 from .screens import ScreenMoments, _key_value_lines, _number_field
 
 OMEGA_CONVENTIONS = ("hz-cycles", "rad-s")
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
+    if not (value > 0 and _finite(value)):
         raise PhysicsRejection(f"{name} must be positive and finite, got {value}")
 
 
@@ -133,7 +134,7 @@ class GravitationalHamiltonian:
     def __post_init__(self):
         for name in ("moment_of_inertia", "omega"):
             _require_positive(name, getattr(self, name))
-        if not 0 <= self.g < math.inf:  # g = 0 is the uncoupled limit
+        if not (_finite(self.g) and self.g >= 0):  # g = 0 is the uncoupled limit
             raise PhysicsRejection(f"g must be finite and non-negative, got {self.g}")
 
     def to_unit_oscillator(self) -> ScreenMoments:

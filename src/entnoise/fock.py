@@ -31,6 +31,7 @@ import numpy as np
 
 # unused here; only bench/tracer.py's fock.expm rebinding needs the name
 from .phasespace import expm  # noqa: F401
+from .phasespace import _finite, _float_array
 from .screens import DisplacementScreen, ScreenMoments
 
 # --- single-mode operators ---
@@ -59,7 +60,7 @@ def coherent_vector(alpha: complex, d: int) -> np.ndarray:
 
     A d that is not an integer raises TypeError, one below 1 ValueError.
     """
-    if not np.isfinite(alpha):
+    if not _finite(alpha.real, alpha.imag):
         raise ValueError(f"coherent amplitude alpha must be finite, got {alpha}")
     if operator.index(d) < 1:
         raise ValueError(f"a mode needs at least one level, got d = {d}")
@@ -129,7 +130,7 @@ def displacement_operator(u, v, d: int) -> np.ndarray:
     zero shifts give I exactly. Shifts that are not finite, or whose r max|lam|
     overflows, raise ValueError. The shape is broadcast(u, v).shape + (d, d).
     """
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    u, v = np.broadcast_arrays(*(_float_array(x, "displacement shifts") for x in (u, v)))
     lam, W = np.linalg.eigh(position(d))
     with np.errstate(over="ignore", invalid="ignore"):
         angles = np.hypot(u, v)[..., None] * lam
@@ -229,7 +230,7 @@ class TrotterStepper:
     """
 
     def __init__(self, screen, tau: float, dims, eta_convention: str = "positive"):
-        if not (np.isfinite(tau) and tau >= 0):
+        if not (_finite(tau) and tau >= 0):
             raise ValueError(f"step length must be finite and nonnegative, got {tau}")
         if eta_convention not in ("positive", "negative"):
             raise ValueError(f"unknown eta convention {eta_convention!r}")
@@ -318,7 +319,7 @@ def trotter_evolve(rho_ab: FockState, screen, t: float, n: int) -> FockState:
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n = {n}")
-    tau = t / n
+    tau = t / n if _finite(t) else t  # the stepper refuses it; t / n can overflow
     stepper = TrotterStepper(screen, tau, dims=rho_ab.dims)
     half = tuple(_rotation_phases(tau / 2, d) for d in rho_ab.dims)
     rho, worst_leak = stepper._run(rho_ab.rho, n, half, half)

@@ -69,19 +69,36 @@ def require_symmetric(matrix: np.ndarray, name: str) -> None:
         )
 
 
+def _finite(*values) -> bool:
+    """No NaN, +-inf or int beyond double range among scalars; cheaper than np.isfinite here."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # math.isfinite converts an int to float
+        return False
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """np.asarray(values, dtype=float); ValueError naming values for an int beyond double range."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int beyond double range") from None
+
+
 def _require_tolerance(tol_psd: float) -> None:
     """Raise ValueError unless tol_psd is finite and >= 0.
 
-    A NaN threshold fails every comparison and an infinite one passes every
-    matrix, so either would turn a PSD decision into a constant.
+    A NaN threshold fails every comparison and an infinite one, or an int
+    beyond double range, passes every matrix, so either would turn a PSD
+    decision into a constant.
     """
-    if not 0.0 <= tol_psd < math.inf:
+    if not (_finite(tol_psd) and tol_psd >= 0.0):
         raise ValueError(f"tol_psd must be finite and non-negative, got {tol_psd}")
 
 
 def _require_t_max(t_max: float) -> None:
     """Raise ValueError unless a grid's end time is finite (np.linspace would warn) and positive."""
-    if not math.isfinite(t_max):
+    if not _finite(t_max):
         raise ValueError(f"propagation time must be finite, got {t_max}")
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max:g}")

@@ -10,7 +10,6 @@ its d-level carrier (see fock.carrier_kraus_ops); its moments come only from
 that oracle.
 """
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -21,18 +20,11 @@ from .phasespace import (
     DELTA_1,
     TOL_PSD,
     Certificate,
+    _finite,
     _require_tolerance,
     min_eig_hermitian,
     require_symmetric,
 )
-
-
-def _finite(*values) -> bool:
-    """No NaN, +-inf or int beyond double range among scalars; cheaper than np.isfinite here."""
-    try:
-        return all(map(math.isfinite, values))
-    except OverflowError:  # math.isfinite converts an int to float
-        return False
 
 
 @dataclass(frozen=True)
@@ -122,9 +114,10 @@ def moments_from_displacement(screen: DisplacementScreen) -> ScreenMoments:
 
 def _checked_noise(Y: np.ndarray, g: float) -> np.ndarray:
     """Y as floats; PhysicsRejection on a non-finite Y or g, ValueError unless Y is symmetric 2x2."""
+    if not _finite(g, *np.ravel(Y)):  # before float conversion, which an int can overflow
+        raise PhysicsRejection(f"Y and the coupling g must be finite, got "
+                               f"{np.asarray(Y).tolist()} and {g}")
     Y = np.asarray(Y, dtype=float)
-    if not _finite(g, *Y.flat):
-        raise PhysicsRejection(f"Y and the coupling g must be finite, got {Y.tolist()} and {g}")
     require_symmetric(Y, name="Y")
     if Y.shape != (2, 2):
         raise ValueError(f"Y must be 2x2, got shape {Y.shape}")

@@ -22,8 +22,8 @@ SPANNED = {
                 "entanglement.ppt_margins", "entanglement.entanglement_onset"],
     "noise": ["cli.cli_main", "noise.run_noise_test", "dynamics.iter_grid_segments"],
 }
-# ppt_margin calls per item: the onset's own three on certify, as the screen's two
-# tiers clear every grid matrix; noise never reaches PPT code
+# ppt_margin calls per item: the onset's own three on certify, as the LDL screen
+# clears every grid matrix; noise never reaches PPT code
 PPT_MARGIN_CALLS = {"certify": 3, "noise": 0}
 
 

@@ -153,7 +153,7 @@ def layout_matrices():
     """9,000 covariances over two screening chunks, routed ones among them.
 
     The last 30 of the pool add classical noise 2 I to separable states, so
-    most of them clear by the Gershgorin bound, the first screen.
+    the LDL screen clears all of them.
     """
     rng = np.random.default_rng(7)
     pool = [random_physical_cov(rng) for _ in range(30)] + [random_separable_cov(rng)
@@ -170,9 +170,8 @@ def test_ppt_margins_do_not_depend_on_layout(layout_matrices, layout):
     routed = [60, 61, 62]  # the vacuum and the two-mode squeezed states
     np.testing.assert_array_equal(reference[routed],
                                   [ppt_margin(layout_matrices[k]) for k in routed])
-    lower = [layout_matrices[:, k // 4, k % 4] for k in entanglement._LOWER]
-    first_tier = entanglement._gershgorin_margins(lower, np.empty(9000), np.empty((8, 9000)))
-    assert (first_tier[63:93] > 0).sum() > 15
+    lower = [layout_matrices[63:93, k // 4, k % 4] for k in entanglement._LOWER]
+    assert (entanglement._ldl_margins(lower, np.empty((12, 30))) > 0).all()
     assert reference.min() < 0 < reference.max()
     gammas = LAYOUTS[layout](layout_matrices)
     np.testing.assert_array_equal(gammas, layout_matrices)
@@ -247,7 +246,7 @@ def eigen_margins(screened_grids):
 
 
 def screened_columns(monkeypatch):
-    """Record how many matrices reach the LDL screen, i.e. the first tier left over."""
+    """Record how many matrices each call of the LDL screen takes."""
     seen = []
     ldl = entanglement._ldl_margins
     def recorded(lower, work):
@@ -263,19 +262,45 @@ def test_ppt_margins_bound_the_eigenvalue_margin(screened_grids, eigen_margins, 
     margins = ppt_margins(gammas)
     scale = np.abs(gammas).max(axis=(1, 2))
     assert (margins <= exact + 1e-14 * scale).all()
-    # an entry the screens leave to eigvalsh gets exactly its eigenvalue margin
+    # an entry the screen leaves to eigvalsh gets exactly its eigenvalue margin
     np.testing.assert_array_equal(margins[margins <= 0], exact[margins <= 0])
     for tol in (0.0, 1e-10, 1e-8):
         np.testing.assert_array_equal(margins < -tol, exact < -tol)
 
 
-def test_ppt_margins_first_tier_clears_most_of_a_criterion_1_grid(screened_grids, monkeypatch):
-    gammas = screened_grids["criterion 1"]
-    seen = screened_columns(monkeypatch)
-    margins = ppt_margins(gammas)
-    # the leftovers of both screening chunks reach the second tier as one slice
-    assert len(seen) == 1 and sum(seen) < len(gammas) // 2
-    assert margins.min() > 0
+@pytest.fixture(scope="module")
+def scan_segments(screened_grids):
+    """Segments as the onset scan meets them. "vacuum k": the vacuum under a
+    non-classical screen over t <= 4e-6, whose margin passes -1e-8 after 4 to 15
+    points; "classical": 5 separable starts under a classical screen, (500, 5, 4, 4);
+    a vacuum grid behind an entangled state (a hit at index 0), or behind the
+    10,000 criterion-1 matrices (a hit in the second screening chunk)."""
+    rng = np.random.default_rng(38)
+    segments = {}
+    for k in range(4):
+        g = rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0])
+        dyn = build_dynamics(random_nonclassical_screen(rng, g, margin=0.01))
+        segments[f"vacuum {k}"] = propagate_grid(vacuum_cov(), dyn, np.linspace(0.0, 4e-6, 300))
+    starts = np.stack([random_separable_cov(rng) for _ in range(5)])
+    dyn = build_dynamics(random_classical_screen(rng, 0.4))
+    segments["classical"] = propagate_grid(starts, dyn, np.linspace(0.0, 50.0, 500))
+    vacuum = screened_grids["vacuum"][:200]
+    segments["hit at 0"] = np.concatenate([two_mode_squeezed_cov(0.3)[None], vacuum])
+    segments["second chunk"] = np.concatenate([screened_grids["criterion 1"], vacuum])
+    return segments
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-8])
+@pytest.mark.parametrize("kind", [f"vacuum {k}" for k in range(4)]
+                         + ["classical", "hit at 0", "second chunk"])
+def test_first_hit_is_the_first_margin_ppt_margins_puts_below_tolerance(scan_segments, kind, tol):
+    # both run one screen: the scan's first hit is ppt_margins' first entry below -tol
+    segment = scan_segments[kind]
+    below = np.flatnonzero(ppt_margins(segment).ravel() < -tol)
+    assert (below.size == 0) == (kind == "classical")
+    assert entanglement._first_hit(segment, tol) == (int(below[0]) if below.size else None)
+    if kind in ("hit at 0", "second chunk"):
+        assert below[0] == {"hit at 0": 0, "second chunk": 10_001}[kind]
 
 
 def test_ppt_margins_clear_a_criterion_1_grid_without_eigvalsh(screened_grids, monkeypatch):
@@ -289,7 +314,7 @@ def test_ppt_margins_clear_a_criterion_1_grid_without_eigvalsh(screened_grids, m
 
 @pytest.mark.parametrize("kind", ["criterion 1", "vacuum"])
 def test_ppt_margins_return_a_fresh_array_each_call(screened_grids, kind):
-    # the first tier runs through a work buffer; no result may share it
+    # the screen runs through a work buffer; no result may share it
     gammas = screened_grids[kind]
     first, second = ppt_margins(gammas), ppt_margins(gammas)
     np.testing.assert_array_equal(first, second)
@@ -301,8 +326,8 @@ def test_ppt_margins_return_a_fresh_array_each_call(screened_grids, kind):
 
 def test_ppt_margins_first_tier_keeps_clear_of_the_rounding_edge(monkeypatch):
     # gamma = (1 + (3 + s) eps) I plus off-diagonal entries of +-eps, all exact:
-    # every Gershgorin row bound is 1 + s eps, so r - 1 = s eps. Slack up to
-    # the allowance, 64 u = 32 eps, must not clear; twice as much must
+    # margins within a few eps of 0, far below the LDL screen's allowance of
+    # 144 u max gamma_kk, so none may clear and each gets its eigenvalue margin
     eps = np.finfo(float).eps
     signs = np.where(np.random.default_rng(5).random((4, 4)) < 0.5, -1.0, 1.0)
     def edge(s):
@@ -312,13 +337,10 @@ def test_ppt_margins_first_tier_keeps_clear_of_the_rounding_edge(monkeypatch):
     seen = screened_columns(monkeypatch)
     np.testing.assert_array_equal(ppt_margins(near), [ppt_margin(gamma) for gamma in near])
     assert seen == [len(near)]
-    far = edge(64)
-    assert 0 < ppt_margins(far) <= 32 * eps
-    assert seen == [len(near)]
 
 
 def test_ldl_pivots_multiply_to_the_leading_minors_of_the_reversal(rng):
-    # the second tier's pivots p_0 = gamma_00, p_1, p_2, p_3 (work rows 5 to 7):
+    # the LDL screen's pivots p_0 = gamma_00, p_1, p_2, p_3 (work rows 5 to 7):
     # p_0 ... p_k against numpy's determinant of each leading block of M = gamma~ + i Delta_2,
     # and det M against the reversal's symplectic eigenvalues nu~_-, nu~_+ (each an
     # eigenvalue pair +-nu of i Delta_2 gamma~)
@@ -338,7 +360,7 @@ def test_ldl_pivots_multiply_to_the_leading_minors_of_the_reversal(rng):
 
 def test_ldl_bounds_sit_below_50_digit_margins_at_the_boundary():
     # two-mode squeezed thermal states at r in [0, 2] with nu~_- = 1 + s, moved
-    # by local symplectics. The second tier clears none at s = -1e-9, and each
+    # by local symplectics. The LDL screen clears none at s = -1e-9, and each
     # bound it gives sits below the 50-digit least eigenvalue of gamma~ + i
     # Delta_2 by more than eigvalsh's own error. Its allowance guarantees 72 u D
     # of that room, D = max gamma_kk; on these states the gap exceeds 7,000 times
@@ -374,7 +396,7 @@ def test_ldl_bounds_sit_below_50_digit_margins_at_the_boundary():
 @pytest.mark.parametrize("k", range(10))
 @pytest.mark.parametrize("scale", [1.0, 3.0])
 def test_ppt_margins_reject_a_non_finite_lower_entry(scale, k, value):
-    # 3 I is cleared by the first tier when finite, the vacuum by neither screen
+    # 3 I is cleared by the LDL screen when finite, the vacuum is not
     gammas = np.stack([scale * np.eye(4)] * 3)
     i, j = divmod(int(entanglement._LOWER[k]), 4)
     gammas[1, i, j] = gammas[1, j, i] = value
@@ -454,7 +476,7 @@ def test_onset_rejects_tiny_grid():
         entanglement_onset(dyn, vacuum_cov(), t_max=1.0, grid=50)
 
 
-@pytest.mark.parametrize("tol", [-1e-10, np.nan, np.inf])
+@pytest.mark.parametrize("tol", [-1e-10, np.nan, np.inf, 10**400])
 def test_onset_rejects_bad_tolerance(tol):
     dyn = build_dynamics(moments_with_coupling(np.zeros((2, 2)), 0.2))
     with pytest.raises(ValueError, match="tol_psd"):

@@ -20,9 +20,10 @@ from entnoise import dynamics, entanglement
 from entnoise.dynamics import (
     accumulated_noise, build_dynamics, iter_grid_segments, propagate, propagate_grid)
 from entnoise.entanglement import entanglement_onset, ppt_margin, ppt_margins
-from entnoise.experiment import ExperimentConfig, budget
+from entnoise.experiment import ExperimentConfig, GravitationalHamiltonian, budget
 from entnoise.fock import (
-    MIN_LEVELS, coherent_vector, displacement_operator, trotter_evolve, vacuum_state)
+    MIN_LEVELS, TrotterStepper, coherent_vector, displacement_operator, trotter_evolve,
+    vacuum_state)
 from entnoise.noise import run_noise_test
 from entnoise.phasespace import K_REVERSAL, validate_covariance
 from entnoise.sampling import (
@@ -233,14 +234,7 @@ def test_closed_form_clears_no_strongly_squeezed_boundary_state(seed, strength):
     # >= 4 nu cosh 2r ~ 2 e^{4r}, so 27 det M / tr^3 is at most 6.8e-9 e^{-4r},
     # while the screen takes off 144 u D with D >= tr / 4, or 8.0e-15 e^{4r}: ten
     # times more at r = 2 and growing, so every state the LDL screen sees goes on
-    # to eigvalsh. The Gershgorin tier before
-    # it may clear a separable one: without local
-    # symplectics its row bound is tight, 1 + 1e-9, and its allowance,
-    # 64 u max gamma_kk, stays below 1e-9 up to r near 3.1. A cleared margin
-    # is then 64 u max gamma_kk below the exact one, and eigvalsh's own error
-    # must stay short of that, as the contract compares the two without
-    # tolerance: on 122,000 such states cleared at strengths 0 to 1e-10 it
-    # reached 9.6 u max gamma_kk (the worst checked against 50-digit eigenvalues)
+    # to eigvalsh, separable or not
     screened = []
     ldl = entanglement._ldl_margins
 
@@ -321,3 +315,27 @@ def test_entry_points_refuse_bad_scalars_with_a_value_error_and_no_warning(name,
         except ValueError:
             return
     assert math.isfinite(x) and in_domain(x, n), f"{name} accepted x = {x!r}, n = {n}"
+
+
+# name -> a call that passes a Python int x as one time, shift, amplitude, entry or field
+INT_ENTRY_POINTS = {
+    "propagate": lambda x: propagate(vacuum_cov(), _CLASSICAL, x),
+    "propagate_grid": lambda x: propagate_grid(vacuum_cov(), _CLASSICAL, [0, x]),
+    "run_noise_test": lambda x: run_noise_test(_CLASSICAL, x, 10),
+    "entanglement_onset": lambda x: entanglement_onset(_CLASSICAL, vacuum_cov(), x, 100),
+    "trotter_evolve": lambda x: trotter_evolve(vacuum_state((3, 3)), None, x, 2),
+    "displacement_operator": lambda x: displacement_operator(0.3, x, 3),
+    "TrotterStepper": lambda x: TrotterStepper(None, x, (3, 3)),
+    "coherent_vector": lambda x: coherent_vector(x, 3),
+    "is_classical_det": lambda x: is_classical_det(np.array([[x, 0], [0, 1]]), 0.5),
+    "budget": _budget_with,
+    "GravitationalHamiltonian": lambda x: GravitationalHamiltonian(1.0, 1.0, x),
+}
+
+
+@pytest.mark.parametrize("x", [10**400, -10**400])
+@pytest.mark.parametrize("name", sorted(INT_ENTRY_POINTS))
+def test_entry_points_refuse_an_int_beyond_double_range(name, x):
+    # float(x) raises OverflowError; such an int is not finite, so ValueError
+    with pytest.raises(ValueError, match="finite"):
+        INT_ENTRY_POINTS[name](x)

@@ -177,7 +177,7 @@ def test_screen_text_roundtrip():
         screen_from_text("sigma_uu = 1\n")
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 10**400])
 def test_is_classical_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol_psd must be finite and non-negative") as caught:
         is_classical(np.eye(2), 0.1, tol_psd=tol)
