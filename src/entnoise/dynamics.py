@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EhrenfestViolation, PhysicsRejection
 from .phasespace import (
-    CHI, DELTA_2, TOL_PSD, TOL_SYM, _finite, _float_array, expm, min_eig_hermitian)
+    CHI, DELTA_2, TOL_PSD, TOL_SYM, _finite, _float_array, expm, psd_certificate)
 from .screens import ScreenMoments
 
 
@@ -48,8 +48,8 @@ def build_dynamics(moments: ScreenMoments) -> GaussianDynamics:
             f"screen has Ehrenfest defect xi = {moments.xi:.3e}; "
             "mean dynamics are inconsistent, refusing to build a generator"
         )
-    lam = min_eig_hermitian(moments.Y)
-    if lam < -TOL_PSD:
+    ok, lam = psd_certificate(moments.Y, TOL_PSD)
+    if not ok:
         raise PhysicsRejection(f"diffusion matrix Y is not PSD (min eigenvalue {lam:.3e})")
     H = np.eye(4)
     H[0, 0] += moments.nu_a
@@ -94,7 +94,7 @@ def propagate(gamma0: np.ndarray, dyn: GaussianDynamics, t: float) -> np.ndarray
     """gamma(t) = Y_t + X_t^T gamma(0) X_t for a 4x4 gamma(0), t >= 0; ValueError on overflow."""
     if not (_finite(t) and t >= 0):
         raise ValueError(f"propagate requires t >= 0 and finite, got {t}")
-    gamma0 = np.asarray(gamma0, dtype=float)
+    gamma0 = _float_array(gamma0, "gamma0")
     if gamma0.shape != (4, 4):
         raise ValueError(f"two-mode covariance expected, got shape {gamma0.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,7 +171,7 @@ def iter_grid_segments(gamma0: np.ndarray, dyn: GaussianDynamics, times: np.ndar
     its last time before its segment is yielded.
     """
     dt = _check_uniform_grid(times)
-    gamma0 = np.asarray(gamma0, dtype=float)
+    gamma0 = _float_array(gamma0, "gamma0")
     if gamma0.shape[-2:] != (4, 4):
         raise ValueError(f"two-mode covariances expected, got shape {gamma0.shape}")
     n = np.asarray(times).size

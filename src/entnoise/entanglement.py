@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import UnphysicalCovariance
 from .phasespace import (
-    CHI, DELTA_1, DELTA_2, DELTA_2_TILDE, TOL_PSD, Certificate, _require_t_max,
-    _require_tolerance, min_eig_hermitian, partial_reverse, require_symmetric, validate_covariance)
+    CHI, DELTA_1, DELTA_2, DELTA_2_TILDE, TOL_PSD, Certificate, _float_array, _require_t_max,
+    _require_tolerance, min_eig_hermitian, partial_reverse, psd_certificate, validate_covariance)
 from .dynamics import (
     _FULL, _LOWER, GaussianDynamics, build_dynamics, iter_grid_segments, propagate)
 from .screens import is_classical, moments_with_coupling
@@ -22,7 +22,7 @@ from .screens import is_classical, moments_with_coupling
 
 def _require_physical(gamma: np.ndarray) -> np.ndarray:
     """gamma as a float array, once it is a physical two-mode covariance at TOL_PSD."""
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = _float_array(gamma, "covariance")
     if gamma.shape != (4, 4):
         raise ValueError(f"two-mode covariance expected, got shape {gamma.shape}")
     cert = validate_covariance(gamma)
@@ -97,7 +97,7 @@ def _screen(gammas: np.ndarray):
     rows: the ten lower entries, flat rows (in place from propagate_grid's entry planes, else
     copied); bounds: their _ldl_margins, overwritten by the next chunk; left: ~(bounds > 0).
     """
-    gammas = np.asarray(gammas, dtype=float)
+    gammas = _float_array(gammas, "covariances")
     if gammas.shape[-2:] != (4, 4):
         raise ValueError(f"two-mode covariances expected, got shape {gammas.shape}")
     lower = [gammas[..., k // 4, k % 4].ravel() for k in _LOWER]
@@ -134,9 +134,7 @@ def ppt_margins(gammas: np.ndarray) -> np.ndarray:
 
 def is_separable(gamma: np.ndarray) -> Certificate:
     """Momentum-reversal separability test with its eigenvalue certificate."""
-    gamma = _require_physical(gamma)
-    lam = ppt_margin(gamma)
-    return Certificate(lam >= -TOL_PSD, lam)
+    return psd_certificate(partial_reverse(_require_physical(gamma)) + 1j * DELTA_2, TOL_PSD)
 
 
 def log_negativity(gamma: np.ndarray) -> float:
@@ -196,7 +194,7 @@ def entanglement_onset(
         raise ValueError(f"grid must be at least 100 points, got {grid}")
     _require_tolerance(tol_psd)
     gamma0 = _require_physical(gamma0)
-    if ppt_margin(gamma0) < -tol_psd:
+    if not psd_certificate(partial_reverse(gamma0) + 1j * DELTA_2, tol_psd).ok:
         raise ValueError("initial state is already entangled; onset is undefined")
 
     _require_t_max(t_max)
@@ -267,13 +265,12 @@ def fprime_zero(Y: np.ndarray, g: float) -> np.ndarray:
     Computes the closed form (i Delta_2) chi (Y - 2ig Delta_1) chi^T (i Delta_2)
     and independently y - i x^T Delta~_2 - i Delta~_2 x from the assembled
     generator; a disagreement beyond 1e-10 means a convention bug, so it
-    raises RuntimeError rather than being tolerated.
+    raises RuntimeError rather than being tolerated. The assembled route comes
+    first, so Y and g are refused as ScreenMoments refuses them.
     """
-    Y = np.asarray(Y, dtype=float)
-    require_symmetric(Y, name="Y")
-    closed = (1j * DELTA_2) @ CHI @ (Y - 2j * g * DELTA_1) @ CHI.T @ (1j * DELTA_2)
-
+    Y = _float_array(Y, "Y")
     assembled = _first_order_form(build_dynamics(moments_with_coupling(Y, g)))
+    closed = (1j * DELTA_2) @ CHI @ (Y - 2j * g * DELTA_1) @ CHI.T @ (1j * DELTA_2)
     if not np.max(np.abs(closed - assembled)) <= 1e-10:
         raise RuntimeError(
             "the two first-order certificate expressions disagree; "
@@ -291,7 +288,7 @@ def converse_witness(Y: np.ndarray, g: float):
     z_ab^dag F z_ab = z_f^dag (Y - 2ig Delta_1) z_f < 0 for F the margin's
     first-order form y - i x^T Delta~_2 - i Delta~_2 x (y + x^T + x on the lift).
     """
-    Y = np.asarray(Y, dtype=float)
+    Y = _float_array(Y, "Y")
     if is_classical(Y, g).ok:
         raise ValueError("witness is only defined for non-classical (Y, g)")
     M = Y - 2j * g * DELTA_1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import G_NEWTON, HBAR, K_BOLTZMANN, YEAR_SECONDS
 from .errors import PhysicsRejection
-from .phasespace import _finite
+from .phasespace import _finite, _float_array
 from .screens import ScreenMoments, _key_value_lines, _number_field
 
 OMEGA_CONVENTIONS = ("hz-cycles", "rad-s")
@@ -37,7 +37,8 @@ def angular_frequency(value: float, convention: str) -> float:
     """Interpret a frequency figure: 'hz-cycles' multiplies by 2 pi."""
     if convention not in OMEGA_CONVENTIONS:
         raise ValueError(f"omega convention must be one of {OMEGA_CONVENTIONS}")
-    return 2.0 * math.pi * value if convention == "hz-cycles" else float(value)
+    value = float(_float_array(value, "frequency"))  # ValueError for an int beyond double range
+    return 2.0 * math.pi * value if convention == "hz-cycles" else value
 
 
 @dataclass(frozen=True)

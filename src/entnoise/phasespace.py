@@ -107,11 +107,13 @@ def _require_t_max(t_max: float) -> None:
 def min_eig_hermitian(matrix: np.ndarray):
     """Least eigenvalue of a Hermitian matrix, or of each in a stack (..., n, n).
 
-    The PSD primitive of every positivity decision, single or stacked, so
-    tolerance semantics stay uniform. Returns a float for one matrix and an
-    array for a stack; ValueError on a non-finite entry or result.
+    The eigenvalue behind every positivity decision, single or stacked.
+    Returns a float for one matrix and an array for a stack; ValueError on a
+    non-finite entry or result, or on object entries such as an int beyond
+    double range.
     """
-    if not np.isfinite(matrix).all():
+    matrix = np.asarray(matrix)
+    if matrix.dtype == object or not np.isfinite(matrix).all():
         raise ValueError("matrix entries must be finite")
     lam = np.linalg.eigvalsh(matrix)[..., 0]
     if not np.isfinite(lam).all():  # finite entries whose modulus overflows
@@ -119,27 +121,32 @@ def min_eig_hermitian(matrix: np.ndarray):
     return lam if lam.ndim else float(lam)
 
 
+def psd_certificate(matrix: np.ndarray, tol_psd: float) -> Certificate:
+    """Certificate(lam >= -tol_psd, lam), lam = min_eig_hermitian(matrix): every PSD verdict.
+
+    The rule is absolute: eigvalsh's error, about u ||matrix||, passes TOL_PSD
+    once entries reach ~1e6 (two_mode_squeezed_cov(8) gives -6.2e-10, refused).
+    """
+    lam = min_eig_hermitian(matrix)
+    return Certificate(lam >= -tol_psd, lam)
+
+
 def validate_covariance(gamma: np.ndarray) -> Certificate:
     """Check the uncertainty principle, gamma + i Delta_2 >= 0.
 
-    Returns a Certificate carrying the minimum eigenvalue of the Hermitian
-    matrix gamma + i Delta_2; the state is physical iff it is >= -TOL_PSD, an
-    absolute bound that eigvalsh's error, about u ||gamma||, passes once entries
-    reach ~1e6 (two_mode_squeezed_cov(8) gives -6.2e-10, and is refused).
-    ValueError on non-symmetric input or on a non-finite entry.
+    Returns psd_certificate of the Hermitian matrix gamma + i Delta_2 at
+    TOL_PSD. ValueError on non-symmetric input or on a non-finite entry.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = _float_array(gamma, "covariance matrix")
     require_symmetric(gamma, name="covariance matrix")
     if gamma.shape[0] % 2:
         raise ValueError(f"covariance must be 2n x 2n, got shape {gamma.shape}")
-    n = gamma.shape[0] // 2
-    lam = min_eig_hermitian(gamma + 1j * symplectic_form(n))
-    return Certificate(lam >= -TOL_PSD, lam)
+    return psd_certificate(gamma + 1j * symplectic_form(gamma.shape[0] // 2), TOL_PSD)
 
 
 def partial_reverse(gamma: np.ndarray) -> np.ndarray:
     """Flip the sign of p_b rows and columns, K gamma K with K = diag(1,1,1,-1); stacks too."""
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = _float_array(gamma, "covariance")
     if gamma.shape[-2:] != (4, 4):
         raise ValueError(f"partial reversal is defined for 4x4 matrices, got {gamma.shape}")
     return gamma * _REVERSAL_SIGNS
@@ -186,7 +193,7 @@ def expm(A: np.ndarray) -> np.ndarray:
     parts of the numerator, exp(A) ~ (V - U)^-1 (V + U). A non-finite 1-norm
     gives NaN; overflow in the squarings is the caller's to detect.
     """
-    A = np.asarray(A, dtype=float)
+    A = _float_array(A, "matrix")
     if A.shape == (2, 2):
         return _expm_2x2(*A.ravel().tolist())
     norm = float(np.abs(A).sum(axis=0).max())

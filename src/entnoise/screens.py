@@ -17,14 +17,8 @@ import numpy as np
 
 from .errors import PhysicsRejection
 from .phasespace import (
-    DELTA_1,
-    TOL_PSD,
-    Certificate,
-    _finite,
-    _require_tolerance,
-    min_eig_hermitian,
-    require_symmetric,
-)
+    DELTA_1, TOL_PSD, Certificate, _finite, _float_array, _require_tolerance, psd_certificate,
+    require_symmetric)
 
 
 @dataclass(frozen=True)
@@ -47,14 +41,13 @@ class ScreenMoments:
     mean_defect_p: float = 0.0
 
     def __post_init__(self):
-        Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
+        scalars = (self.nu_a, self.nu_b, self.eta, self.xi, self.mean_defect_x, self.mean_defect_p)
+        if not _finite(*scalars, *np.ravel(self.Y)):  # before conversion, which an int can overflow
+            raise PhysicsRejection(f"screen moments must be finite, got {scalars} "
+                                   f"and Y = {np.asarray(self.Y).tolist()}")
+        Y = np.atleast_2d(_float_array(self.Y, "Y"))
         if Y.shape != (2, 2):
             raise ValueError(f"Y must be 2x2, got shape {Y.shape}")
-        scalars = (self.nu_a, self.nu_b, self.eta, self.xi, self.mean_defect_x, self.mean_defect_p)
-        if not _finite(*scalars, *Y.flat):
-            raise PhysicsRejection(
-                f"screen moments must be finite, got {scalars} and Y = {Y.tolist()}"
-            )
         require_symmetric(Y, name="Y")
         object.__setattr__(self, "Y", 0.5 * (Y + Y.T))
 
@@ -67,7 +60,7 @@ def moments_with_coupling(Y: np.ndarray, g: float) -> ScreenMoments:
     """
     # a g that is not finite, even an int that float() overflows on, goes to ScreenMoments' check
     eta = float(g) if _finite(g) else g
-    return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=eta, xi=0.0, Y=np.asarray(Y, dtype=float))
+    return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=eta, xi=0.0, Y=Y)
 
 
 @dataclass(frozen=True)
@@ -87,8 +80,8 @@ class DisplacementScreen:
         for name, value in vars(self).items():  # so that Y = 2 Sigma and Y + Y^T stay finite
             if not abs(value) <= sys.float_info.max / 4:  # exact for an int, unlike np.float64
                 raise PhysicsRejection(f"{name} = {value} is not finite, or too large for 2 Sigma")
-        lam = min_eig_hermitian(self.matrix)
-        if lam < -TOL_PSD:
+        ok, lam = psd_certificate(self.matrix, TOL_PSD)
+        if not ok:
             raise PhysicsRejection(
                 f"displacement moment matrix is not PSD (min eigenvalue {lam:.3e})"
             )
@@ -117,7 +110,7 @@ def _checked_noise(Y: np.ndarray, g: float) -> np.ndarray:
     if not _finite(g, *np.ravel(Y)):  # before float conversion, which an int can overflow
         raise PhysicsRejection(f"Y and the coupling g must be finite, got "
                                f"{np.asarray(Y).tolist()} and {g}")
-    Y = np.asarray(Y, dtype=float)
+    Y = _float_array(Y, "Y")
     require_symmetric(Y, name="Y")
     if Y.shape != (2, 2):
         raise ValueError(f"Y must be 2x2, got shape {Y.shape}")
@@ -137,8 +130,7 @@ def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certifica
     Y = _checked_noise(Y, g)
     if abs(g) > np.finfo(float).max / 2:  # refused before 2|g| Delta_1 overflows
         raise ValueError(f"coupling g = {g:g} is out of range: 2|g| overflows")
-    lam = min_eig_hermitian(Y - 2j * abs(g) * DELTA_1)
-    return Certificate(lam >= -tol_psd, lam)
+    return psd_certificate(Y - 2j * abs(g) * DELTA_1, tol_psd)
 
 
 def is_classical_det(Y: np.ndarray, g: float) -> bool:
@@ -152,7 +144,7 @@ def is_classical_det(Y: np.ndarray, g: float) -> bool:
         det, bound = float(np.linalg.det(Y)), float(4.0 * g * g)
     if not _finite(det, bound):
         raise ValueError(f"det Y or 4 g^2 overflows, got {det:g} and {bound:g}")
-    psd = min_eig_hermitian(Y) >= -TOL_PSD
+    psd = psd_certificate(Y, TOL_PSD).ok
     scale = max(1.0, float(np.abs(Y).max()), bound)
     return psd and det >= bound - TOL_PSD * scale
 

@@ -22,9 +22,10 @@ SPANNED = {
                 "entanglement.ppt_margins", "entanglement.entanglement_onset"],
     "noise": ["cli.cli_main", "noise.run_noise_test", "dynamics.iter_grid_segments"],
 }
-# ppt_margin calls per item: the onset's own three on certify, as the LDL screen
-# clears every grid matrix; noise never reaches PPT code
-PPT_MARGIN_CALLS = {"certify": 3, "noise": 0}
+# ppt_margin calls per item: the onset's two sign checks of its first-order bracket on
+# certify, as the LDL screen clears every grid matrix and the start check is a
+# psd_certificate; noise never reaches PPT code
+PPT_MARGIN_CALLS = {"certify": 2, "noise": 0}
 
 
 @pytest.mark.parametrize("workload", sorted(GRID_POINTS))

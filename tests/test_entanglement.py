@@ -12,7 +12,7 @@ from entnoise.entanglement import (
     ppt_margin,
     ppt_margins,
 )
-from entnoise.errors import UnphysicalCovariance
+from entnoise.errors import PhysicsRejection, UnphysicalCovariance
 from entnoise.phasespace import (
     DELTA_2, DELTA_2_TILDE, TOL_PSD, min_eig_hermitian, partial_reverse, validate_covariance)
 from entnoise.sampling import (
@@ -747,7 +747,8 @@ def test_first_order_onset_ends_at_the_scan_grid_first_step(vacuum_onset_cases, 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fprime_zero_rejects_non_finite_without_warning():
-    with pytest.raises(ValueError, match="Y entries must be finite"):
+    # the assembled route runs first, so ScreenMoments refuses Y
+    with pytest.raises(PhysicsRejection, match="screen moments must be finite"):
         fprime_zero(np.array([[np.inf, 0.0], [0.0, 1.0]]), 0.1)
 
 

@@ -22,6 +22,23 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
+def test_only_float_array_converts_arguments_to_float_arrays():
+    # one array intake, phasespace._float_array, so that every array argument holding
+    # an int beyond double range is refused alike, with ValueError
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        intake = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and (path.stem, fn.name) == ("phasespace", "_float_array") for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray"
+                    and any(ast.unparse(dtype) in ("float", "np.float64") for dtype in
+                            node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "dtype"])
+                    and id(node) not in intake):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_library_runs_without_scipy():
     # numpy is the only run-time dependency; scipy serves the tests as a reference
     code = ("import sys, entnoise, entnoise.cli, entnoise.sampling; "

@@ -5,8 +5,11 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from entnoise.dynamics import build_dynamics
+from entnoise.entanglement import entanglement_onset, is_separable
+from entnoise.errors import PhysicsRejection
 from entnoise.phasespace import (
     DELTA_2,
+    TOL_PSD,
     expm,
     min_eig_hermitian,
     partial_reverse,
@@ -15,6 +18,8 @@ from entnoise.phasespace import (
 )
 from entnoise.sampling import (
     random_classical_screen, random_nonclassical_screen, random_symplectic)
+from entnoise.screens import (
+    DisplacementScreen, is_classical, is_classical_det, moments_with_coupling)
 from entnoise.states import squeezed_cov, two_mode_squeezed_cov, vacuum_cov, direct_sum
 
 
@@ -126,6 +131,57 @@ def test_partial_reverse_is_involutive(rng):
 
 def test_two_mode_squeezed_is_physical():
     assert validate_covariance(two_mode_squeezed_cov(0.3)).ok
+
+
+def _correlated(c):
+    """I with x_a x_b entries c and p_a p_b entries -c: gamma + i Delta_2 has least eigenvalue
+    1 - sqrt(1 + c^2), about -c^2 / 2, and its reversal -c, each to rounding."""
+    gamma = np.eye(4)
+    gamma[0, 2] = gamma[2, 0] = c
+    gamma[1, 3] = gamma[3, 1] = -c
+    return gamma
+
+
+def _builds(make, refusal, match):
+    """True if make() returns, False if it raises refusal with a message containing match."""
+    try:
+        make()
+    except refusal as exc:
+        assert match in str(exc), exc
+        return False
+    return True
+
+
+_ONSET_DYN = build_dynamics(moments_with_coupling(np.eye(2), 0.3))
+_IS_CLASSICAL_TOL = 1e-6  # not TOL_PSD, so the test sees that the caller's tolerance decides
+# site -> (its tolerance, its verdict on an input whose decisive least eigenvalue is -e).
+# Diagonal Y and (1 - e) I are exact to rounding. A diagonal covariance is its own
+# reversal, so at -2 tol it is unphysical before any separability verdict; the
+# separability sites take _correlated(e), physical to rounding, instead.
+VERDICT_SITES = {
+    "validate_covariance": (TOL_PSD, lambda e: validate_covariance((1 - e) * np.eye(4)).ok),
+    "is_separable": (TOL_PSD, lambda e: is_separable(_correlated(e)).ok),
+    "is_classical": (_IS_CLASSICAL_TOL,
+                     lambda e: is_classical(np.diag([-e, 1.0]), 0.0, _IS_CLASSICAL_TOL).ok),
+    # det(-e I) = e^2 >= 4 g^2 = 0, so the PSD verdict alone decides
+    "is_classical_det": (TOL_PSD, lambda e: is_classical_det(-e * np.eye(2), 0.0)),
+    "DisplacementScreen": (TOL_PSD, lambda e: _builds(
+        lambda: DisplacementScreen(-e, 1.0), PhysicsRejection, "not PSD")),
+    "build_dynamics": (TOL_PSD, lambda e: _builds(
+        lambda: build_dynamics(moments_with_coupling(np.diag([-e, 1.0]), 0.5)),
+        PhysicsRejection, "not PSD")),
+    "entanglement_onset": (TOL_PSD, lambda e: _builds(
+        lambda: entanglement_onset(_ONSET_DYN, _correlated(e), 1.0, 100),
+        ValueError, "already entangled")),
+}
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("site", sorted(VERDICT_SITES))
+def test_every_psd_verdict_accepts_half_the_tolerance_and_refuses_twice_it(site, factor, accepted):
+    # one rule for all seven sites: least eigenvalue >= -tol, from psd_certificate
+    tol, verdict = VERDICT_SITES[site]
+    assert verdict(factor * tol) is accepted
 
 
 def _van_loan_blocks(t):

@@ -19,13 +19,16 @@ from scipy.integrate import solve_ivp
 from entnoise import dynamics, entanglement
 from entnoise.dynamics import (
     accumulated_noise, build_dynamics, iter_grid_segments, propagate, propagate_grid)
-from entnoise.entanglement import entanglement_onset, ppt_margin, ppt_margins
-from entnoise.experiment import ExperimentConfig, GravitationalHamiltonian, budget
+from entnoise.entanglement import (
+    converse_witness, entanglement_onset, fprime_zero, is_separable, ppt_margin, ppt_margins)
+from entnoise.errors import PhysicsRejection
+from entnoise.experiment import (
+    ExperimentConfig, GravitationalHamiltonian, angular_frequency, budget)
 from entnoise.fock import (
     MIN_LEVELS, TrotterStepper, coherent_vector, displacement_operator, trotter_evolve,
     vacuum_state)
 from entnoise.noise import run_noise_test
-from entnoise.phasespace import K_REVERSAL, validate_covariance
+from entnoise.phasespace import K_REVERSAL, min_eig_hermitian, validate_covariance
 from entnoise.sampling import (
     random_classical_screen,
     random_physical_cov,
@@ -319,6 +322,17 @@ def test_entry_points_refuse_bad_scalars_with_a_value_error_and_no_warning(name,
 
 # name -> a call that passes a Python int x as one time, shift, amplitude, entry or field
 INT_ENTRY_POINTS = {
+    "validate_covariance": lambda x: validate_covariance(np.full((4, 4), x)),
+    "ppt_margin": lambda x: ppt_margin(np.full((4, 4), x)),
+    "ppt_margins": lambda x: ppt_margins(np.full((3, 4, 4), x)),
+    "is_separable": lambda x: is_separable(np.full((4, 4), x)),
+    "propagate_start": lambda x: propagate(np.full((4, 4), x), _CLASSICAL, 1.0),
+    "propagate_grid_start": lambda x: propagate_grid(np.full((4, 4), x), _CLASSICAL, [0, 1]),
+    "moments_with_coupling": lambda x: moments_with_coupling([[x, 0], [0, 1]], 0.5),
+    "min_eig_hermitian": lambda x: min_eig_hermitian(np.full((4, 4), x)),
+    "fprime_zero": lambda x: fprime_zero([[x, 0], [0, 1]], 0.5),
+    "converse_witness": lambda x: converse_witness([[x, 0], [0, 1]], 0.5),
+    "angular_frequency": lambda x: angular_frequency(x, "hz-cycles"),
     "propagate": lambda x: propagate(vacuum_cov(), _CLASSICAL, x),
     "propagate_grid": lambda x: propagate_grid(vacuum_cov(), _CLASSICAL, [0, x]),
     "run_noise_test": lambda x: run_noise_test(_CLASSICAL, x, 10),
@@ -336,6 +350,8 @@ INT_ENTRY_POINTS = {
 @pytest.mark.parametrize("x", [10**400, -10**400])
 @pytest.mark.parametrize("name", sorted(INT_ENTRY_POINTS))
 def test_entry_points_refuse_an_int_beyond_double_range(name, x):
-    # float(x) raises OverflowError; such an int is not finite, so ValueError
-    with pytest.raises(ValueError, match="finite"):
+    # float(x) raises OverflowError; such an int is not finite, so ValueError, and
+    # PhysicsRejection where it is a screen's Y
+    screen_y = name in ("is_classical_det", "moments_with_coupling")
+    with pytest.raises(PhysicsRejection if screen_y else ValueError, match="finite"):
         INT_ENTRY_POINTS[name](x)
