@@ -161,7 +161,7 @@ def entanglement_onset(
     dyn: GaussianDynamics,
     gamma0: np.ndarray,
     t_max: float,
-    grid: int = 10_000,
+    grid: int,
     tol_psd: float = TOL_PSD,
 ):
     """Earliest time at which the evolved state stops being separable.
@@ -268,9 +268,9 @@ def fprime_zero(Y: np.ndarray, g: float) -> np.ndarray:
     raises RuntimeError rather than being tolerated. The assembled route comes
     first, so Y and g are refused as ScreenMoments refuses them.
     """
-    Y = _float_array(Y, "Y")
-    assembled = _first_order_form(build_dynamics(moments_with_coupling(Y, g)))
-    closed = (1j * DELTA_2) @ CHI @ (Y - 2j * g * DELTA_1) @ CHI.T @ (1j * DELTA_2)
+    moments = moments_with_coupling(Y, g)
+    assembled = _first_order_form(build_dynamics(moments))
+    closed = (1j * DELTA_2) @ CHI @ (moments.Y - 2j * g * DELTA_1) @ CHI.T @ (1j * DELTA_2)
     if not np.max(np.abs(closed - assembled)) <= 1e-10:
         raise RuntimeError(
             "the two first-order certificate expressions disagree; "
@@ -287,11 +287,12 @@ def converse_witness(Y: np.ndarray, g: float):
     chi^T (i Delta_2) z_ab = z_f and i Delta~_2 z_ab = -z_ab, so that
     z_ab^dag F z_ab = z_f^dag (Y - 2ig Delta_1) z_f < 0 for F the margin's
     first-order form y - i x^T Delta~_2 - i Delta~_2 x (y + x^T + x on the lift).
+    Y and g are refused as ScreenMoments refuses them.
     """
-    Y = _float_array(Y, "Y")
-    if is_classical(Y, g).ok:
+    moments = moments_with_coupling(Y, g)
+    if is_classical(moments.Y, g).ok:
         raise ValueError("witness is only defined for non-classical (Y, g)")
-    M = Y - 2j * g * DELTA_1
+    M = moments.Y - 2j * g * DELTA_1
     vals, vecs = np.linalg.eigh(M)
     z_f = vecs[:, 0]
     z1, z2 = z_f
@@ -302,7 +303,7 @@ def converse_witness(Y: np.ndarray, g: float):
         raise RuntimeError("witness lift does not map back to z_f through chi^T i Delta_2")
     if not np.max(np.abs(1j * DELTA_2_TILDE @ z_ab + z_ab)) <= 1e-10:
         raise RuntimeError("witness lift is not a -1 eigenvector of i Delta~_2")
-    lhs = z_ab.conj() @ _first_order_form(build_dynamics(moments_with_coupling(Y, g))) @ z_ab
+    lhs = z_ab.conj() @ _first_order_form(build_dynamics(moments)) @ z_ab
     rhs = z_f.conj() @ M @ z_f
     if not abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)):
         raise RuntimeError(f"witness quadratic forms disagree: {lhs} vs {rhs}")

@@ -31,7 +31,7 @@ import numpy as np
 
 # unused here; only bench/tracer.py's fock.expm rebinding needs the name
 from .phasespace import expm  # noqa: F401
-from .phasespace import _finite, _float_array
+from .phasespace import _complex_array, _finite, _float_array
 from .screens import DisplacementScreen, ScreenMoments
 
 # --- single-mode operators ---
@@ -85,7 +85,7 @@ class FockState:
 
 
 def product_state(vec_a: np.ndarray, vec_b: np.ndarray) -> FockState:
-    psi = np.kron(np.asarray(vec_a, dtype=complex), np.asarray(vec_b, dtype=complex))
+    psi = np.kron(_complex_array(vec_a, "vec_a"), _complex_array(vec_b, "vec_b"))
     return FockState(rho=np.outer(psi, psi.conj()), dims=(len(vec_a), len(vec_b)))
 
 
@@ -173,7 +173,7 @@ def carrier_kraus_ops(screen, d: int) -> np.ndarray:
     if isinstance(screen, DisplacementScreen):
         weights, shifts = gauss_hermite_mixture(screen)
         return displacement_operator(shifts[:, 0], shifts[:, 1], d) * np.sqrt(weights)[:, None, None]
-    ops = np.asarray(screen, dtype=complex)
+    ops = _complex_array(screen, "Kraus stack")
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or len(ops) == 0:
         raise ValueError(f"Kraus stack has shape {ops.shape}, not (k, d, d) with k >= 1")
     return ops

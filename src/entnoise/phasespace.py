@@ -85,6 +85,14 @@ def _float_array(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite, got an int beyond double range") from None
 
 
+def _complex_array(values, name: str) -> np.ndarray:
+    """np.asarray(values, dtype=complex); ValueError naming values for an int beyond double range."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int beyond double range") from None
+
+
 def _require_tolerance(tol_psd: float) -> None:
     """Raise ValueError unless tol_psd is finite and >= 0.
 

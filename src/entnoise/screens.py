@@ -49,7 +49,7 @@ class ScreenMoments:
         if Y.shape != (2, 2):
             raise ValueError(f"Y must be 2x2, got shape {Y.shape}")
         require_symmetric(Y, name="Y")
-        object.__setattr__(self, "Y", 0.5 * (Y + Y.T))
+        object.__setattr__(self, "Y", 0.5 * Y + 0.5 * Y.T)  # Y + Y.T could overflow
 
 
 def moments_with_coupling(Y: np.ndarray, g: float) -> ScreenMoments:
@@ -77,13 +77,13 @@ class DisplacementScreen:
     sigma_uv: float = 0.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():  # so that Y = 2 Sigma and Y + Y^T stay finite
+        for name, value in vars(self).items():  # so Y = 2 Sigma and its eigenvalues stay finite
             if not abs(value) <= sys.float_info.max / 4:  # exact for an int, unlike np.float64
                 raise PhysicsRejection(f"{name} = {value} is not finite, or too large for 2 Sigma")
-        ok, lam = psd_certificate(self.matrix, TOL_PSD)
+        ok, lam = psd_certificate(2.0 * self.matrix, TOL_PSD)  # build_dynamics' verdict on Y
         if not ok:
             raise PhysicsRejection(
-                f"displacement moment matrix is not PSD (min eigenvalue {lam:.3e})"
+                f"displacement moment matrix is not PSD (min eigenvalue {0.5 * lam:.3e})"
             )
 
     @property
@@ -105,29 +105,17 @@ def moments_from_displacement(screen: DisplacementScreen) -> ScreenMoments:
     return ScreenMoments(nu_a=0.0, nu_b=0.0, eta=1.0, xi=0.0, Y=2.0 * screen.matrix)
 
 
-def _checked_noise(Y: np.ndarray, g: float) -> np.ndarray:
-    """Y as floats; PhysicsRejection on a non-finite Y or g, ValueError unless Y is symmetric 2x2."""
-    if not _finite(g, *np.ravel(Y)):  # before float conversion, which an int can overflow
-        raise PhysicsRejection(f"Y and the coupling g must be finite, got "
-                               f"{np.asarray(Y).tolist()} and {g}")
-    Y = _float_array(Y, "Y")
-    require_symmetric(Y, name="Y")
-    if Y.shape != (2, 2):
-        raise ValueError(f"Y must be 2x2, got shape {Y.shape}")
-    return Y
-
-
 def is_classical(Y: np.ndarray, g: float, tol_psd: float = TOL_PSD) -> Certificate:
     """Decide whether screen noise Y dominates coupling g.
 
     True iff the Hermitian matrix Y - 2i|g| Delta_1 has no eigenvalue below
     -tol_psd; when it does, the exchange can generate entanglement. The |g|
     form covers both coupling signs (the g < 0 case is the transpose, which
-    has the same spectrum). Y and g are checked by _checked_noise; ValueError
+    has the same spectrum). Y and g are checked by ScreenMoments; ValueError
     on a tol_psd that is negative or not finite, or a |g| whose 2|g| overflows.
     """
     _require_tolerance(tol_psd)
-    Y = _checked_noise(Y, g)
+    Y = moments_with_coupling(Y, g).Y
     if abs(g) > np.finfo(float).max / 2:  # refused before 2|g| Delta_1 overflows
         raise ValueError(f"coupling g = {g:g} is out of range: 2|g| overflows")
     return psd_certificate(Y - 2j * abs(g) * DELTA_1, tol_psd)
@@ -139,7 +127,7 @@ def is_classical_det(Y: np.ndarray, g: float) -> bool:
     An independent code path for cross-checking is_classical, at the default
     tolerance TOL_PSD. Y and g are checked as there; ValueError where det Y or 4 g^2 overflows.
     """
-    Y = _checked_noise(Y, g)
+    Y = moments_with_coupling(Y, g).Y
     with np.errstate(over="ignore", invalid="ignore"):
         det, bound = float(np.linalg.det(Y)), float(4.0 * g * g)
     if not _finite(det, bound):
@@ -178,6 +166,8 @@ def _number_field(key: str, value, lineno: int) -> float:
         if isinstance(value, bool):  # float() would read a JSON true as 1
             raise TypeError(value)
         return float(value)
+    except OverflowError:  # a JSON int beyond double range: +-inf, as float("1e400") reads
+        return np.inf if value > 0 else -np.inf
     except (TypeError, ValueError) as exc:
         raise ValueError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
 

@@ -167,9 +167,9 @@ SWEEP = {
         ("--sxp", "1e-320", 0, ""),
         ("--sxp", "-1", 3, "displacement moment matrix is not PSD"),
         ("--sxp", "1e200", 3, "displacement moment matrix is not PSD"),
-        ("--g", "nan", 3, "must be finite, got [[0.0, 0.0], [0.0, 0.0]] and nan"),
-        ("--g", "inf", 3, "must be finite, got [[0.0, 0.0], [0.0, 0.0]] and inf"),
-        ("--g", "-inf", 3, "must be finite, got [[0.0, 0.0], [0.0, 0.0]] and -inf"),
+        ("--g", "nan", 3, "screen moments must be finite, got (0.0, 0.0, nan"),
+        ("--g", "inf", 3, "screen moments must be finite, got (0.0, 0.0, inf"),
+        ("--g", "-inf", 3, "screen moments must be finite, got (0.0, 0.0, -inf"),
         ("--g", "1e308", 2, "coupling g = 1e+308 is out of range"),
         ("--g", "-1e308", 2, "coupling g = -1e+308 is out of range"),
         ("--g", "0", 0, ""),
@@ -565,6 +565,19 @@ def test_config_figure_is_refused_by_its_own_key(tmp_path, capsys, figures, code
     status, out, err = run_cli(capsys, "plan-experiment", "--config", str(cfg))
     assert (status, out) == (code, "")
     assert message in err
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("form", ["key-value", "json"])
+def test_a_figure_beyond_double_range_is_refused_in_either_form(tmp_path, capsys, form, sign):
+    # a JSON int past the double range reads as +-inf, as 1e400 does in a key = value file
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text('{"mass_density": ' + sign + "1" + "0" * 400 +
+                   ', "frequency": 1e-3, "quality_factor": 1e9, "temperature": 0.01}'
+                   if form == "json" else _CONFIG.replace("22000", sign + "1e400"))
+    code, out, err = run_cli(capsys, "plan-experiment", "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert f"mass_density must be positive and finite, got {sign}inf" in err
 
 
 def test_unphysical_config_exits_3(tmp_path, capsys):

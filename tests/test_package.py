@@ -23,18 +23,22 @@ def test_no_assert_statements_in_library():
 
 
 def test_only_float_array_converts_arguments_to_float_arrays():
-    # one array intake, phasespace._float_array, so that every array argument holding
-    # an int beyond double range is refused alike, with ValueError
+    # one array intake per dtype, phasespace._float_array and phasespace._complex_array,
+    # so that every array argument holding an int beyond double range is refused
+    # alike, with ValueError
+    intakes = {"_float_array": ("float", "np.float64"), "_complex_array": ("complex", "np.complex128")}
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        intake = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                  and (path.stem, fn.name) == ("phasespace", "_float_array") for node in ast.walk(fn)}
+        inside = {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and path.stem == "phasespace" and fn.name in intakes for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray"
-                    and any(ast.unparse(dtype) in ("float", "np.float64") for dtype in
-                            node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "dtype"])
-                    and id(node) not in intake):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray"):
+                continue
+            dtypes = {ast.unparse(dtype) for dtype in
+                      node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "dtype"]}
+            if any(dtypes & set(spelled) and inside.get(id(node)) != intake
+                   for intake, spelled in intakes.items()):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 
@@ -211,21 +215,51 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert not unset, f"defaulted parameters no caller outside the tests sets: {unset}"
 
 
+def _class_dict_keys(tree):
+    """{attribute: keys} of the dict(...) and {...} literals bound to class attributes in tree.
+
+    Only literals whose keys are all spelled out count; an attribute name that
+    two classes bind keeps the keys both literals share.
+    """
+    found = {}
+    for cls in ast.walk(tree):
+        for node in cls.body if isinstance(cls, ast.ClassDef) else []:
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                continue
+            value, keys = node.value, None
+            if (isinstance(value, ast.Call) and ast.unparse(value.func) == "dict"
+                    and not value.args and all(kw.arg for kw in value.keywords)):
+                keys = {kw.arg for kw in value.keywords}
+            elif isinstance(value, ast.Dict) and all(
+                    isinstance(key, ast.Constant) and isinstance(key.value, str) for key in value.keys):
+                keys = {key.value for key in value.keys}
+            if keys is not None:
+                name = node.targets[0].id
+                found[name] = found[name] & keys if name in found else keys
+    return found
+
+
 def test_every_defaulted_parameter_is_omitted_by_a_caller():
     # the converse: a default that every call in the package, a demo or the
     # bench overrides serves only the tests, so the parameter is required. This
     # holds for a dataclass field's default as well. A call that unpacks *args
-    # or **kwargs may omit any default; calls are matched by name as above
+    # or **kwargs may omit any default, except that **obj.attr passes the keys
+    # of a dict literal that a class in the same file binds to attr; calls are
+    # matched by name as above
     trees, callees, _ = _library_callees(with_fields=True)
     omitted = set()
     for tree in trees.values():
+        literals = _class_dict_keys(tree)
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
+            unpacked = [kw.value for kw in call.keywords if kw.arg is None]
             unpacks = (any(isinstance(arg, ast.Starred) for arg in call.args)
-                       or any(kw.arg is None for kw in call.keywords))
+                       or any(getattr(value, "attr", None) not in literals for value in unpacked))
+            spelled = {key for value in unpacked if not unpacks for key in literals[value.attr]}
             for qualified, params, positional in callees.get(_called_name(call), []):
-                passed = set() if unpacks else (set(positional[:len(call.args)])
+                passed = set() if unpacks else (set(positional[:len(call.args)]) | spelled
                                                 | {kw.arg for kw in call.keywords})
                 omitted.update((qualified, name) for name in params if name not in passed)
     always_set = sorted(f"{qualified}({name})" for entries in callees.values()

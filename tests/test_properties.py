@@ -25,8 +25,8 @@ from entnoise.errors import PhysicsRejection
 from entnoise.experiment import (
     ExperimentConfig, GravitationalHamiltonian, angular_frequency, budget)
 from entnoise.fock import (
-    MIN_LEVELS, TrotterStepper, coherent_vector, displacement_operator, trotter_evolve,
-    vacuum_state)
+    MIN_LEVELS, TrotterStepper, carrier_kraus_ops, coherent_vector, displacement_operator,
+    product_state, trotter_evolve, vacuum_state)
 from entnoise.noise import run_noise_test
 from entnoise.phasespace import K_REVERSAL, min_eig_hermitian, validate_covariance
 from entnoise.sampling import (
@@ -344,6 +344,8 @@ INT_ENTRY_POINTS = {
     "is_classical_det": lambda x: is_classical_det(np.array([[x, 0], [0, 1]]), 0.5),
     "budget": _budget_with,
     "GravitationalHamiltonian": lambda x: GravitationalHamiltonian(1.0, 1.0, x),
+    "product_state": lambda x: product_state([x, 0], [1, 0]),
+    "carrier_kraus_ops": lambda x: carrier_kraus_ops([[[x, 0], [0, 1]]], 3),
 }
 
 
@@ -352,6 +354,7 @@ INT_ENTRY_POINTS = {
 def test_entry_points_refuse_an_int_beyond_double_range(name, x):
     # float(x) raises OverflowError; such an int is not finite, so ValueError, and
     # PhysicsRejection where it is a screen's Y
-    screen_y = name in ("is_classical_det", "moments_with_coupling")
+    screen_y = name in ("is_classical_det", "moments_with_coupling", "fprime_zero",
+                        "converse_witness")
     with pytest.raises(PhysicsRejection if screen_y else ValueError, match="finite"):
         INT_ENTRY_POINTS[name](x)

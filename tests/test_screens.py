@@ -1,8 +1,11 @@
 import io
+import re
 
 import numpy as np
 import pytest
 
+from entnoise.dynamics import build_dynamics
+from entnoise.entanglement import converse_witness, fprime_zero
 from entnoise.errors import PhysicsRejection
 from entnoise.screens import (
     DisplacementScreen,
@@ -61,6 +64,14 @@ def test_non_psd_sigma_rejected():
         DisplacementScreen(0.1, 0.1, 0.5)
 
 
+def test_displacement_screen_is_judged_as_build_dynamics_judges_its_y():
+    # one absolute tolerance for Y = 2 Sigma, as in build_dynamics: Sigma's least
+    # eigenvalue of -0.7e-10 is -1.4e-10 in Y, past TOL_PSD, and the message reports Sigma's
+    with pytest.raises(PhysicsRejection, match=r"not PSD \(min eigenvalue -7\.000e-11\)"):
+        DisplacementScreen(1.0, 1.0, 1.0 + 0.7e-10)
+    build_dynamics(moments_from_displacement(DisplacementScreen(1.0, 1.0, 1.0 + 0.4e-10)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_inputs_rejected(bad):
     with pytest.raises(PhysicsRejection):
@@ -80,12 +91,9 @@ def test_non_finite_inputs_rejected(bad):
 @pytest.mark.parametrize("big", [10**400, -10**400])
 def test_an_int_beyond_double_range_is_refused_as_not_finite(big):
     # float(big) and math.isfinite(big) raise OverflowError
-    with pytest.raises(PhysicsRejection, match="coupling g must be finite"):
-        is_classical(np.eye(2), big)
-    with pytest.raises(PhysicsRejection, match="coupling g must be finite"):
-        is_classical_det(np.eye(2), big)
-    with pytest.raises(PhysicsRejection, match="screen moments must be finite"):
-        moments_with_coupling(np.eye(2), big)
+    for entry_point in (is_classical, is_classical_det, moments_with_coupling):
+        with pytest.raises(PhysicsRejection, match="screen moments must be finite"):
+            entry_point(np.eye(2), big)
     for params in [(big, 0.0), (0.0, big), (0.1, 0.1, big)]:
         with pytest.raises(PhysicsRejection, match="is not finite, or too large for 2 Sigma"):
             DisplacementScreen(*params)
@@ -186,8 +194,9 @@ def test_is_classical_rejects_bad_tolerance(tol):
 
 @pytest.mark.parametrize("sigmas", [(1e308, 1.0), (1.0, 1e308), (1.0, 1.0, -1e308), (5e307, 5e307)])
 def test_displacement_screen_whose_noise_overflows_is_refused(sigmas):
-    # Y = 2 Sigma and its symmetrization Y + Y^T must stay finite, so every
-    # moment is bounded by a quarter of the largest double (warnings are errors)
+    # Y = 2 Sigma and its eigenvalues, at most twice its largest entry, must stay
+    # finite, so every moment is bounded by a quarter of the largest double
+    # (warnings are errors)
     name = ("sigma_uu", "sigma_vv", "sigma_uv")[next(k for k, v in enumerate(sigmas) if v != 1.0)]
     with pytest.raises(PhysicsRejection, match=f"^{name} = .* too large for 2 Sigma$"):
         DisplacementScreen(*sigmas)
@@ -203,19 +212,44 @@ def test_is_classical_refuses_a_coupling_whose_double_overflows(g):
     assert not is_classical(np.eye(2), np.finfo(float).max / 2).ok
 
 
+# the five entry points that take a screen's (Y, g); ScreenMoments checks it for all
+SCREEN_ENTRY_POINTS = (is_classical, is_classical_det, fprime_zero, converse_witness,
+                       moments_with_coupling)
+
+
+def _refusal(call):
+    """(type, message) of the exception call() raises."""
+    with pytest.raises(ValueError) as caught:
+        call()
+    return caught.type, str(caught.value)
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("classical", [is_classical, is_classical_det])
-def test_both_classicality_routes_check_their_inputs_alike(classical):
-    with pytest.raises(PhysicsRejection, match="Y and the coupling g must be finite"):
-        classical(np.eye(2), np.nan)
-    with pytest.raises(PhysicsRejection, match="Y and the coupling g must be finite"):
-        classical(np.diag([1.0, np.inf]), 0.5)
-    with pytest.raises(ValueError, match=r"Y is not symmetric: entries \(0,1\) and \(1,0\)"):
-        classical(np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1)
-    with pytest.raises(ValueError, match=r"Y must be 2x2, got shape \(3, 3\)"):
-        classical(np.eye(3), 0.1)
-    with pytest.raises(ValueError, match=r"Y must be square, got shape \(2, 3\)"):
-        classical(np.ones((2, 3)), 0.1)
+@pytest.mark.parametrize("Y, g, error, message", [
+    (np.eye(2), np.nan, PhysicsRejection, r"screen moments must be finite, got \(0.0, 0.0, nan"),
+    (np.diag([1.0, np.inf]), 0.5, PhysicsRejection, r"screen moments must be finite, .* and Y = "
+                                                    r"\[\[1.0, 0.0\], \[0.0, inf\]\]"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1, ValueError,
+     r"Y is not symmetric: entries \(0,1\) and \(1,0\)"),
+    (np.eye(3), 0.1, ValueError, r"Y must be 2x2, got shape \(3, 3\)"),
+    (np.ones((2, 3)), 0.1, ValueError, r"Y must be 2x2, got shape \(2, 3\)"),
+], ids=["nan-g", "inf-Y", "asymmetric-Y", "3x3-Y", "2x3-Y"])
+def test_every_screen_entry_point_refuses_bad_noise_alike(Y, g, error, message):
+    refusals = {entry_point.__name__: _refusal(lambda: entry_point(Y, g))
+                for entry_point in SCREEN_ENTRY_POINTS}
+    assert len(set(refusals.values())) == 1, refusals
+    caught_type, caught_message = refusals["moments_with_coupling"]
+    assert caught_type is error
+    assert re.match(message, caught_message), caught_message
+
+
+@pytest.mark.filterwarnings("error")
+def test_screen_moments_symmetrize_a_finite_y_without_overflow():
+    # 0.5 Y + 0.5 Y^T: the sum Y + Y^T would overflow to inf
+    assert moments_with_coupling(np.diag([1e308, 1.0]), 0.5).Y[0, 0] == 1e308
+    top = np.finfo(float).max
+    assert moments_with_coupling([[top, -top], [-top, top]], 0.5).Y.tolist() == [[top, -top],
+                                                                                 [-top, top]]
 
 
 @pytest.mark.filterwarnings("error")
